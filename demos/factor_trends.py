@@ -43,7 +43,7 @@ def main():
               f" +- {b.stderr:.2f}  ({b.n_intervals} intervals)")
 
     print("\nalpha by lifetime bin:")
-    acol = vi.alpha_by_factor(corpus, "lifetime", edges=edges)
+    acol = vi.alpha_by_factor(corpus, "lifetime", binning=binning)
     for b in acol:
         print(f"  [{b.lo:6.0f}, {b.hi:6.0f}): alpha = {b.mean_alpha:.3f}"
               f" +- {b.std_alpha:.3f}  ({b.count} stocks)")

@@ -1,8 +1,9 @@
 """Command-line pipelines: corpus in, plot-ready TSVs plus report.json out.
 
-Subcommands: intervals, conditional, dfa, factors, synth. Every pipeline is
-a parallel map over stocks followed by a deterministic ticker-ordered
-reduction, so the --jobs value can never change any output byte. The
+Subcommands: intervals, conditional, dfa, factors, synth. Every analysis
+maps one per-stock stage (column -> volatility -> intervals per threshold,
+shuffled control, DFA) over the corpus and reduces its ticker-ordered
+results, so the --jobs value can never change any output byte. The
 report deliberately omits execution environment (paths, parallelism) for
 the same reason.
 
@@ -17,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, field
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import combinations
@@ -25,9 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .conditional import (N_OCTILES, conditional_pdfs, consecutive_pairs,
-                          memory_summary, octile_boundaries)
-from .dfa import DEFAULT_ORDER, alpha_by_factor, dfa, stock_alpha
+from .conditional import (LOW_STATISTICS_PAIRS, conditional_pdfs,
+                          consecutive_pairs, memory_summary,
+                          octile_boundaries)
+from .dfa import DEFAULT_ORDER, DfaCurve, alpha_by_factor, dfa
 from .errors import (ConfigError, DataError, DegenerateSeriesError,
                      FitShapeError, InsufficientStatisticsError,
                      InsufficientTailError)
@@ -48,6 +50,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_EMPTY = 4
+
+# generator parameters shared by --synth-<name> and synth --<name>
+GENERATOR_FLAGS = {"hurst": float, "levels": int, "sigma": float,
+                   "vol_scale": float, "df": float, "kappa": float,
+                   "dist": ("normal", "student_t", "powered_normal")}
 
 
 @dataclass(frozen=True)
@@ -105,29 +112,31 @@ def _parse_thresholds(text: str) -> tuple:
         qs = tuple(float(t) for t in text.split(",") if t.strip())
     except ValueError as exc:
         raise ConfigError(f"bad thresholds {text!r}: {exc}") from exc
-    if not qs or any(q <= 0 for q in qs):
+    if not qs or any(not q > 0 for q in qs):
         raise ConfigError(f"thresholds must be positive, got {text!r}")
+    tags = [_qtag(q) for q in qs]
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"thresholds {text!r} collide in output names "
+                          f"{tags}; give each threshold once")
     return qs
 
 
-def _add_source_args(p: argparse.ArgumentParser) -> None:
+def _add_generator_args(p: argparse.ArgumentParser, prefix: str) -> None:
+    for name, kind in GENERATOR_FLAGS.items():
+        flag = "--" + (prefix + name).replace("_", "-")
+        if isinstance(kind, tuple):
+            p.add_argument(flag, choices=kind)
+        else:
+            p.add_argument(flag, type=kind)
+
+
+def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data-dir", help="directory of <TICKER>.csv files")
     p.add_argument("--synth-kind", choices=KINDS,
                    help="generate the corpus instead of loading one")
     p.add_argument("--synth-n-stocks", type=int, default=100)
     p.add_argument("--synth-length", type=int, default=5000)
-    p.add_argument("--synth-hurst", type=float)
-    p.add_argument("--synth-levels", type=int)
-    p.add_argument("--synth-sigma", type=float)
-    p.add_argument("--synth-vol-scale", type=float)
-    p.add_argument("--synth-df", type=float)
-    p.add_argument("--synth-kappa", type=float)
-    p.add_argument("--synth-dist",
-                   choices=("normal", "student_t", "powered_normal"))
-
-
-def _add_common_args(p: argparse.ArgumentParser) -> None:
-    _add_source_args(p)
+    _add_generator_args(p, "synth_")
     p.add_argument("--series", choices=("volume", "price"), default="volume")
     p.add_argument("--thresholds", default=",".join(str(q) for q in DEFAULT_THRESHOLDS))
     p.add_argument("--seed", type=int, default=0)
@@ -179,47 +188,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--vol-scale", type=float)
-    p.add_argument("--df", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--dist", choices=("normal", "student_t", "powered_normal"))
+    _add_generator_args(p, "")
     p.set_defaults(func=cmd_synth)
     return ap
 
 
-def _synth_params(kind: str, hurst, levels, sigma, vol_scale, df, kappa,
-                  dist) -> dict:
-    """Translate flat flags into GeneratorSpec params for one kind."""
+def _synth_params(kind: str, args, prefix: str) -> dict:
+    """Translate flat generator flags into GeneratorSpec params for one kind."""
+    g = {name: getattr(args, prefix + name) for name in GENERATOR_FLAGS}
     if kind == "iid":
-        params = {"dist": dist or "normal"}
+        params = {"dist": g["dist"] or "normal"}
         if params["dist"] == "student_t":
-            if df is None:
+            if g["df"] is None:
                 raise ConfigError("student_t needs --df")
-            params["df"] = df
+            params["df"] = g["df"]
         elif params["dist"] == "powered_normal":
-            if kappa is None:
+            if g["kappa"] is None:
                 raise ConfigError("powered_normal needs --kappa")
-            params["kappa"] = kappa
+            params["kappa"] = g["kappa"]
         return params
     if kind == "fgn":
-        if hurst is None:
+        if g["hurst"] is None:
             raise ConfigError("fgn needs --hurst")
-        params = {"hurst": hurst}
-        if vol_scale is not None:
-            params["vol_scale"] = vol_scale
-        if df is not None:
-            params["noise_df"] = df
-        return params
-    params = {}
-    if levels is not None:
-        params["levels"] = levels
-    if sigma is not None:
-        params["sigma"] = sigma
-    if df is not None:
-        params["noise_df"] = df
+        params = {"hurst": g["hurst"]}
+        if g["vol_scale"] is not None:
+            params["vol_scale"] = g["vol_scale"]
+    else:
+        params = {k: g[k] for k in ("levels", "sigma") if g[k] is not None}
+    if g["df"] is not None:
+        params["noise_df"] = g["df"]
     return params
 
 
@@ -236,15 +233,18 @@ def _config_from_args(args) -> RunConfig:
             "kind": args.synth_kind,
             "n_stocks": args.synth_n_stocks,
             "length": args.synth_length,
-            "params": _synth_params(
-                args.synth_kind, args.synth_hurst, args.synth_levels,
-                args.synth_sigma, args.synth_vol_scale, args.synth_df,
-                args.synth_kappa, args.synth_dist),
+            "params": _synth_params(args.synth_kind, args, "synth_"),
         }
-    if args.bins_per_decade < 1:
-        raise ConfigError("--bins-per-decade must be >= 1")
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
+    q = getattr(args, "q", DEFAULT_Q)
+    order = getattr(args, "order", DEFAULT_ORDER)
+    for bad, what in ((args.bins_per_decade < 1, "--bins-per-decade must be >= 1"),
+                      (args.jobs < 1, "--jobs must be >= 1"),
+                      (not args.x_min > 0, "--x-min must be > 0"),
+                      (args.min_lifetime < 0, "--min-lifetime must be >= 0"),
+                      (not q > 0, "--q must be > 0"),
+                      (order < 1, "--order must be >= 1")):
+        if bad:
+            raise ConfigError(what)
     return RunConfig(
         command=args.command,
         data_dir=args.data_dir,
@@ -255,7 +255,7 @@ def _config_from_args(args) -> RunConfig:
         octiles=getattr(args, "octiles", "geometric"),
         bins_per_decade=args.bins_per_decade,
         x_min=args.x_min,
-        q=getattr(args, "q", DEFAULT_Q),
+        q=q,
         out=args.out,
         jobs=args.jobs,
         min_lifetime=args.min_lifetime,
@@ -263,25 +263,12 @@ def _config_from_args(args) -> RunConfig:
         shuffled=getattr(args, "shuffled", False),
         dump_intervals=getattr(args, "dump_intervals", False),
         dump_fluctuations=getattr(args, "dump_fluctuations", False),
-        order=getattr(args, "order", DEFAULT_ORDER),
+        order=order,
     )
 
 
-def _resolve_corpus(cfg: RunConfig):
-    if cfg.data_dir:
-        corpus = load_corpus(cfg.data_dir, cfg.min_lifetime, cfg.strict)
-        if len(corpus) == 0:
-            raise DataError(f"no stock in {cfg.data_dir} passed the "
-                            f"lifetime filter ({cfg.min_lifetime})")
-        return corpus
-    s = cfg.synth
-    rule = homogeneous_rule(s["kind"], s["length"], s["params"], cfg.seed)
-    corpus, _ = synth_corpus(s["n_stocks"], rule)
-    return corpus
-
-
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
+def _outdir(path: str) -> Path:
+    out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -289,64 +276,108 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
+def _setup(args):
+    """(config, corpus, output directory) of one analysis run."""
+    cfg = _config_from_args(args)
+    if cfg.data_dir:
+        corpus = load_corpus(cfg.data_dir, cfg.min_lifetime, cfg.strict)
+        if len(corpus) == 0:
+            raise DataError(f"no stock in {cfg.data_dir} passed the "
+                            f"lifetime filter ({cfg.min_lifetime})")
+    else:
+        s = cfg.synth
+        rule = homogeneous_rule(s["kind"], s["length"], s["params"], cfg.seed)
+        corpus, _ = synth_corpus(s["n_stocks"], rule)
+    return cfg, corpus, _outdir(cfg.out)
+
+
 # ---------------------------------------------------------------------------
-# parallel map plumbing
+# the per-stock stage
 
-def _pmap(fn, items, jobs: int):
-    """Order-preserving map, process-parallel when jobs > 1."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    chunk = max(1, len(items) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items, chunksize=chunk))
+@dataclass(frozen=True)
+class StockResult:
+    """Everything the analyses need from one stock; no per-day arrays.
+
+    by_q and shuffled_by_q map a threshold to the IntervalSeries of the
+    volatility and of its shuffle control; curve is the DFA of one of
+    them. A degenerate stock has no volatility and carries nothing else.
+    """
+
+    ticker: str
+    n_dropped: int = 0
+    degenerate: bool = False
+    by_q: dict = field(default_factory=dict)
+    shuffled_by_q: dict = field(default_factory=dict)
+    curve: DfaCurve | None = None
 
 
-def _stock_intervals(stock, qs, series_kind, master_seed, with_shuffled):
-    """Per-stock worker: volatility once, intervals per threshold."""
-    col = stock.volume if series_kind == "volume" else stock.close
-    out = {"ticker": stock.ticker, "n_dropped": 0, "degenerate": False,
-           "by_q": {}, "shuffled_by_q": {}}
+def _stock(item, seed: int, qs=(), shuffled_qs=(), order=None,
+           shuffled_dfa=False) -> StockResult:
+    """Volatility of one (ticker, column) once, then what was asked of it.
+
+    qs and shuffled_qs are the thresholds to extract intervals at from the
+    volatility and from its shuffle control; order, when given, runs DFA
+    on the volatility, or on the control with shuffled_dfa. A series too
+    short for DFA gets no curve.
+    """
+    ticker, column = item
+    n_dropped = 0
     try:
-        r = log_returns(col)
-        out["n_dropped"] = r.n_dropped
+        r = log_returns(column)
+        n_dropped = r.n_dropped
         v = normalize_volatility(r)
     except DegenerateSeriesError:
-        out["degenerate"] = True
-        return out
-    for q in qs:
-        out["by_q"][q] = extract_intervals(v, q)
-    if with_shuffled:
-        sv = shuffle_control(v, derive_seed(master_seed, stock.ticker, "shuffle"))
-        for q in qs:
-            out["shuffled_by_q"][q] = extract_intervals(sv, q)
-    return out
+        return StockResult(ticker, n_dropped, degenerate=True)
+    by_q = {q: extract_intervals(v, q) for q in qs}
+    sv = None
+    if shuffled_qs or (order is not None and shuffled_dfa):
+        sv = shuffle_control(v, derive_seed(seed, ticker, "shuffle"))
+    shuffled_by_q = {q: extract_intervals(sv, q) for q in shuffled_qs}
+    curve = None
+    if order is not None:
+        try:
+            curve = dfa((sv if shuffled_dfa else v).values, order=order)
+        except DataError:
+            pass
+    return StockResult(ticker, n_dropped, False, by_q, shuffled_by_q, curve)
 
 
-def _stock_dfa(stock, series_kind, order, shuffled, master_seed, keep_curve):
-    out = {"ticker": stock.ticker, "alpha": None, "flagged": False, "curve": None}
-    col = stock.volume if series_kind == "volume" else stock.close
-    try:
-        v = normalize_volatility(log_returns(col))
-        if shuffled:
-            v = shuffle_control(v, derive_seed(master_seed, stock.ticker, "shuffle"))
-        curve = dfa(v.values, order=order)
-        out["alpha"] = curve.alpha
-        out["flagged"] = curve.alpha_flagged
-        if keep_curve:
-            out["curve"] = (curve.window_sizes, curve.fluctuations)
-    except (DegenerateSeriesError, DataError):
-        pass
-    return out
+def _map_stocks(cfg: RunConfig, corpus, **stage) -> list[StockResult]:
+    """The per-stock stage over the corpus in ticker order, in a process
+    pool when --jobs > 1."""
+    items = [(s.ticker, s.column(cfg.series)) for s in corpus]
+    worker = partial(_stock, seed=cfg.seed, **stage)
+    if cfg.jobs <= 1 or len(items) <= 1:
+        return [worker(it) for it in items]
+    chunk = max(1, len(items) // (cfg.jobs * 4))
+    with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
+        return list(ex.map(worker, items, chunksize=chunk))
+
+
+def _factor_binnings(fv):
+    """(factor, default binning), capitalization only where it is defined."""
+    have_cap = any(f.mean_capitalization is not None for f in fv)
+    for factor in FACTORS:
+        if factor != "capitalization" or have_cap:
+            yield factor, bin_stocks(fv, factor, make_edges(fv, factor))
 
 
 # ---------------------------------------------------------------------------
 # formatting
 
 def _fmt(x) -> str:
-    if x is None:
-        return "nan"
-    x = float(x)
+    """One TSV cell: text as is, integers exactly, floats to 10 digits."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    x = float("nan") if x is None else float(x)
     return "nan" if math.isnan(x) else f"{x:.10g}"
+
+
+def _write_tsv(path: Path, rows) -> None:
+    with open(path, "w") as fh:
+        fh.writelines("\t".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _qtag(q: float) -> str:
@@ -369,10 +400,16 @@ def _jclean(obj):
     return obj
 
 
-def _write_report(outdir: Path, report: dict) -> None:
-    with open(outdir / "report.json", "w") as fh:
-        json.dump(_jclean(report), fh, sort_keys=True, indent=2)
+def _write_json(path: Path, obj: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(_jclean(obj), fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _header(cfg: RunConfig, corpus) -> dict:
+    """The part of report.json every analysis writes."""
+    return {"config": cfg.echo(), "load_summary": corpus.summary.as_dict(),
+            "n_stocks": len(corpus)}
 
 
 def _fit_block(values, cfg: RunConfig) -> dict:
@@ -401,37 +438,30 @@ def _fit_block(values, cfg: RunConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: reducers over the per-stock stage
 
 def cmd_intervals(args) -> int:
-    cfg = _config_from_args(args)
-    corpus = _resolve_corpus(cfg)
-    outdir = _outdir(cfg)
-    worker = partial(_stock_intervals, qs=cfg.thresholds,
-                     series_kind=cfg.series, master_seed=cfg.seed,
-                     with_shuffled=True)
-    results = _pmap(worker, list(corpus), cfg.jobs)
+    cfg, corpus, outdir = _setup(args)
+    results = _map_stocks(cfg, corpus, qs=cfg.thresholds,
+                          shuffled_qs=cfg.thresholds)
+    ok = [r for r in results if not r.degenerate]
 
-    report = {"config": cfg.echo(), "load_summary": corpus.summary.as_dict(),
-              "n_stocks": len(corpus),
-              "n_degenerate": sum(r["degenerate"] for r in results),
-              "n_returns_dropped": sum(r["n_dropped"] for r in results),
+    report = {**_header(cfg, corpus),
+              "n_degenerate": len(results) - len(ok),
+              "n_returns_dropped": sum(r.n_dropped for r in results),
               "intervals": {}}
     produced = False
     dump_rows = []
     for q in cfg.thresholds:
         tag = _qtag(q)
-        items = [(r["ticker"], r["by_q"][q]) for r in results
-                 if not r["degenerate"]]
+        items = [(r.ticker, r.by_q[q]) for r in ok]
         pooled = pool_scaled(items) if items else None
         if pooled is None or len(pooled) == 0:
             report["intervals"][tag] = {"empty": True}
             continue
         produced = True
         raw = np.concatenate([iv.taus for _, iv in items if iv.taus.size])
-        sh_items = [(r["ticker"], r["shuffled_by_q"][q]) for r in results
-                    if not r["degenerate"]]
-        sh_pooled = pool_scaled(sh_items)
+        sh_pooled = pool_scaled([(r.ticker, r.shuffled_by_q[q]) for r in ok])
 
         write_pdf_tsv(log_bin(raw.astype(np.float64), cfg.bins_per_decade),
                       outdir / f"pdf_q{tag}.tsv")
@@ -450,16 +480,12 @@ def cmd_intervals(args) -> int:
         else:
             block["shuffled_fits"] = None
         report["intervals"][tag] = block
-
         if cfg.dump_intervals:
-            for ticker, iv in items:
-                for t in iv.taus:
-                    dump_rows.append(f"{ticker}\t{tag}\t{int(t)}\n")
+            dump_rows += [(t, tag, tau) for t, iv in items for tau in iv.taus]
 
     if cfg.dump_intervals and produced:
-        with open(outdir / "intervals.tsv", "w") as fh:
-            fh.writelines(dump_rows)
-    _write_report(outdir, report)
+        _write_tsv(outdir / "intervals.tsv", dump_rows)
+    _write_json(outdir / "report.json", report)
     if not produced:
         print("no threshold produced any interval", file=sys.stderr)
         return EXIT_EMPTY
@@ -467,23 +493,19 @@ def cmd_intervals(args) -> int:
 
 
 def cmd_conditional(args) -> int:
-    cfg = _config_from_args(args)
-    corpus = _resolve_corpus(cfg)
-    outdir = _outdir(cfg)
-    worker = partial(_stock_intervals, qs=cfg.thresholds,
-                     series_kind=cfg.series, master_seed=cfg.seed,
-                     with_shuffled=cfg.shuffled)
-    results = _pmap(worker, list(corpus), cfg.jobs)
+    cfg, corpus, outdir = _setup(args)
+    if cfg.shuffled:
+        results = _map_stocks(cfg, corpus, shuffled_qs=cfg.thresholds)
+        by_q = [(r.ticker, r.shuffled_by_q) for r in results if not r.degenerate]
+    else:
+        results = _map_stocks(cfg, corpus, qs=cfg.thresholds)
+        by_q = [(r.ticker, r.by_q) for r in results if not r.degenerate]
 
-    report = {"config": cfg.echo(), "load_summary": corpus.summary.as_dict(),
-              "n_stocks": len(corpus), "conditional": {}}
+    report = {**_header(cfg, corpus), "conditional": {}}
     produced = False
-    key = "shuffled_by_q" if cfg.shuffled else "by_q"
     for q in cfg.thresholds:
         tag = _qtag(q)
-        items = [(r["ticker"], r[key][q]) for r in results
-                 if not r["degenerate"]]
-        tau0, tau = consecutive_pairs(items)
+        tau0, tau = consecutive_pairs([(t, ivs[q]) for t, ivs in by_q])
         if tau.size == 0:
             report["conditional"][tag] = {"empty": True}
             continue
@@ -497,12 +519,12 @@ def cmd_conditional(args) -> int:
             "empty": False,
             "n_pairs": int(tau.size),
             "boundaries": [b if math.isfinite(b) else None for b in boundaries],
-            "octiles": [{"octile": r.octile, "mean_scaled_tau": r.mean_scaled_tau,
-                         "count": r.count,
-                         "low_statistics": r.count < 50} for r in summary.rows],
+            "octiles": [{**asdict(r),
+                         "low_statistics": r.count < LOW_STATISTICS_PAIRS}
+                        for r in summary.rows],
             "spearman": summary.spearman,
         }
-    _write_report(outdir, report)
+    _write_json(outdir / "report.json", report)
     if not produced:
         print("no threshold produced any interval pair", file=sys.stderr)
         return EXIT_EMPTY
@@ -510,70 +532,45 @@ def cmd_conditional(args) -> int:
 
 
 def cmd_dfa(args) -> int:
-    cfg = _config_from_args(args)
-    corpus = _resolve_corpus(cfg)
-    outdir = _outdir(cfg)
-    worker = partial(_stock_dfa, series_kind=cfg.series, order=cfg.order,
-                     shuffled=cfg.shuffled, master_seed=cfg.seed,
-                     keep_curve=cfg.dump_fluctuations)
-    results = _pmap(worker, list(corpus), cfg.jobs)
-    alphas = {r["ticker"]: r["alpha"] for r in results}
-    good = np.array([a for a in alphas.values() if a is not None])
+    cfg, corpus, outdir = _setup(args)
+    results = _map_stocks(cfg, corpus, order=cfg.order,
+                          shuffled_dfa=cfg.shuffled)
+    curves = [(r.ticker, r.curve) for r in results if r.curve is not None]
+    alphas = {t: c.alpha for t, c in curves}
+    good = np.array(list(alphas.values()))
+    report = _header(cfg, corpus)
     if good.size == 0:
-        _write_report(outdir, {"config": cfg.echo(), "dfa": {"empty": True}})
+        _write_json(outdir / "report.json", {**report, "dfa": {"empty": True}})
         print("no stock yielded a DFA exponent", file=sys.stderr)
         return EXIT_EMPTY
 
     if cfg.dump_fluctuations:
-        for r in results:
-            if r["curve"] is not None:
-                ns, fs = r["curve"]
-                with open(outdir / f"dfa_fluct_{r['ticker']}.tsv", "w") as fh:
-                    for n, f in zip(ns, fs):
-                        fh.write(f"{int(n)}\t{_fmt(f)}\n")
+        for t, c in curves:
+            _write_tsv(outdir / f"dfa_fluct_{t}.tsv",
+                       zip(c.window_sizes, c.fluctuations))
 
-    fv = compute_factors(corpus)
-    have_cap = any(f.mean_capitalization is not None for f in fv)
-    report = {"config": cfg.echo(), "load_summary": corpus.summary.as_dict(),
-              "n_stocks": len(corpus),
-              "dfa": {"empty": False,
-                      "mean_alpha": float(good.mean()),
-                      "std_alpha": float(good.std()),
-                      "n_computed": int(good.size),
-                      "n_skipped": int(len(results) - good.size),
-                      "n_flagged_above_1": sum(r["flagged"] for r in results),
-                      "by_factor": {}}}
-    for factor in FACTORS:
-        if factor == "capitalization" and not have_cap:
-            continue
-        rows = alpha_by_factor(corpus, factor, series_kind=cfg.series,
-                               order=cfg.order, alphas=alphas)
-        with open(outdir / f"dfa_alpha_by_{factor}.tsv", "w") as fh:
-            for r in rows:
-                fh.write(f"{_fmt(r.lo)}\t{_fmt(r.hi)}\t{_fmt(r.mean_alpha)}"
-                         f"\t{_fmt(r.std_alpha)}\t{r.count}\n")
-        report["dfa"]["by_factor"][factor] = [
-            {"lo": r.lo, "hi": r.hi, "mean_alpha": r.mean_alpha,
-             "std_alpha": r.std_alpha, "count": r.count} for r in rows]
-    _write_report(outdir, report)
+    report["dfa"] = {"empty": False,
+                     "mean_alpha": float(good.mean()),
+                     "std_alpha": float(good.std()),
+                     "n_computed": int(good.size),
+                     "n_skipped": int(len(results) - good.size),
+                     "n_flagged_above_1": sum(c.alpha_flagged for _, c in curves),
+                     "by_factor": {}}
+    for factor, binning in _factor_binnings(compute_factors(corpus)):
+        rows = alpha_by_factor(corpus, factor, binning=binning, alphas=alphas)
+        _write_tsv(outdir / f"dfa_alpha_by_{factor}.tsv", map(astuple, rows))
+        report["dfa"]["by_factor"][factor] = list(map(asdict, rows))
+    _write_json(outdir / "report.json", report)
     return EXIT_OK
 
 
 def cmd_factors(args) -> int:
-    cfg = _config_from_args(args)
-    corpus = _resolve_corpus(cfg)
-    outdir = _outdir(cfg)
+    cfg, corpus, outdir = _setup(args)
     fv = compute_factors(corpus)
+    results = _map_stocks(cfg, corpus, qs=(cfg.q,))
+    cache = {r.ticker: r.by_q[cfg.q] for r in results if not r.degenerate}
 
-    # per-stock intervals at the factor threshold, computed once
-    worker = partial(_stock_intervals, qs=(cfg.q,), series_kind=cfg.series,
-                     master_seed=cfg.seed, with_shuffled=False)
-    results = _pmap(worker, list(corpus), cfg.jobs)
-    cache = {r["ticker"]: r["by_q"][cfg.q] for r in results
-             if not r["degenerate"]}
-
-    report = {"config": cfg.echo(), "load_summary": corpus.summary.as_dict(),
-              "n_stocks": len(corpus), "factors": {}}
+    report = {**_header(cfg, corpus), "factors": {}}
     try:
         corr = factor_correlations(fv)
         report["factors"]["correlations"] = {
@@ -584,20 +581,15 @@ def cmd_factors(args) -> int:
     except InsufficientStatisticsError:
         report["factors"]["correlations"] = None
 
-    have_cap = any(f.mean_capitalization is not None for f in fv)
     report["factors"]["gamma_by_factor"] = {}
-    for factor in FACTORS:
-        if factor == "capitalization" and not have_cap:
-            continue
-        binning = bin_stocks(fv, factor, make_edges(fv, factor))
+    for factor, binning in _factor_binnings(fv):
         rows = gamma_by_factor(corpus, factor, binning, q=cfg.q,
                                x_min=cfg.x_min,
                                bins_per_decade=cfg.bins_per_decade,
                                series_kind=cfg.series, interval_cache=cache)
-        with open(outdir / f"gamma_by_{factor}.tsv", "w") as fh:
-            for r in rows:
-                fh.write(f"{_fmt(r.lo)}\t{_fmt(r.hi)}\t{_fmt(r.gamma)}"
-                         f"\t{_fmt(r.stderr)}\t{r.n_stocks}\t{r.n_intervals}\n")
+        _write_tsv(outdir / f"gamma_by_{factor}.tsv",
+                   [(r.lo, r.hi, r.gamma, r.stderr, r.n_stocks, r.n_intervals)
+                    for r in rows])
         report["factors"]["gamma_by_factor"][factor] = [
             {"lo": r.lo, "hi": r.hi, "gamma": r.gamma, "stderr": r.stderr,
              "r2": r.r_squared, "n_stocks": r.n_stocks,
@@ -608,31 +600,21 @@ def cmd_factors(args) -> int:
         rows = [(f.ticker, factor_value(f, fa), factor_value(f, fb))
                 for f in fv]
         rows = [(t, a, b) for t, a, b in rows if a is not None and b is not None]
-        if not rows:
-            continue
-        with open(outdir / f"scatter_{fa}_vs_{fb}.tsv", "w") as fh:
-            for t, a, b in rows:
-                fh.write(f"{t}\t{_fmt(a)}\t{_fmt(b)}\n")
-    _write_report(outdir, report)
+        if rows:
+            _write_tsv(outdir / f"scatter_{fa}_vs_{fb}.tsv", rows)
+    _write_json(outdir / "report.json", report)
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
     if args.n_stocks < 1 or args.length < 2:
         raise ConfigError("need --n-stocks >= 1 and --length >= 2")
-    params = _synth_params(args.kind, args.hurst, args.levels, args.sigma,
-                           args.vol_scale, args.df, args.kappa, args.dist)
+    params = _synth_params(args.kind, args, "")
     rule = homogeneous_rule(args.kind, args.length, params, args.seed)
     corpus, planted = synth_corpus(args.n_stocks, rule)
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    out = _outdir(args.out)
     write_corpus(corpus, out)
-    with open(out / "planted.json", "w") as fh:
-        json.dump(_jclean(planted), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out / "planted.json", planted)
     print(f"wrote {len(corpus)} stocks to {out}")
     return EXIT_OK
 

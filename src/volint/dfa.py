@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError, DataError, DegenerateSeriesError
+from .errors import ConfigError, DataError
 from .volatility import volatility
 
 DEFAULT_ORDER = 1
@@ -138,16 +138,15 @@ def stock_alpha(stock, series_kind: str = "volume",
     raw returns. Returns None for stocks whose volatility is degenerate or
     whose series is too short for the default windows.
     """
-    col = stock.volume if series_kind == "volume" else stock.close
     try:
-        nu = volatility(col)
-        return dfa(nu.values, order=order).alpha
-    except (DegenerateSeriesError, DataError):
+        return dfa(volatility(stock.column(series_kind)).values,
+                   order=order).alpha
+    except DataError:   # degenerate volatility or too short for DFA
         return None
 
 
 def alpha_by_factor(corpus, factor: str, n_bins: int | None = None,
-                    edges=None, series_kind: str = "volume",
+                    binning=None, series_kind: str = "volume",
                     order: int = DEFAULT_ORDER, alphas: dict | None = None):
     """Mean and spread of per-stock alpha grouped by a financial factor.
 
@@ -155,9 +154,12 @@ def alpha_by_factor(corpus, factor: str, n_bins: int | None = None,
     ----------
     corpus : ingest.Corpus
     factor : one of factors.FACTORS
-    n_bins, edges
-        Bin control, forwarded to the factors module; default bin counts
-        follow that module.
+    n_bins : int, optional
+        Bin count of the default binning; defaults follow the factors
+        module.
+    binning : factors.FactorBinning, optional
+        Use this binning instead of the default one (factor vectors are
+        then not computed).
     alphas : dict ticker -> float, optional
         Precomputed exponents (lets a caller compute them once and bin by
         several factors). Missing or None entries are skipped.
@@ -169,12 +171,11 @@ def alpha_by_factor(corpus, factor: str, n_bins: int | None = None,
     """
     from .factors import bin_stocks, compute_factors, make_edges
 
-    fv = compute_factors(corpus)
+    if binning is None:
+        fv = compute_factors(corpus)
+        binning = bin_stocks(fv, factor, make_edges(fv, factor, n_bins))
     if alphas is None:
         alphas = {s.ticker: stock_alpha(s, series_kind, order) for s in corpus}
-    if edges is None:
-        edges = make_edges(fv, factor, n_bins)
-    binning = bin_stocks(fv, factor, edges)
     rows = []
     for b in range(len(binning.edges) - 1):
         vals = [alphas.get(t) for t in binning.members.get(b, [])]

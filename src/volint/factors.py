@@ -160,8 +160,8 @@ def gamma_by_factor(corpus: Corpus, factor: str, binning: FactorBinning | None =
     list[GammaBin]
         Bins whose pooled statistics cannot support a fit carry gamma None.
     """
-    fv = compute_factors(corpus)
     if binning is None:
+        fv = compute_factors(corpus)
         binning = bin_stocks(fv, factor, make_edges(fv, factor))
     if interval_cache is None:
         interval_cache = {}
@@ -171,10 +171,9 @@ def gamma_by_factor(corpus: Corpus, factor: str, binning: FactorBinning | None =
         for t in binning.members.get(b, []):
             iv = interval_cache.get(t)
             if iv is None:
-                s = corpus.get(t)
-                col = s.volume if series_kind == "volume" else s.close
+                column = corpus.get(t).column(series_kind)
                 try:
-                    iv = extract_intervals(volatility(col), q)
+                    iv = extract_intervals(volatility(column), q)
                 except DegenerateSeriesError:
                     continue
                 interval_cache[t] = iv

@@ -104,28 +104,25 @@ def log_bin(samples, bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
         edges = np.asarray(edges, dtype=np.float64)
         if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
             raise ConfigError("edges must be strictly increasing, length >= 2")
-        counts, _ = np.histogram(x, bins=edges)
-        n_total = int(counts.sum())
-        widths = np.diff(edges)
-        dens = counts / (n_total * widths) if n_total else np.zeros_like(widths)
-        return BinnedPdf(edges=edges, densities=dens,
-                         counts=counts.astype(np.int64), n_total=n_total)
-    if bins_per_decade < 1:
-        raise ConfigError(f"bins_per_decade must be >= 1, got {bins_per_decade}")
-    lo, hi = float(x.min()), float(x.max())
-    if lo == hi:
-        # no range to bin over; flag rather than invent a scale
-        edges = np.array([lo, lo * 10.0 ** (1.0 / bins_per_decade)])
-        counts = np.array([x.size], dtype=np.int64)
-        dens = counts / (x.size * np.diff(edges))
-        return BinnedPdf(edges=edges, densities=dens, counts=counts,
-                         n_total=int(x.size), degenerate=True)
-    edges = geometric_edges(lo, hi, bins_per_decade)
+    else:
+        if bins_per_decade < 1:
+            raise ConfigError(f"bins_per_decade must be >= 1, got {bins_per_decade}")
+        lo, hi = float(x.min()), float(x.max())
+        if lo == hi:
+            # no range to bin over; flag rather than invent a scale
+            edges = np.array([lo, lo * 10.0 ** (1.0 / bins_per_decade)])
+            counts = np.array([x.size], dtype=np.int64)
+            dens = counts / (x.size * np.diff(edges))
+            return BinnedPdf(edges=edges, densities=dens, counts=counts,
+                             n_total=int(x.size), degenerate=True)
+        # derived edges cover every sample, so n_total below is x.size
+        edges = geometric_edges(lo, hi, bins_per_decade)
     counts, _ = np.histogram(x, bins=edges)
+    n_total = int(counts.sum())
     widths = np.diff(edges)
-    dens = counts / (x.size * widths)
+    dens = counts / (n_total * widths) if n_total else np.zeros_like(widths)
     return BinnedPdf(edges=edges, densities=dens,
-                     counts=counts.astype(np.int64), n_total=int(x.size))
+                     counts=counts.astype(np.int64), n_total=n_total)
 
 
 def fit_power_tail(pdf: BinnedPdf, x_min: float = DEFAULT_X_MIN,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 CSV_HEADER = ("date", "volume", "close", "shares_outstanding")
 DEFAULT_MIN_LIFETIME = 350
@@ -49,6 +49,15 @@ class DailySeries:
     @property
     def lifetime_days(self) -> int:
         return len(self.dates)
+
+    def column(self, series_kind: str) -> np.ndarray:
+        """The column a series kind is computed from: volume or close."""
+        if series_kind == "volume":
+            return self.volume
+        if series_kind == "price":
+            return self.close
+        raise ConfigError(f"unknown series kind {series_kind!r}; "
+                          "choose volume or price")
 
     def has_capitalization(self) -> bool:
         return bool(np.any(np.isfinite(self.shares_outstanding)))

@@ -57,11 +57,6 @@ class PooledIntervals:
     def __len__(self):
         return len(self.values)
 
-    def entries(self):
-        """Yield (scaled value, source ticker) pairs."""
-        for v, k in zip(self.values, self.ticker_index):
-            yield float(v), self.tickers[k]
-
 
 def extract_intervals(v, q: float) -> IntervalSeries:
     """Collect intervals between consecutive exceedances nu > q.

@@ -12,9 +12,8 @@ def pooled_intervals(corpus, q, series_kind="volume"):
     """(items, pooled) at threshold q; degenerate stocks are skipped."""
     items = []
     for s in corpus:
-        x = s.volume if series_kind == "volume" else s.close
         try:
-            v = vi.volatility(x)
+            v = vi.volatility(s.column(series_kind))
         except vi.DegenerateSeriesError:
             continue
         items.append((s.ticker, vi.extract_intervals(v, q)))

@@ -167,3 +167,45 @@ def test_price_series_mode(tmp_path):
     # to pool, but the run must still leave a report behind
     assert rc == 4
     assert (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("thresholds", ["2.0000001,2.0000002,2", "2,2",
+                                        "2.5,2.50"])
+def test_colliding_threshold_tags_exit_2(tmp_path, capsys, thresholds):
+    out = tmp_path / "x"
+    rc = main(["intervals", *SYNTH, "--thresholds", thresholds,
+               "--out", str(out), "--jobs", "1"])
+    assert rc == 2
+    assert "collide" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("intervals", ["--x-min", "-1"]),
+    ("intervals", ["--x-min", "0"]),
+    ("conditional", ["--min-lifetime", "-5"]),
+    ("factors", ["--q", "0"]),
+    ("factors", ["--q", "-2.5"]),
+    ("dfa", ["--order", "0"]),
+])
+def test_bad_numeric_flags_exit_2_before_loading(tmp_path, capsys, command,
+                                                  flags):
+    # the data directory does not exist: reading it would exit 3, so
+    # exit 2 shows the flag was rejected before the corpus was touched
+    out = tmp_path / "x"
+    rc = main([command, "--data-dir", str(tmp_path / "nope"), *flags,
+               "--out", str(out), "--jobs", "1"])
+    assert rc == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dfa_partial_report_has_header(tmp_path):
+    out = tmp_path / "dfa"
+    rc = main(["dfa", "--synth-kind", "iid", "--synth-n-stocks", "3",
+               "--synth-length", "20", "--out", str(out), "--jobs", "1"])
+    assert rc == 4
+    rep = read_report(out)
+    assert rep["dfa"] == {"empty": True}
+    assert rep["n_stocks"] == 3
+    assert rep["load_summary"]["n_accepted"] == 3

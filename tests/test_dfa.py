@@ -126,3 +126,10 @@ def test_alpha_by_factor_reuses_precomputed_alphas():
     assert [x.count for x in a] == [y.count for y in b]
     np.testing.assert_allclose([x.mean_alpha for x in a],
                                [y.mean_alpha for y in b], equal_nan=True)
+
+
+def test_stock_alpha_rejects_unknown_series_kind():
+    corpus, _ = vi.synth_corpus(1, vi.homogeneous_rule(
+        "iid", 600, {"dist": "normal"}, 71))
+    with pytest.raises(vi.ConfigError):
+        stock_alpha(corpus.stocks[0], "prices")

@@ -157,3 +157,11 @@ def test_daily_series_validates_shape():
                     volume=np.array([1, 2], dtype=np.int64),
                     close=np.array([1.0]),
                     shares_outstanding=np.array([np.nan]))
+
+
+def test_column_maps_series_kind():
+    s = make_series(volume=[1, 2, 3, 4], close=[5.0, 6.0, 7.0, 8.0])
+    assert s.column("volume") is s.volume
+    assert s.column("price") is s.close
+    with pytest.raises(vi.ConfigError):
+        s.column("close")
