@@ -6,7 +6,6 @@ tail exponent gamma and the DFA exponent alpha trend with the bin.
 """
 
 import numpy as np
-import scipy.stats
 
 import volint as vi
 
@@ -50,8 +49,8 @@ def main():
 
     g = [b.gamma for b in gcol if b.gamma is not None]
     a = [b.mean_alpha for b in acol if b.count]
-    g_rho = scipy.stats.spearmanr(range(len(g)), g).statistic
-    a_rho = scipy.stats.spearmanr(range(len(a)), a).statistic
+    g_rho = vi.spearman(range(len(g)), g)
+    a_rho = vi.spearman(range(len(a)), a)
     print(f"\nspearman(bin, gamma) = {g_rho:+.2f}   "
           f"spearman(bin, alpha) = {a_rho:+.2f}")
     print("more persistent stocks: heavier interval tails (smaller gamma),"

@@ -23,7 +23,7 @@ from .factors import (DEFAULT_BIN_COUNTS, FACTORS, CorrelationReport,
                       gamma_by_factor, make_edges)
 from .fitting import (BinnedPdf, ExpFit, TailFit, collapse_distance,
                       fit_exponential, fit_power_tail, geometric_edges,
-                      hill_gamma, log_bin, power_fit_sensitivity,
+                      hill_gamma, log_bin, power_fit_sensitivity, spearman,
                       write_pdf_tsv)
 from .ingest import (Corpus, DailySeries, LoadSummary, SeriesStats,
                      load_corpus, series_stats, write_corpus)

@@ -568,7 +568,8 @@ def cmd_factors(args) -> int:
     cfg, corpus, outdir = _setup(args)
     fv = compute_factors(corpus)
     results = _map_stocks(cfg, corpus, qs=(cfg.q,))
-    cache = {r.ticker: r.by_q[cfg.q] for r in results if not r.degenerate}
+    cache = {r.ticker: None if r.degenerate else r.by_q[cfg.q]
+             for r in results}
 
     report = {**_header(cfg, corpus), "factors": {}}
     try:

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError, DataError
-from .fitting import DEFAULT_BINS_PER_DECADE, BinnedPdf, log_bin
+from .fitting import DEFAULT_BINS_PER_DECADE, BinnedPdf, log_bin, spearman
 
 N_OCTILES = 8
 GEOMETRIC_BOUNDARIES = np.array(
@@ -160,8 +159,5 @@ def memory_summary(tau0, tau, boundaries) -> MemorySummary:
             mean_scaled_tau=float(sel.mean()) if sel.size else float("nan"),
             count=int(sel.size)))
     pop = [(r.octile, r.mean_scaled_tau) for r in rows if r.count > 0]
-    if len(pop) >= 2:
-        rho = stats.spearmanr([p[0] for p in pop], [p[1] for p in pop]).statistic
-    else:
-        rho = float("nan")
-    return MemorySummary(rows=tuple(rows), spearman=float(rho))
+    rho = spearman([p[0] for p in pop], [p[1] for p in pop])
+    return MemorySummary(rows=tuple(rows), spearman=rho)

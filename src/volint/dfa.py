@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError, DataError
+from .fitting import linregress
 from .volatility import volatility
 
 DEFAULT_ORDER = 1
@@ -123,7 +123,7 @@ def dfa(series, order: int = DEFAULT_ORDER, windows=None, fit_range=None,
     if int(sel.sum()) < 2:
         alpha, stderr = float("nan"), float("nan")
     else:
-        res = stats.linregress(np.log(windows[sel]), np.log(fluct[sel]))
+        res = linregress(np.log(windows[sel]), np.log(fluct[sel]))
         alpha, stderr = float(res.slope), float(res.stderr)
     return DfaCurve(window_sizes=windows, fluctuations=fluct, alpha=alpha,
                     fit_range=(int(fit_range[0]), int(fit_range[1])),

@@ -151,9 +151,10 @@ def gamma_by_factor(corpus: Corpus, factor: str, binning: FactorBinning | None =
     ----------
     binning : FactorBinning, optional
         Defaults to make_edges with the factor's standard bin count.
-    interval_cache : dict ticker -> IntervalSeries, optional
+    interval_cache : dict ticker -> IntervalSeries or None, optional
         Reuse per-stock extractions across factors (they do not depend on
-        the binning).
+        the binning); None marks a stock with degenerate volatility.
+        Tickers missing from it are computed and added.
 
     Returns
     -------
@@ -169,15 +170,15 @@ def gamma_by_factor(corpus: Corpus, factor: str, binning: FactorBinning | None =
     for b in range(len(binning.edges) - 1):
         items = []
         for t in binning.members.get(b, []):
-            iv = interval_cache.get(t)
-            if iv is None:
+            if t not in interval_cache:
                 column = corpus.get(t).column(series_kind)
                 try:
-                    iv = extract_intervals(volatility(column), q)
+                    interval_cache[t] = extract_intervals(volatility(column), q)
                 except DegenerateSeriesError:
-                    continue
-                interval_cache[t] = iv
-            items.append((t, iv))
+                    interval_cache[t] = None
+            iv = interval_cache[t]
+            if iv is not None:
+                items.append((t, iv))
         pooled = pool_scaled(items) if items else None
         n_int = len(pooled) if pooled is not None else 0
         gamma = stderr = r2 = None

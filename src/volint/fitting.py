@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .errors import (ConfigError, DataError, FitShapeError,
                      InsufficientTailError)
@@ -64,6 +64,66 @@ class ExpFit:
     a: float
     stderr: float
     r_squared: float
+
+
+class Line(NamedTuple):
+    """Least-squares line through (x, y): its slope, the slope's standard
+    error and the Pearson r."""
+
+    slope: float
+    stderr: float
+    rvalue: float
+
+
+def linregress(x, y) -> Line:
+    """Ordinary least-squares line of y on x.
+
+    The arithmetic is that of scipy.stats.linregress (biased covariance
+    matrix, r clipped to [-1, 1], stderr 0 for two points), so fitted
+    numbers are bit-for-bit the same. r is NaN when y is constant.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = x.size
+    if n < 2 or y.size != n:
+        raise DataError(f"need two or more aligned points, got {n} and {y.size}")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0:
+        raise DataError("all x values are identical")
+    if ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    stderr = 0.0 if n == 2 else np.sqrt((1 - r**2) * ssym / ssxm / (n - 2))
+    return Line(float(slope), float(stderr), float(r))
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a, ties sharing the mean of the ranks they span."""
+    order = np.argsort(a, kind="mergesort")
+    s = a[order]
+    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1], True])
+    mean_rank = (first[:-1] + first[1:] + 1) / 2.0
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(mean_rank, np.diff(first))
+    return ranks
+
+
+def spearman(x, y) -> float:
+    """Spearman rank correlation of two aligned samples.
+
+    Ranks are averaged over ties, then correlated as in
+    scipy.stats.spearmanr. Fewer than two points, a constant sample or
+    any NaN gives NaN, without a warning.
+    """
+    a = np.column_stack((np.asarray(x, dtype=np.float64),
+                         np.asarray(y, dtype=np.float64)))
+    if (a.shape[0] < 2 or np.isnan(a).any()
+            or (a[0] == a).all(axis=0).any()):
+        return float("nan")
+    ranked = np.column_stack([_average_ranks(c) for c in a.T])
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
 
 
 def geometric_edges(lo: float, hi: float, bins_per_decade: int) -> np.ndarray:
@@ -140,7 +200,7 @@ def fit_power_tail(pdf: BinnedPdf, x_min: float = DEFAULT_X_MIN,
     if int(mask.sum()) < 5:
         raise InsufficientTailError(
             f"{int(mask.sum())} usable bins past x_min={x_min}, need 5")
-    res = stats.linregress(np.log(c[mask]), np.log(pdf.densities[mask]))
+    res = linregress(np.log(c[mask]), np.log(pdf.densities[mask]))
     return TailFit(gamma=float(-res.slope), x_min=float(x_min),
                    stderr=float(res.stderr), n_tail=int(mask.sum()),
                    r_squared=float(res.rvalue ** 2))
@@ -156,7 +216,7 @@ def fit_exponential(pdf: BinnedPdf) -> ExpFit:
     if int(mask.sum()) < 5:
         raise InsufficientTailError(
             f"{int(mask.sum())} non-empty bins, need 5")
-    res = stats.linregress(pdf.centers[mask], np.log(pdf.densities[mask]))
+    res = linregress(pdf.centers[mask], np.log(pdf.densities[mask]))
     a = float(-res.slope)
     if a <= 0:
         raise FitShapeError(f"fitted rate {a:.4g} is not positive")

@@ -3,9 +3,10 @@
 One CSV file per ticker with header ``date,volume,close,shares_outstanding``.
 Loading is lossless where possible: zero-volume days are retained (the
 volatility step decides their treatment) and a stock is only rejected for
-being shorter than ``min_lifetime`` or, under strict mode, for containing
-bad rows. Non-trading calendar gaps are not special: consecutive records
-are treated as successive days.
+being shorter than ``min_lifetime``, for a bad header or an unreadable
+file, or, under strict mode, for containing bad rows. Non-trading
+calendar gaps are not special: consecutive records are treated as
+successive days.
 """
 
 from __future__ import annotations
@@ -129,6 +130,7 @@ class Corpus:
                 raise DataError(
                     f"{s.ticker}: lifetime {s.lifetime_days} below corpus minimum "
                     f"{self.min_lifetime}")
+        self._by_ticker = {s.ticker: s for s in self.stocks}
 
     def __len__(self):
         return len(self.stocks)
@@ -141,46 +143,50 @@ class Corpus:
         return [s.ticker for s in self.stocks]
 
     def get(self, ticker: str) -> DailySeries:
-        for s in self.stocks:
-            if s.ticker == ticker:
-                return s
-        raise KeyError(ticker)
+        return self._by_ticker[ticker]
 
 
 def _parse_rows(path: Path, strict: bool):
     """Parse one CSV file. Returns (rows, n_skipped) or raises DataError."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, newline="") as fh:
+            return _parse_reader(csv.reader(fh), path, strict)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_reader(reader, path: Path, strict: bool):
+    """Header check, then every row of one file; see _parse_rows."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        return [], 0
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise DataError(f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}")
+    rows, skipped = [], 0
+    for lineno, rec in enumerate(reader, start=2):
         try:
-            header = next(reader)
-        except StopIteration:
-            return [], 0
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise DataError(f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}")
-        rows, skipped = [], 0
-        for lineno, rec in enumerate(reader, start=2):
-            try:
-                if len(rec) != 4:
-                    raise ValueError("wrong field count")
-                d, v, c, so = (s.strip() for s in rec)
-                if not _DATE_RE.match(d):
-                    raise ValueError(f"bad date {d!r}")
-                date = np.datetime64(d, "D")
-                volume = int(v)
-                if volume < 0:
-                    raise ValueError("negative volume")
-                close = float(c)
-                if not (close > 0) or not np.isfinite(close):
-                    raise ValueError("close must be positive")
-                shares = float("nan") if so == "" else float(int(so))
-                if shares == shares and shares <= 0:
-                    raise ValueError("shares_outstanding must be positive")
-                rows.append((date, volume, close, shares))
-            except (ValueError, OverflowError) as exc:
-                if strict:
-                    raise DataError(f"{path}:{lineno}: {exc}") from exc
-                skipped += 1
-        return rows, skipped
+            if len(rec) != 4:
+                raise ValueError("wrong field count")
+            d, v, c, so = (s.strip() for s in rec)
+            if not _DATE_RE.match(d):
+                raise ValueError(f"bad date {d!r}")
+            date = np.datetime64(d, "D")
+            volume = int(v)
+            if volume < 0:
+                raise ValueError("negative volume")
+            close = float(c)
+            if not (close > 0) or not np.isfinite(close):
+                raise ValueError("close must be positive")
+            shares = float("nan") if so == "" else float(int(so))
+            if shares == shares and shares <= 0:
+                raise ValueError("shares_outstanding must be positive")
+            rows.append((date, volume, close, shares))
+        except (ValueError, OverflowError) as exc:
+            if strict:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            skipped += 1
+    return rows, skipped
 
 
 def _build_series(ticker: str, rows, strict: bool):
@@ -214,8 +220,11 @@ def load_corpus(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
     min_lifetime : int
         Minimum record count for a stock to enter the corpus.
     strict : bool
-        Promote malformed rows to fatal errors and duplicate dates to
-        per-ticker rejection. Default keeps first occurrence and counts.
+        Promote malformed rows, bad headers and unreadable files to fatal
+        errors and duplicate dates to per-ticker rejection. Default skips
+        and counts malformed rows, rejects a file with a bad header or
+        that cannot be read (n_rejected_error) and keeps the first of
+        duplicate dates.
 
     Returns
     -------
@@ -236,8 +245,11 @@ def load_corpus(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
     for fp in files:
         try:
             rows, skipped = _parse_rows(fp, strict)
-        except OSError as exc:
-            raise DataError(f"cannot read {fp}: {exc}") from exc
+        except DataError:
+            if strict:
+                raise
+            summary.n_rejected_error += 1
+            continue
         summary.n_rows_skipped += skipped
         if not rows:
             summary.n_rejected_short += 1

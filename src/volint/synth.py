@@ -185,7 +185,6 @@ def iid_exceedance_probability(q: float, dist: str = "normal",
     has no finite normalization at the df used here, so no closed form is
     offered.
     """
-    from scipy import special
     if dist == "normal":
         sigma = math.sqrt(1.0 - 2.0 / math.pi)
         thr = q * sigma
@@ -198,7 +197,7 @@ def iid_exceedance_probability(q: float, dist: str = "normal",
         thr = (q * sigma) ** (1.0 / kappa)
     else:
         raise ConfigError(f"no analytic exceedance for dist {dist!r}")
-    return float(special.erfc(thr / math.sqrt(2.0)))
+    return math.erfc(thr / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -209,3 +211,48 @@ def test_dfa_partial_report_has_header(tmp_path):
     assert rep["dfa"] == {"empty": True}
     assert rep["n_stocks"] == 3
     assert rep["load_summary"]["n_accepted"] == 3
+
+
+def test_lenient_load_rejects_one_bad_file_not_the_corpus(tmp_path):
+    src = tmp_path / "src"
+    main(["synth", "--kind", "iid", "--n-stocks", "3", "--length", "600",
+          "--seed", "11", "--out", str(src)])
+    (src / "BAD.csv").write_text(
+        "date,vol,close,shares_outstanding\n2001-01-01,1,1.0,\n")
+    args = ["intervals", "--data-dir", str(src), "--thresholds", "2.0",
+            "--min-lifetime", "600", "--jobs", "1"]
+    out = tmp_path / "res"
+    assert main([*args, "--out", str(out)]) == 0
+    summary = read_report(out)["load_summary"]
+    assert summary["n_rejected_error"] == 1
+    assert summary["n_accepted"] == 3
+    assert main([*args, "--strict", "--out", str(tmp_path / "strict")]) == 3
+
+
+def test_factors_computes_each_degenerate_stock_once(tmp_path, monkeypatch):
+    calls = []
+    real = vi.log_returns
+
+    def counting(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+
+    # the per-stock stage binds log_returns in cli, the factor fallback
+    # reaches it through volatility(); the package's volatility attribute
+    # is the function, so the modules come from sys.modules
+    for mod in ("volint.cli", "volint.volatility"):
+        monkeypatch.setattr(sys.modules[mod], "log_returns", counting)
+    out = tmp_path / "fac"
+    rc = main(["factors", *SYNTH, "--series", "price", "--q", "2.0",
+               "--seed", "5", "--out", str(out), "--jobs", "1"])
+    assert rc == 0
+    assert len(calls) == 12     # constant closes: every stock degenerate
+
+
+def test_runtime_imports_no_scipy():
+    code = ("import sys, volint, volint.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.strip() == "[]"

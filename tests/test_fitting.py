@@ -1,12 +1,15 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 import volint as vi
 from volint.fitting import (BinnedPdf, collapse_distance, fit_exponential,
                             fit_power_tail, geometric_edges, hill_gamma,
-                            log_bin, write_pdf_tsv)
+                            linregress, log_bin, spearman, write_pdf_tsv)
 
 
 def bin_averaged_power_pdf(g, lo=1.0, hi=1.0e3, bpd=8):
@@ -162,3 +165,86 @@ def test_pdf_tsv_format(tmp_path):
     assert float(c0) == pytest.approx(pdf.centers[0])
     assert float(d0) == pytest.approx(pdf.densities[0])
     assert int(n0) == pdf.counts[0]
+
+
+# ---------------------------------------------------------------------------
+# the numpy line and rank fits against the scipy reference
+
+def agree(a, b, rel=1e-12):
+    a, b = float(a), float(b)
+    return (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=rel)
+
+
+def assert_matches_scipy(x, y):
+    ref = stats.linregress(x, y)
+    got = linregress(x, y)
+    assert agree(got.slope, ref.slope)
+    assert agree(got.stderr, ref.stderr)
+    assert agree(got.rvalue, ref.rvalue)
+
+
+coords = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(coords, coords), min_size=2, max_size=40))
+def test_linregress_matches_scipy_on_random_points(points):
+    x, y = np.array(points).T
+    assume(np.ptp(x) > 1e-6)
+    assert_matches_scipy(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 40), st.floats(-5, 5), st.floats(-5, 5),
+       st.floats(1e-15, 1e-6), st.integers(0, 2**32 - 1))
+def test_linregress_matches_scipy_near_collinear(n, a, b, eps, seed):
+    # r within rounding of +-1 exercises the clip; b == 0 a flat line
+    x = np.log(np.geomspace(0.5, 500.0, n))
+    y = a + b * x + eps * np.random.default_rng(seed).standard_normal(n)
+    assert_matches_scipy(x, y)
+
+
+@given(st.tuples(coords, coords), st.tuples(coords, coords))
+def test_linregress_two_points_has_zero_stderr(p, q):
+    assume(abs(p[0] - q[0]) > 1e-6)
+    x, y = np.array([p, q]).T
+    assert_matches_scipy(x, y)
+    assert linregress(x, y).stderr == 0.0
+
+
+def test_linregress_rejects_what_has_no_line():
+    with pytest.raises(vi.DataError):
+        linregress([1.0], [2.0])
+    with pytest.raises(vi.DataError):
+        linregress([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)),
+                min_size=2, max_size=12))
+def test_spearman_matches_scipy_with_ties(pairs):
+    x, y = np.array(pairs, dtype=np.float64).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # scipy warns on constant input
+        ref = stats.spearmanr(x, y).statistic
+    assert agree(spearman(x, y), ref)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([1, 2, 3], [5.0, 5.0, 5.0]),
+    ([4, 4, 4], [1.0, 2.0, 3.0]),
+    ([1, 2, 3], [1.0, np.nan, 3.0]),
+    ([1], [2.0]),
+])
+def test_spearman_undefined_is_nan_without_warning(x, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(spearman(x, y))
+
+
+def test_linregress_constant_y_has_nan_r_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = linregress([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
+    assert line.slope == 0.0
+    assert math.isnan(line.rvalue)

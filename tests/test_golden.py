@@ -6,8 +6,8 @@ the SHA-256 of every output file with the digests in GOLDEN. A refactor
 that keeps the output byte-identical keeps this test green; any change of
 a file, a file name or an exit code fails it.
 
-The digests pin bytes produced by one numpy/scipy build; a different
-build may round a fitted number differently. To re-record them after an
+The digests pin bytes produced by one numpy build; a different build
+may round a fitted number differently. To re-record them after an
 intended output change, run ``python tests/test_golden.py`` and paste the
 printed dictionary over GOLDEN.
 """

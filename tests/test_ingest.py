@@ -72,8 +72,35 @@ def test_tickers_sorted_regardless_of_write_order(tmp_path):
 
 def test_bad_header_raises(tmp_path):
     (tmp_path / "B.csv").write_text("date,volume,price\n2001-01-01,1,1.0\n")
-    with pytest.raises(vi.DataError):
-        load_corpus(tmp_path)
+    with pytest.raises(vi.DataError, match="bad header"):
+        load_corpus(tmp_path, strict=True)
+
+
+def test_bad_header_rejects_only_that_file_when_lenient(tmp_path):
+    write_csv(tmp_path / "A.csv", ["2001-01-01,1,1.0,", "2001-01-02,2,1.0,"])
+    (tmp_path / "B.csv").write_text("date,volume,price\n2001-01-01,1,1.0\n")
+    corpus = load_corpus(tmp_path, min_lifetime=1)
+    assert corpus.tickers == ["A"]
+    assert corpus.summary.n_rejected_error == 1
+    assert corpus.summary.n_accepted + corpus.summary.n_rejected == 2
+
+
+def test_unreadable_file_rejected_when_lenient_fatal_when_strict(tmp_path):
+    write_csv(tmp_path / "A.csv", ["2001-01-01,1,1.0,"])
+    (tmp_path / "U.csv").write_bytes(HEADER.encode() + b"\n\xff\xfe,1,1.0,\n")
+    corpus = load_corpus(tmp_path, min_lifetime=1)
+    assert corpus.tickers == ["A"]
+    assert corpus.summary.n_rejected_error == 1
+    with pytest.raises(vi.DataError, match="cannot read"):
+        load_corpus(tmp_path, min_lifetime=1, strict=True)
+
+
+def test_corpus_get_unknown_ticker_raises_key_error(tmp_path):
+    write_csv(tmp_path / "A.csv", ["2001-01-01,1,1.0,"])
+    corpus = load_corpus(tmp_path, min_lifetime=1)
+    assert corpus.get("A").ticker == "A"
+    with pytest.raises(KeyError):
+        corpus.get("B")
 
 
 def test_malformed_rows_skipped_and_counted(tmp_path):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import volint as vi
 from volint.synth import (GeneratorSpec, cascade_log_weights, fgn, generate,
@@ -50,6 +53,23 @@ def test_iid_exceedance_probability_normal():
     x = generate(GeneratorSpec("iid", 1 << 20, {"dist": "normal"}, 85))
     emp = (np.abs(x) / np.sqrt(np.mean(x * x) - np.mean(np.abs(x)) ** 2) > q).mean()
     assert abs(emp - iid_exceedance_probability(q)) < 0.002
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-26.0, 26.0))
+def test_math_erfc_matches_scipy(x):
+    # beyond 26 erfc is subnormal, where scipy flushes to zero
+    from scipy import special
+    assert math.isclose(math.erfc(x), special.erfc(x), rel_tol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(0.05, 6.0))
+def test_iid_exceedance_probability_matches_scipy_erfc(q):
+    from scipy import special
+    sigma = math.sqrt(1.0 - 2.0 / math.pi)
+    assert math.isclose(iid_exceedance_probability(q),
+                        special.erfc(q * sigma / math.sqrt(2.0)), rel_tol=1e-12)
 
 
 def test_iid_exceedance_probability_student_t_has_no_closed_form():
