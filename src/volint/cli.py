@@ -620,7 +620,45 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+OPENBLAS_SETTERS = ("openblas_set_num_threads",
+                    "scipy_openblas_set_num_threads64_",
+                    "openblas_set_num_threads64_")
+
+
+def _one_blas_thread() -> None:
+    """Run OpenBLAS on one thread in this process and in the --jobs
+    workers forked from it, unless a thread variable is set.
+
+    Every BLAS call of the pipeline is a small per-window fit, and the
+    parallelism is the process pool over stocks: BLAS threads only add
+    start-up cost, and with --jobs > 1 they oversubscribe the cores, which
+    made one run's wall time differ from the next by half or more. The
+    thread count never changes a result. OpenBLAS is found among the
+    libraries mapped into the process (Linux); elsewhere this does nothing.
+    """
+    if any(os.environ.get(v) for v in BLAS_THREAD_VARS):
+        return
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[5].strip() for line in maps
+                     if "openblas" in line}
+    except (OSError, IndexError):
+        return
+    import ctypes
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, name) for name in OPENBLAS_SETTERS
+                       if hasattr(lib, name)), None)
+        if setter is not None:
+            setter(1)
+
+
 def main(argv=None) -> int:
+    _one_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -256,3 +257,36 @@ def test_runtime_imports_no_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert res.stdout.strip() == "[]"
+
+
+BLAS_THREADS = """
+import ctypes
+from volint import cli
+cli._one_blas_thread()
+counts = []
+for line in open("/proc/self/maps"):
+    if "openblas" in line:
+        lib = ctypes.CDLL(line.split(None, 5)[5].strip())
+        for name in ("openblas_get_num_threads",
+                     "scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_"):
+            if hasattr(lib, name):
+                counts.append(getattr(lib, name)())
+                break
+print(sorted(set(counts)))
+"""
+
+
+@pytest.mark.parametrize("env, want", [({}, 1),
+                                       ({"OPENBLAS_NUM_THREADS": "2"}, 2)])
+def test_cli_runs_blas_on_one_thread_unless_told(env, want):
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("needs /proc/self/maps")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    res = subprocess.run([sys.executable, "-c", BLAS_THREADS],
+                         env={**base, **env}, capture_output=True,
+                         text=True, check=True)
+    if res.stdout.strip() == "[]":
+        pytest.skip("numpy is not linked against OpenBLAS")
+    assert res.stdout.strip() == f"[{want}]"
