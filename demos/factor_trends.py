@@ -31,10 +31,13 @@ def main():
     edges = vi.make_edges(factors, "lifetime", n_bins=len(LIFETIMES))
     binning = vi.bin_stocks(factors, "lifetime", edges)
 
+    # one pass over the stocks: intervals at q=2 and the DFA curve
+    results = vi.map_stocks(corpus, qs=(2.0,), order=1)
+    intervals = {r.ticker: r.by_q[2.0] for r in results if not r.degenerate}
+    alphas = {r.ticker: r.curve.alpha for r in results if r.curve}
+
     print("gamma by lifetime bin (q=2.0):")
-    cache = {}
-    gcol = vi.gamma_by_factor(corpus, "lifetime", binning=binning, q=2.0,
-                              interval_cache=cache)
+    gcol = vi.gamma_by_factor(binning, intervals)
     for b in gcol:
         if b.gamma is None:
             continue
@@ -42,7 +45,7 @@ def main():
               f" +- {b.stderr:.2f}  ({b.n_intervals} intervals)")
 
     print("\nalpha by lifetime bin:")
-    acol = vi.alpha_by_factor(corpus, "lifetime", binning=binning)
+    acol = vi.alpha_by_factor(binning, alphas)
     for b in acol:
         print(f"  [{b.lo:6.0f}, {b.hi:6.0f}): alpha = {b.mean_alpha:.3f}"
               f" +- {b.std_alpha:.3f}  ({b.count} stocks)")

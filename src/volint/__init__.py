@@ -12,24 +12,24 @@ from .conditional import (GEOMETRIC_BOUNDARIES, ConditionalPdf, MemorySummary,
                           OctileStat, assign_octiles, conditional_pdfs,
                           consecutive_pairs, memory_summary,
                           octile_boundaries)
-from .dfa import AlphaBin, DfaCurve, alpha_by_factor, default_windows, dfa, \
-    stock_alpha
+from .dfa import DfaCurve, default_windows, dfa
 from .errors import (ConfigError, DataError, DegenerateSeriesError,
                      FitShapeError, InsufficientStatisticsError,
                      InsufficientTailError, VolintError)
-from .factors import (DEFAULT_BIN_COUNTS, FACTORS, CorrelationReport,
-                      FactorBinning, FactorVector, GammaBin, bin_stocks,
-                      compute_factors, factor_correlations, factor_value,
-                      gamma_by_factor, make_edges)
+from .factors import (DEFAULT_BIN_COUNTS, FACTORS, AlphaBin,
+                      CorrelationReport, FactorBinning, FactorVector, GammaBin,
+                      alpha_by_factor, bin_stocks, compute_factors,
+                      factor_correlations, factor_value, gamma_by_factor,
+                      make_edges)
 from .fitting import (BinnedPdf, ExpFit, TailFit, collapse_distance,
                       fit_exponential, fit_power_tail, geometric_edges,
                       hill_gamma, log_bin, power_fit_sensitivity, spearman,
                       write_pdf_tsv)
-from .ingest import (Corpus, DailySeries, LoadSummary, SeriesStats,
-                     load_corpus, series_stats, write_corpus)
+from .ingest import Corpus, DailySeries, LoadSummary, load_corpus, write_corpus
 from .intervals import (DEFAULT_THRESHOLDS, IntervalSeries, PooledIntervals,
                         extract_intervals, pool_scaled, shuffle_control)
 from .seeds import derive_seed
+from .stage import StockResult, map_stocks
 from .synth import (GeneratorSpec, cascade_log_weights, fgn, generate,
                     homogeneous_rule, iid_exceedance_probability,
                     normal_abs_moment, synth_corpus, volume_from_series)

@@ -1,11 +1,11 @@
 """Command-line pipelines: corpus in, plot-ready TSVs plus report.json out.
 
 Subcommands: intervals, conditional, dfa, factors, synth. Every analysis
-maps one per-stock stage (column -> volatility -> intervals per threshold,
-shuffled control, DFA) over the corpus and reduces its ticker-ordered
-results, so the --jobs value can never change any output byte. The
-report deliberately omits execution environment (paths, parallelism) for
-the same reason.
+maps the per-stock stage (stage.map_stocks: column -> volatility ->
+intervals per threshold, shuffled control, DFA) over the corpus and
+reduces its ticker-ordered results, so the --jobs value can never change
+any output byte. The report deliberately omits execution environment
+(paths, parallelism) for the same reason.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 insufficient statistics everywhere (nothing useful produced).
@@ -18,9 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass, field
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from dataclasses import asdict, astuple, dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -29,22 +27,19 @@ import numpy as np
 from .conditional import (LOW_STATISTICS_PAIRS, conditional_pdfs,
                           consecutive_pairs, memory_summary,
                           octile_boundaries)
-from .dfa import DEFAULT_ORDER, DfaCurve, alpha_by_factor, dfa
-from .errors import (ConfigError, DataError, DegenerateSeriesError,
-                     FitShapeError, InsufficientStatisticsError,
-                     InsufficientTailError)
-from .factors import (DEFAULT_Q, FACTORS, bin_stocks, compute_factors,
-                      factor_correlations, factor_value, gamma_by_factor,
-                      make_edges)
+from .dfa import DEFAULT_ORDER
+from .errors import (ConfigError, DataError, FitShapeError,
+                     InsufficientStatisticsError, InsufficientTailError)
+from .factors import (DEFAULT_Q, FACTORS, alpha_by_factor, bin_stocks,
+                      compute_factors, factor_correlations, factor_value,
+                      gamma_by_factor, make_edges)
 from .fitting import (DEFAULT_BINS_PER_DECADE, DEFAULT_X_MIN, fit_exponential,
                       fit_power_tail, hill_gamma, log_bin,
-                      power_fit_sensitivity, write_pdf_tsv)
+                      power_fit_sensitivity, write_pdf_tsv, write_tsv)
 from .ingest import DEFAULT_MIN_LIFETIME, load_corpus, write_corpus
-from .intervals import (DEFAULT_THRESHOLDS, extract_intervals, pool_scaled,
-                        shuffle_control)
-from .seeds import derive_seed
+from .intervals import DEFAULT_THRESHOLDS, pool_scaled
+from .stage import map_stocks
 from .synth import KINDS, homogeneous_rule, synth_corpus
-from .volatility import log_returns, normalize_volatility
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,6 +125,13 @@ def _add_generator_args(p: argparse.ArgumentParser, prefix: str) -> None:
             p.add_argument(flag, type=kind)
 
 
+def _default_jobs() -> int:
+    """The CPUs this process may run on, where the platform tells."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data-dir", help="directory of <TICKER>.csv files")
     p.add_argument("--synth-kind", choices=KINDS,
@@ -141,7 +143,7 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--thresholds", default=",".join(str(q) for q in DEFAULT_THRESHOLDS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=_default_jobs())
     p.add_argument("--min-lifetime", type=int, default=DEFAULT_MIN_LIFETIME)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--bins-per-decade", type=int, default=DEFAULT_BINS_PER_DECADE)
@@ -291,67 +293,11 @@ def _setup(args):
     return cfg, corpus, _outdir(cfg.out)
 
 
-# ---------------------------------------------------------------------------
-# the per-stock stage
-
-@dataclass(frozen=True)
-class StockResult:
-    """Everything the analyses need from one stock; no per-day arrays.
-
-    by_q and shuffled_by_q map a threshold to the IntervalSeries of the
-    volatility and of its shuffle control; curve is the DFA of one of
-    them. A degenerate stock has no volatility and carries nothing else.
-    """
-
-    ticker: str
-    n_dropped: int = 0
-    degenerate: bool = False
-    by_q: dict = field(default_factory=dict)
-    shuffled_by_q: dict = field(default_factory=dict)
-    curve: DfaCurve | None = None
-
-
-def _stock(item, seed: int, qs=(), shuffled_qs=(), order=None,
-           shuffled_dfa=False) -> StockResult:
-    """Volatility of one (ticker, column) once, then what was asked of it.
-
-    qs and shuffled_qs are the thresholds to extract intervals at from the
-    volatility and from its shuffle control; order, when given, runs DFA
-    on the volatility, or on the control with shuffled_dfa. A series too
-    short for DFA gets no curve.
-    """
-    ticker, column = item
-    n_dropped = 0
-    try:
-        r = log_returns(column)
-        n_dropped = r.n_dropped
-        v = normalize_volatility(r)
-    except DegenerateSeriesError:
-        return StockResult(ticker, n_dropped, degenerate=True)
-    by_q = {q: extract_intervals(v, q) for q in qs}
-    sv = None
-    if shuffled_qs or (order is not None and shuffled_dfa):
-        sv = shuffle_control(v, derive_seed(seed, ticker, "shuffle"))
-    shuffled_by_q = {q: extract_intervals(sv, q) for q in shuffled_qs}
-    curve = None
-    if order is not None:
-        try:
-            curve = dfa((sv if shuffled_dfa else v).values, order=order)
-        except DataError:
-            pass
-    return StockResult(ticker, n_dropped, False, by_q, shuffled_by_q, curve)
-
-
-def _map_stocks(cfg: RunConfig, corpus, **stage) -> list[StockResult]:
-    """The per-stock stage over the corpus in ticker order, in a process
-    pool when --jobs > 1."""
-    items = [(s.ticker, s.column(cfg.series)) for s in corpus]
-    worker = partial(_stock, seed=cfg.seed, **stage)
-    if cfg.jobs <= 1 or len(items) <= 1:
-        return [worker(it) for it in items]
-    chunk = max(1, len(items) // (cfg.jobs * 4))
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
-        return list(ex.map(worker, items, chunksize=chunk))
+def _map_stocks(cfg: RunConfig, corpus, **stage):
+    """The per-stock stage over the corpus with the run's series, seed and
+    pool size."""
+    return map_stocks(corpus, cfg.series, seed=cfg.seed, jobs=cfg.jobs,
+                      **stage)
 
 
 def _factor_binnings(fv):
@@ -364,21 +310,6 @@ def _factor_binnings(fv):
 
 # ---------------------------------------------------------------------------
 # formatting
-
-def _fmt(x) -> str:
-    """One TSV cell: text as is, integers exactly, floats to 10 digits."""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float("nan") if x is None else float(x)
-    return "nan" if math.isnan(x) else f"{x:.10g}"
-
-
-def _write_tsv(path: Path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.writelines("\t".join(map(_fmt, row)) + "\n" for row in rows)
-
 
 def _qtag(q: float) -> str:
     return f"{q:g}"
@@ -484,7 +415,7 @@ def cmd_intervals(args) -> int:
             dump_rows += [(t, tag, tau) for t, iv in items for tau in iv.taus]
 
     if cfg.dump_intervals and produced:
-        _write_tsv(outdir / "intervals.tsv", dump_rows)
+        write_tsv(outdir / "intervals.tsv", dump_rows)
     _write_json(outdir / "report.json", report)
     if not produced:
         print("no threshold produced any interval", file=sys.stderr)
@@ -546,8 +477,8 @@ def cmd_dfa(args) -> int:
 
     if cfg.dump_fluctuations:
         for t, c in curves:
-            _write_tsv(outdir / f"dfa_fluct_{t}.tsv",
-                       zip(c.window_sizes, c.fluctuations))
+            write_tsv(outdir / f"dfa_fluct_{t}.tsv",
+                      zip(c.window_sizes, c.fluctuations))
 
     report["dfa"] = {"empty": False,
                      "mean_alpha": float(good.mean()),
@@ -557,8 +488,8 @@ def cmd_dfa(args) -> int:
                      "n_flagged_above_1": sum(c.alpha_flagged for _, c in curves),
                      "by_factor": {}}
     for factor, binning in _factor_binnings(compute_factors(corpus)):
-        rows = alpha_by_factor(corpus, factor, binning=binning, alphas=alphas)
-        _write_tsv(outdir / f"dfa_alpha_by_{factor}.tsv", map(astuple, rows))
+        rows = alpha_by_factor(binning, alphas)
+        write_tsv(outdir / f"dfa_alpha_by_{factor}.tsv", map(astuple, rows))
         report["dfa"]["by_factor"][factor] = list(map(asdict, rows))
     _write_json(outdir / "report.json", report)
     return EXIT_OK
@@ -567,9 +498,9 @@ def cmd_dfa(args) -> int:
 def cmd_factors(args) -> int:
     cfg, corpus, outdir = _setup(args)
     fv = compute_factors(corpus)
-    results = _map_stocks(cfg, corpus, qs=(cfg.q,))
-    cache = {r.ticker: None if r.degenerate else r.by_q[cfg.q]
-             for r in results}
+    intervals = {r.ticker: r.by_q[cfg.q]
+                 for r in _map_stocks(cfg, corpus, qs=(cfg.q,))
+                 if not r.degenerate}
 
     report = {**_header(cfg, corpus), "factors": {}}
     try:
@@ -584,13 +515,11 @@ def cmd_factors(args) -> int:
 
     report["factors"]["gamma_by_factor"] = {}
     for factor, binning in _factor_binnings(fv):
-        rows = gamma_by_factor(corpus, factor, binning, q=cfg.q,
-                               x_min=cfg.x_min,
-                               bins_per_decade=cfg.bins_per_decade,
-                               series_kind=cfg.series, interval_cache=cache)
-        _write_tsv(outdir / f"gamma_by_{factor}.tsv",
-                   [(r.lo, r.hi, r.gamma, r.stderr, r.n_stocks, r.n_intervals)
-                    for r in rows])
+        rows = gamma_by_factor(binning, intervals, cfg.x_min,
+                               cfg.bins_per_decade)
+        write_tsv(outdir / f"gamma_by_{factor}.tsv",
+                  [(r.lo, r.hi, r.gamma, r.stderr, r.n_stocks, r.n_intervals)
+                   for r in rows])
         report["factors"]["gamma_by_factor"][factor] = [
             {"lo": r.lo, "hi": r.hi, "gamma": r.gamma, "stderr": r.stderr,
              "r2": r.r_squared, "n_stocks": r.n_stocks,
@@ -602,7 +531,7 @@ def cmd_factors(args) -> int:
                 for f in fv]
         rows = [(t, a, b) for t, a, b in rows if a is not None and b is not None]
         if rows:
-            _write_tsv(outdir / f"scatter_{fa}_vs_{fb}.tsv", rows)
+            write_tsv(outdir / f"scatter_{fa}_vs_{fb}.tsv", rows)
     _write_json(outdir / "report.json", report)
     return EXIT_OK
 

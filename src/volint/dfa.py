@@ -1,4 +1,4 @@
-"""Detrended fluctuation analysis and per-factor exponent tables.
+"""Detrended fluctuation analysis.
 
 The estimator integrates the mean-subtracted series into a profile, splits
 the profile into non-overlapping boxes of size n taken once from the start
@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .fitting import linregress
-from .volatility import volatility
 
 DEFAULT_ORDER = 1
 DEFAULT_N_WINDOWS = 20
@@ -34,15 +33,6 @@ class DfaCurve:
     fit_range: tuple[int, int]
     stderr: float
     alpha_flagged: bool = False     # alpha > 1, nonstationary scaling
-
-
-@dataclass(frozen=True)
-class AlphaBin:
-    lo: float
-    hi: float
-    mean_alpha: float
-    std_alpha: float
-    count: int
 
 
 def default_windows(n: int, n_windows: int = DEFAULT_N_WINDOWS,
@@ -128,61 +118,3 @@ def dfa(series, order: int = DEFAULT_ORDER, windows=None, fit_range=None,
     return DfaCurve(window_sizes=windows, fluctuations=fluct, alpha=alpha,
                     fit_range=(int(fit_range[0]), int(fit_range[1])),
                     stderr=stderr, alpha_flagged=bool(alpha > 1.0))
-
-
-def stock_alpha(stock, series_kind: str = "volume",
-                order: int = DEFAULT_ORDER) -> float | None:
-    """DFA exponent of one stock's volatility series; None if undefined.
-
-    The exponent is computed on the normalized volatility nu(t), not on
-    raw returns. Returns None for stocks whose volatility is degenerate or
-    whose series is too short for the default windows.
-    """
-    try:
-        return dfa(volatility(stock.column(series_kind)).values,
-                   order=order).alpha
-    except DataError:   # degenerate volatility or too short for DFA
-        return None
-
-
-def alpha_by_factor(corpus, factor: str, n_bins: int | None = None,
-                    binning=None, series_kind: str = "volume",
-                    order: int = DEFAULT_ORDER, alphas: dict | None = None):
-    """Mean and spread of per-stock alpha grouped by a financial factor.
-
-    Parameters
-    ----------
-    corpus : ingest.Corpus
-    factor : one of factors.FACTORS
-    n_bins : int, optional
-        Bin count of the default binning; defaults follow the factors
-        module.
-    binning : factors.FactorBinning, optional
-        Use this binning instead of the default one (factor vectors are
-        then not computed).
-    alphas : dict ticker -> float, optional
-        Precomputed exponents (lets a caller compute them once and bin by
-        several factors). Missing or None entries are skipped.
-
-    Returns
-    -------
-    list[AlphaBin]
-        One row per bin, empty bins emitted with count 0 and NaN stats.
-    """
-    from .factors import bin_stocks, compute_factors, make_edges
-
-    if binning is None:
-        fv = compute_factors(corpus)
-        binning = bin_stocks(fv, factor, make_edges(fv, factor, n_bins))
-    if alphas is None:
-        alphas = {s.ticker: stock_alpha(s, series_kind, order) for s in corpus}
-    rows = []
-    for b in range(len(binning.edges) - 1):
-        vals = [alphas.get(t) for t in binning.members.get(b, [])]
-        vals = np.array([v for v in vals if v is not None], dtype=np.float64)
-        rows.append(AlphaBin(
-            lo=float(binning.edges[b]), hi=float(binning.edges[b + 1]),
-            mean_alpha=float(vals.mean()) if vals.size else float("nan"),
-            std_alpha=float(vals.std()) if vals.size else float("nan"),
-            count=int(vals.size)))
-    return rows

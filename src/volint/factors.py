@@ -1,4 +1,5 @@
-"""Financial factors, stock binning, per-bin tail exponents, correlations.
+"""Financial factors, stock binning, per-bin tail and DFA exponents,
+correlations.
 
 The four factors are lifetime (record count), mean capitalization
 (close * shares_outstanding averaged; absent when shares are missing),
@@ -14,13 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientStatisticsError
+from .errors import ConfigError, DataError, InsufficientStatisticsError
 from .fitting import (DEFAULT_BINS_PER_DECADE, DEFAULT_X_MIN,
                       InsufficientTailError, fit_power_tail, log_bin)
-from .ingest import Corpus, series_stats
-from .intervals import extract_intervals, pool_scaled
-from .volatility import volatility
-from .errors import DegenerateSeriesError
+from .intervals import pool_scaled
 
 FACTORS = ("lifetime", "capitalization", "volume", "trading_value")
 DEFAULT_BIN_COUNTS = {"lifetime": 10, "capitalization": 8,
@@ -60,6 +58,15 @@ class GammaBin:
 
 
 @dataclass(frozen=True)
+class AlphaBin:
+    lo: float
+    hi: float
+    mean_alpha: float
+    std_alpha: float
+    count: int
+
+
+@dataclass(frozen=True)
 class CorrelationReport:
     labels: tuple[str, ...]
     log_matrix: np.ndarray      # size factors logged, lifetime raw
@@ -68,16 +75,25 @@ class CorrelationReport:
     degenerate: tuple[str, ...] = ()    # zero-variance factors
 
 
-def compute_factors(corpus: Corpus) -> list[FactorVector]:
-    """One FactorVector per stock, ticker order."""
+def compute_factors(corpus) -> list[FactorVector]:
+    """One FactorVector per stock, ticker order.
+
+    Trading value is close * volume per day, averaged; capitalization is
+    close * shares_outstanding averaged over the rows where shares are
+    present, None when no row has them.
+    """
     out = []
     for s in corpus:
-        st = series_stats(s)
+        if s.lifetime_days == 0:
+            raise DataError(f"{s.ticker}: empty series")
+        vol = s.volume.astype(np.float64)
+        mask = np.isfinite(s.shares_outstanding)
+        cap = (float(np.mean(s.close[mask] * s.shares_outstanding[mask]))
+               if mask.any() else None)
         out.append(FactorVector(
-            ticker=st.ticker, lifetime=st.lifetime,
-            mean_capitalization=st.mean_capitalization,
-            mean_volume=st.mean_volume,
-            mean_trading_value=st.mean_trading_value))
+            ticker=s.ticker, lifetime=s.lifetime_days,
+            mean_capitalization=cap, mean_volume=float(vol.mean()),
+            mean_trading_value=float(np.mean(s.close * vol))))
     return out
 
 
@@ -140,49 +156,31 @@ def bin_stocks(factors, factor: str, edges) -> FactorBinning:
                          unbinned=tuple(unbinned), undefined=tuple(undefined))
 
 
-def gamma_by_factor(corpus: Corpus, factor: str, binning: FactorBinning | None = None,
-                    q: float = DEFAULT_Q, x_min: float = DEFAULT_X_MIN,
-                    bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
-                    series_kind: str = "volume",
-                    interval_cache: dict | None = None) -> list[GammaBin]:
+def gamma_by_factor(binning: FactorBinning, intervals: dict,
+                    x_min: float = DEFAULT_X_MIN,
+                    bins_per_decade: int = DEFAULT_BINS_PER_DECADE
+                    ) -> list[GammaBin]:
     """Tail exponent of the pooled scaled interval PDF per factor bin.
 
     Parameters
     ----------
-    binning : FactorBinning, optional
-        Defaults to make_edges with the factor's standard bin count.
-    interval_cache : dict ticker -> IntervalSeries or None, optional
-        Reuse per-stock extractions across factors (they do not depend on
-        the binning); None marks a stock with degenerate volatility.
-        Tickers missing from it are computed and added.
+    binning : FactorBinning
+    intervals : dict ticker -> IntervalSeries
+        One threshold's intervals per stock, e.g. from stage.map_stocks;
+        members missing from it (degenerate stocks) are skipped.
 
     Returns
     -------
     list[GammaBin]
         Bins whose pooled statistics cannot support a fit carry gamma None.
     """
-    if binning is None:
-        fv = compute_factors(corpus)
-        binning = bin_stocks(fv, factor, make_edges(fv, factor))
-    if interval_cache is None:
-        interval_cache = {}
     rows = []
     for b in range(len(binning.edges) - 1):
-        items = []
-        for t in binning.members.get(b, []):
-            if t not in interval_cache:
-                column = corpus.get(t).column(series_kind)
-                try:
-                    interval_cache[t] = extract_intervals(volatility(column), q)
-                except DegenerateSeriesError:
-                    interval_cache[t] = None
-            iv = interval_cache[t]
-            if iv is not None:
-                items.append((t, iv))
-        pooled = pool_scaled(items) if items else None
-        n_int = len(pooled) if pooled is not None else 0
+        items = [(t, intervals[t]) for t in binning.members.get(b, [])
+                 if t in intervals]
+        pooled = pool_scaled(items)
         gamma = stderr = r2 = None
-        if n_int:
+        if len(pooled):
             try:
                 f = fit_power_tail(log_bin(pooled.values, bins_per_decade), x_min)
                 gamma, stderr, r2 = f.gamma, f.stderr, f.r_squared
@@ -191,8 +189,26 @@ def gamma_by_factor(corpus: Corpus, factor: str, binning: FactorBinning | None =
         rows.append(GammaBin(
             lo=float(binning.edges[b]), hi=float(binning.edges[b + 1]),
             gamma=gamma, stderr=stderr, r_squared=r2,
-            n_stocks=len(pooled.tickers) if pooled is not None else 0,
-            n_intervals=n_int))
+            n_stocks=len(pooled.tickers), n_intervals=len(pooled)))
+    return rows
+
+
+def alpha_by_factor(binning: FactorBinning, alphas: dict) -> list[AlphaBin]:
+    """Mean and spread of per-stock DFA exponents per factor bin.
+
+    alphas maps ticker -> alpha, e.g. from the curves of
+    stage.map_stocks; members missing from it are skipped. Every bin is
+    emitted, an empty one with count 0 and NaN statistics.
+    """
+    rows = []
+    for b in range(len(binning.edges) - 1):
+        vals = np.array([alphas[t] for t in binning.members.get(b, [])
+                         if t in alphas], dtype=np.float64)
+        rows.append(AlphaBin(
+            lo=float(binning.edges[b]), hi=float(binning.edges[b + 1]),
+            mean_alpha=float(vals.mean()) if vals.size else float("nan"),
+            std_alpha=float(vals.std()) if vals.size else float("nan"),
+            count=int(vals.size)))
     return rows
 
 

@@ -268,8 +268,22 @@ def power_fit_sensitivity(pdf: BinnedPdf, grid=DEFAULT_X_MIN_GRID):
     return rows
 
 
+def _cell(x) -> str:
+    """One TSV cell: text as is, integers exactly, floats to 10 digits."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    x = float("nan") if x is None else float(x)
+    return "nan" if math.isnan(x) else f"{x:.10g}"
+
+
+def write_tsv(path, rows) -> None:
+    """Tab-separated rows, one cell per value; None is written as nan."""
+    with open(path, "w") as fh:
+        fh.writelines("\t".join(map(_cell, row)) + "\n" for row in rows)
+
+
 def write_pdf_tsv(pdf: BinnedPdf, path) -> None:
     """bin_center <TAB> density <TAB> count, one row per bin."""
-    with open(path, "w") as fh:
-        for c, d, n in zip(pdf.centers, pdf.densities, pdf.counts):
-            fh.write(f"{c:.10g}\t{d:.10g}\t{int(n)}\n")
+    write_tsv(path, zip(pdf.centers, pdf.densities, pdf.counts))

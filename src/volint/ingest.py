@@ -74,18 +74,6 @@ class DailySeries:
                                    other.shares_outstanding, equal_nan=True))
 
 
-@dataclass(frozen=True)
-class SeriesStats:
-    """Lifetime-average summary of one stock."""
-
-    ticker: str
-    lifetime: int
-    mean_volume: float
-    mean_close: float
-    mean_trading_value: float
-    mean_capitalization: float | None   # None when shares_outstanding absent
-
-
 @dataclass
 class LoadSummary:
     """Bookkeeping for one load_corpus call.
@@ -283,29 +271,3 @@ def write_corpus(corpus: Corpus, out_dir) -> None:
                     repr(float(s.close[i])),
                     "" if so != so else int(so),
                 ])
-
-
-def series_stats(s: DailySeries) -> SeriesStats:
-    """Lifetime averages used as financial factors.
-
-    Trading value is close * volume per day, averaged; capitalization is
-    close * shares_outstanding averaged over the rows where shares are
-    present, None when no row has them.
-    """
-    if s.lifetime_days == 0:
-        raise DataError(f"{s.ticker}: empty series")
-    close = s.close
-    vol = s.volume.astype(np.float64)
-    cap = None
-    sh = s.shares_outstanding
-    mask = np.isfinite(sh)
-    if mask.any():
-        cap = float(np.mean(close[mask] * sh[mask]))
-    return SeriesStats(
-        ticker=s.ticker,
-        lifetime=s.lifetime_days,
-        mean_volume=float(vol.mean()),
-        mean_close=float(close.mean()),
-        mean_trading_value=float(np.mean(close * vol)),
-        mean_capitalization=cap,
-    )

@@ -43,13 +43,12 @@ class IntervalSeries:
 class PooledIntervals:
     """Per-stock scaled intervals tau/<tau> pooled across stocks.
 
-    values[i] belongs to tickers[ticker_index[i]]; entries are ordered by
-    (ticker, temporal position) so pooling is schedule-independent.
+    values are ordered by (ticker, temporal position), so pooling is
+    schedule-independent.
     """
 
     q: float
     values: np.ndarray                      # float64 scaled intervals
-    ticker_index: np.ndarray                # int32 into tickers
     tickers: tuple[str, ...]
     per_stock_means: dict[str, float] = field(default_factory=dict)
     skipped: tuple[str, ...] = ()           # insufficient at this q
@@ -115,17 +114,11 @@ def pool_scaled(items) -> PooledIntervals:
         means[ticker] = float(mean)
         tickers.append(ticker)
         chunks.append(iv.taus / mean)
-    if chunks:
-        values = np.concatenate(chunks)
-        ticker_index = np.repeat(np.arange(len(chunks), dtype=np.int32),
-                                 [len(c) for c in chunks])
-    else:
-        values = np.empty(0, dtype=np.float64)
-        ticker_index = np.empty(0, dtype=np.int32)
+    values = (np.concatenate(chunks) if chunks
+              else np.empty(0, dtype=np.float64))
     return PooledIntervals(
         q=float(q) if q is not None else float("nan"),
-        values=values, ticker_index=ticker_index,
-        tickers=tuple(tickers), per_stock_means=means,
+        values=values, tickers=tuple(tickers), per_stock_means=means,
         skipped=tuple(skipped))
 
 

@@ -10,13 +10,9 @@ import volint as vi
 
 def pooled_intervals(corpus, q, series_kind="volume"):
     """(items, pooled) at threshold q; degenerate stocks are skipped."""
-    items = []
-    for s in corpus:
-        try:
-            v = vi.volatility(s.column(series_kind))
-        except vi.DegenerateSeriesError:
-            continue
-        items.append((s.ticker, vi.extract_intervals(v, q)))
+    items = [(r.ticker, r.by_q[q])
+             for r in vi.map_stocks(corpus, series_kind, qs=(q,))
+             if not r.degenerate]
     return items, vi.pool_scaled(items)
 
 

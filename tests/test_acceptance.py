@@ -244,8 +244,11 @@ def _lifetime_trends(corpus):
     factors = vi.compute_factors(corpus)
     edges = vi.make_edges(factors, "lifetime", 5)
     binning = vi.bin_stocks(factors, "lifetime", edges)
-    gbins = vi.gamma_by_factor(corpus, "lifetime", binning=binning, q=2.0)
-    abins = vi.alpha_by_factor(corpus, "lifetime", n_bins=5)
+    results = vi.map_stocks(corpus, qs=(2.0,), order=1)
+    gbins = vi.gamma_by_factor(
+        binning, {r.ticker: r.by_q[2.0] for r in results if not r.degenerate})
+    abins = vi.alpha_by_factor(
+        binning, {r.ticker: r.curve.alpha for r in results if r.curve})
     gammas = [b.gamma for b in gbins]
     alphas = [b.mean_alpha for b in abins]
     mids = [(b.lo + b.hi) / 2 for b in gbins]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import volint as vi
-from volint.cli import main
+from volint.cli import build_parser, main
 
 
 SYNTH = ["--synth-kind", "fgn", "--synth-n-stocks", "12",
@@ -238,16 +238,27 @@ def test_factors_computes_each_degenerate_stock_once(tmp_path, monkeypatch):
         calls.append(1)
         return real(*a, **k)
 
-    # the per-stock stage binds log_returns in cli, the factor fallback
-    # reaches it through volatility(); the package's volatility attribute
-    # is the function, so the modules come from sys.modules
-    for mod in ("volint.cli", "volint.volatility"):
+    # the per-stock stage binds log_returns in stage, volatility() reaches
+    # it in its own module; the package's volatility attribute is the
+    # function, so the modules come from sys.modules
+    for mod in ("volint.stage", "volint.volatility"):
         monkeypatch.setattr(sys.modules[mod], "log_returns", counting)
     out = tmp_path / "fac"
     rc = main(["factors", *SYNTH, "--series", "price", "--q", "2.0",
                "--seed", "5", "--out", str(out), "--jobs", "1"])
     assert rc == 0
     assert len(calls) == 12     # constant closes: every stock degenerate
+
+
+def test_jobs_default_is_the_cpus_this_process_may_run_on(monkeypatch):
+    args = build_parser().parse_args(["intervals", "--out", "o"])
+    if hasattr(os, "sched_getaffinity"):
+        assert args.jobs == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert build_parser().parse_args(["dfa", "--out", "o"]).jobs == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert build_parser().parse_args(["factors", "--out", "o"]).jobs == 1
 
 
 def test_runtime_imports_no_scipy():

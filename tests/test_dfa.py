@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import volint as vi
-from volint.dfa import alpha_by_factor, default_windows, dfa, stock_alpha
+from volint.dfa import default_windows, dfa
 
 
 def test_white_noise_alpha_half():
@@ -95,19 +95,13 @@ def test_fit_range_restricts_slope_estimate():
     assert sub.alpha != full.alpha
 
 
-def test_stock_alpha_handles_degenerate_series():
-    dates = np.datetime64("2001-01-01", "D") + np.arange(400)
-    flat = vi.DailySeries(ticker="F", dates=dates,
-                          volume=np.full(400, 9, dtype=np.int64),
-                          close=np.full(400, 1.0),
-                          shares_outstanding=np.full(400, np.nan))
-    assert stock_alpha(flat) is None
-
-
 def test_alpha_by_factor_flat_for_iid():
     corpus, _ = vi.synth_corpus(40, vi.homogeneous_rule(
         "iid", 2500, {"dist": "student_t", "df": 3.0}, 69))
-    bins = alpha_by_factor(corpus, "volume", n_bins=4)
+    fvs = vi.compute_factors(corpus)
+    binning = vi.bin_stocks(fvs, "volume", vi.make_edges(fvs, "volume", 4))
+    alphas = {r.ticker: r.curve.alpha for r in vi.map_stocks(corpus, order=1)}
+    bins = vi.alpha_by_factor(binning, alphas)
     assert len(bins) == 4
     assert sum(b.count for b in bins) == 40
     means = [b.mean_alpha for b in bins if b.count > 0]
@@ -115,21 +109,3 @@ def test_alpha_by_factor_flat_for_iid():
     for b in bins:
         if b.count > 0:
             assert abs(b.mean_alpha - 0.5) < 0.05
-
-
-def test_alpha_by_factor_reuses_precomputed_alphas():
-    corpus, _ = vi.synth_corpus(6, vi.homogeneous_rule(
-        "iid", 1200, {"dist": "normal"}, 70))
-    alphas = {s.ticker: stock_alpha(s) for s in corpus}
-    a = alpha_by_factor(corpus, "lifetime", n_bins=2, alphas=alphas)
-    b = alpha_by_factor(corpus, "lifetime", n_bins=2)
-    assert [x.count for x in a] == [y.count for y in b]
-    np.testing.assert_allclose([x.mean_alpha for x in a],
-                               [y.mean_alpha for y in b], equal_nan=True)
-
-
-def test_stock_alpha_rejects_unknown_series_kind():
-    corpus, _ = vi.synth_corpus(1, vi.homogeneous_rule(
-        "iid", 600, {"dist": "normal"}, 71))
-    with pytest.raises(vi.ConfigError):
-        stock_alpha(corpus.stocks[0], "prices")

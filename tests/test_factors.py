@@ -13,16 +13,42 @@ def fv(ticker="T", lifetime=500, cap=1.0e6, vol=1.0e5, tv=2.0e6):
                         mean_trading_value=tv)
 
 
-def test_compute_factors_matches_series_stats():
+def intervals_at(corpus, q):
+    """ticker -> IntervalSeries at q of every non-degenerate stock."""
+    return {r.ticker: r.by_q[q] for r in vi.map_stocks(corpus, qs=(q,))
+            if not r.degenerate}
+
+
+def test_compute_factors_matches_lifetime_averages():
     corpus, _ = vi.synth_corpus(4, vi.homogeneous_rule(
         "iid", 600, {"dist": "normal"}, 71))
-    stats_by_ticker = {s.ticker: vi.series_stats(s) for s in corpus}
-    for f in compute_factors(corpus):
-        st = stats_by_ticker[f.ticker]
-        assert f.lifetime == st.lifetime
-        assert f.mean_volume == st.mean_volume
-        assert f.mean_trading_value == st.mean_trading_value
-        assert f.mean_capitalization == st.mean_capitalization
+    for s, f in zip(corpus, compute_factors(corpus)):
+        assert f.ticker == s.ticker
+        assert f.lifetime == len(s.dates)
+        assert f.mean_volume == np.mean(s.volume.astype(float))
+        assert f.mean_trading_value == np.mean(s.close * s.volume)
+        assert f.mean_capitalization == np.mean(s.close * s.shares_outstanding)
+
+
+def test_compute_factors_examples():
+    dates = np.datetime64("2001-01-01", "D") + np.arange(2)
+    s = vi.DailySeries(ticker="A", dates=dates,
+                       volume=np.array([1, 3], dtype=np.int64),
+                       close=np.array([2.0, 2.0]),
+                       shares_outstanding=np.full(2, np.nan))
+    [f] = compute_factors([s])
+    assert f.mean_volume == 2.0
+    assert f.mean_trading_value == (2.0 * 1 + 2.0 * 3) / 2
+    assert f.mean_capitalization is None
+
+    s2 = vi.DailySeries(ticker="B", dates=dates,
+                        volume=np.array([1, 1], dtype=np.int64),
+                        close=np.array([2.0, 4.0]),
+                        shares_outstanding=np.array([np.nan, 5.0]))
+    [f2] = compute_factors([s2])
+    # capitalization averages only the rows where shares are present
+    assert f2.mean_capitalization == 4.0 * 5.0
+    assert f2.lifetime == 2
 
 
 def test_factor_value_undefined_cases():
@@ -124,7 +150,7 @@ def test_gamma_by_factor_homogeneous_bins_agree():
     fvs = compute_factors(corpus)
     edges = make_edges(fvs, "volume", 2)
     binning = bin_stocks(fvs, "volume", edges)
-    bins = gamma_by_factor(corpus, "volume", binning=binning, q=2.0)
+    bins = gamma_by_factor(binning, intervals_at(corpus, 2.0))
     assert len(bins) == 2
     filled = [b for b in bins if b.gamma is not None]
     assert len(filled) == 2
@@ -144,19 +170,8 @@ def test_gamma_by_factor_empty_bin_emitted():
     edges = np.array([float(lifetimes[0]), lifetimes[0] + 1.0,
                       lifetimes[0] + 2.0])
     binning = bin_stocks(fvs, "lifetime", edges)
-    bins = gamma_by_factor(corpus, "lifetime", binning=binning, q=2.0)
+    bins = gamma_by_factor(binning, intervals_at(corpus, 2.0))
     assert len(bins) == 2
     assert bins[0].n_stocks == 6
     assert bins[1].n_stocks == 0
     assert bins[1].gamma is None
-
-
-def test_gamma_by_factor_interval_cache_reused():
-    corpus, _ = vi.synth_corpus(10, vi.homogeneous_rule(
-        "fgn", 2048, {"hurst": 0.8, "vol_scale": 0.5, "noise_df": 2.5}, 77))
-    cache: dict = {}
-    a = gamma_by_factor(corpus, "lifetime", q=2.0, interval_cache=cache)
-    assert len(cache) == 10
-    b = gamma_by_factor(corpus, "volume", q=2.0, interval_cache=cache)
-    assert {x.ticker for x in compute_factors(corpus)} == set(cache)
-    assert sum(x.n_intervals for x in a) == sum(x.n_intervals for x in b)

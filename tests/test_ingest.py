@@ -1,8 +1,11 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import volint as vi
-from volint.ingest import CSV_HEADER, DailySeries, load_corpus, series_stats, write_corpus
+from volint.ingest import CSV_HEADER, DailySeries, load_corpus, write_corpus
 
 
 HEADER = ",".join(CSV_HEADER)
@@ -156,21 +159,6 @@ def test_unsorted_input_dates_sorted_on_load(tmp_path):
     assert np.all(s.dates[1:] > s.dates[:-1])
 
 
-def test_series_stats_examples():
-    s = make_series(volume=[1, 3], close=[2.0, 2.0], n=2)
-    st = series_stats(s)
-    assert st.mean_volume == 2.0
-    assert st.mean_close == 2.0
-    assert st.mean_trading_value == (2.0 * 1 + 2.0 * 3) / 2
-    assert st.mean_capitalization is None
-
-    s2 = make_series(volume=[1, 1], close=[2.0, 4.0], shares=[np.nan, 5.0], n=2)
-    st2 = series_stats(s2)
-    # capitalization averages only the rows where shares are present
-    assert st2.mean_capitalization == 4.0 * 5.0
-    assert st2.lifetime == 2
-
-
 def test_corpus_rejects_understated_lifetime():
     s = make_series(n=3)
     with pytest.raises(vi.DataError):
@@ -192,3 +180,36 @@ def test_column_maps_series_kind():
     assert s.column("price") is s.close
     with pytest.raises(vi.ConfigError):
         s.column("close")
+
+
+@st.composite
+def daily_series(draw, ticker):
+    days = sorted(draw(st.sets(st.integers(0, 20000), min_size=1, max_size=40)))
+    n = len(days)
+    shares = draw(st.lists(st.none() | st.integers(1, 2 ** 53),
+                           min_size=n, max_size=n))
+    return DailySeries(
+        ticker=ticker,
+        dates=np.datetime64("1970-01-01", "D") + np.array(days),
+        volume=np.array(draw(st.lists(st.integers(0, 2 ** 63 - 1),
+                                      min_size=n, max_size=n)),
+                        dtype=np.int64),
+        close=np.array(draw(st.lists(
+            st.floats(0, exclude_min=True, allow_infinity=False),
+            min_size=n, max_size=n)), dtype=np.float64),
+        shares_outstanding=np.array(
+            [np.nan if x is None else float(x) for x in shares]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=3,
+                unique=True).flatmap(
+    lambda ts: st.tuples(*(daily_series(t) for t in ts))))
+def test_write_then_load_round_trips_any_valid_series(stocks):
+    corpus = vi.Corpus(stocks=list(stocks), min_lifetime=1)
+    with tempfile.TemporaryDirectory() as out:
+        write_corpus(corpus, out)
+        back = load_corpus(out, min_lifetime=1, strict=True)
+    assert back.tickers == corpus.tickers
+    assert all(a == b for a, b in zip(back, corpus))
+    assert back.summary.n_accepted == len(corpus)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import volint as vi
 from volint.intervals import extract_intervals, pool_scaled, shuffle_control
@@ -60,7 +61,6 @@ def test_pool_scaled_example():
     # stocks are ordered by ticker, each divided by its own mean
     assert pooled.tickers == ("A", "B")
     assert np.allclose(pooled.values, [1.5, 0.5, 1.0])
-    assert list(pooled.ticker_index) == [0, 0, 1]
     assert pooled.per_stock_means == {"A": 2.0, "B": 1.0}
     assert pooled.q == 2.0
 
@@ -129,3 +129,16 @@ def test_shuffling_removes_interval_clustering():
     assert abs(cv[True] - np.sqrt(1.0 - p_hat)) < 0.01
     assert cv[False] > 1.05
     assert cv[False] - cv[True] > 0.1
+
+
+@given(st.lists(st.floats(0, 10), max_size=300),
+       st.floats(0, 10, exclude_min=True))
+def test_first_index_plus_taus_is_the_last_exceedance(values, q):
+    iv = extract_intervals(np.array(values, dtype=np.float64), q)
+    above = [i for i, x in enumerate(values) if x > q]
+    assert iv.n_exceedances == len(above)
+    if above:
+        assert iv.first_index == above[0]
+        assert iv.first_index + int(iv.taus.sum()) == above[-1]
+    else:
+        assert iv.first_index is None and iv.taus.size == 0
