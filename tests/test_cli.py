@@ -230,6 +230,42 @@ def test_lenient_load_rejects_one_bad_file_not_the_corpus(tmp_path):
     assert main([*args, "--strict", "--out", str(tmp_path / "strict")]) == 3
 
 
+def test_volume_overflow_row_counted_when_lenient_exit_3_when_strict(tmp_path):
+    src = tmp_path / "src"
+    main(["synth", "--kind", "iid", "--n-stocks", "3", "--length", "600",
+          "--seed", "11", "--out", str(src)])
+    with open(src / "S00001.csv", "a") as fh:
+        fh.write(f"2099-01-01,{2 ** 63},1.0,\r\n")
+    args = ["intervals", "--data-dir", str(src), "--thresholds", "2.0",
+            "--min-lifetime", "600", "--jobs", "1"]
+    out = tmp_path / "res"
+    assert main([*args, "--out", str(out)]) == 0
+    summary = read_report(out)["load_summary"]
+    assert summary["n_rows_skipped"] == 1
+    assert summary["n_accepted"] == 3
+    assert main([*args, "--strict", "--out", str(tmp_path / "strict")]) == 3
+
+
+def test_report_ignores_input_directory_name_and_write_order(tmp_path):
+    src = tmp_path / "src"
+    main(["synth", "--kind", "fgn", "--n-stocks", "5", "--length", "1024",
+          "--hurst", "0.8", "--vol-scale", "0.4", "--df", "3.0",
+          "--seed", "13", "--out", str(src)])
+    moved = tmp_path / "another name"
+    moved.mkdir()
+    for f in sorted(src.glob("*.csv"), reverse=True):
+        (moved / f.name).write_bytes(f.read_bytes())
+    reports = []
+    for tag, data_dir in (("a", src), ("b", moved)):
+        out = tmp_path / tag
+        assert main(["conditional", "--data-dir", str(data_dir),
+                     "--thresholds", "2.0", "--min-lifetime", "1024",
+                     "--octiles", "quantile", "--out", str(out),
+                     "--jobs", "1"]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_factors_computes_each_degenerate_stock_once(tmp_path, monkeypatch):
     calls = []
     real = vi.log_returns

@@ -1,10 +1,13 @@
 import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import volint as vi
+from volint import ingest
 from volint.ingest import CSV_HEADER, DailySeries, load_corpus, write_corpus
 
 
@@ -210,6 +213,176 @@ def test_write_then_load_round_trips_any_valid_series(stocks):
     with tempfile.TemporaryDirectory() as out:
         write_corpus(corpus, out)
         back = load_corpus(out, min_lifetime=1, strict=True)
+        fast = [ingest._parse_fast(s.ticker, (Path(out) / f"{s.ticker}.csv").read_bytes())
+                for s in corpus]
     assert back.tickers == corpus.tickers
     assert all(a == b for a, b in zip(back, corpus))
     assert back.summary.n_accepted == len(corpus)
+    assert fast == corpus.stocks        # every written file is parsed whole
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_volume_overflowing_int64_is_a_malformed_row(tmp_path, strict):
+    write_csv(tmp_path / "O.csv", ["2001-01-01,5,1.0,",
+                                   f"2001-01-02,{2 ** 63},1.0,",
+                                   f"2001-01-03,{2 ** 63 - 1},1.0,"])
+    if strict:
+        with pytest.raises(vi.DataError, match=r"O\.csv:3: volume"):
+            load_corpus(tmp_path, min_lifetime=1, strict=True)
+        return
+    corpus = load_corpus(tmp_path, min_lifetime=1)
+    assert corpus.summary.n_rows_skipped == 1
+    assert list(corpus.get("O").volume) == [5, 2 ** 63 - 1]
+
+
+def test_impossible_date_in_a_long_file_is_skipped_not_fatal(tmp_path):
+    # numpy can crash when a long bytes array holding an impossible date
+    # is cast to datetime64; the loader must never do that
+    dates = np.datetime_as_string(np.datetime64("1990-01-01") + np.arange(5000))
+    rows = [f"{d},{i},1.5," for i, d in enumerate(dates)]
+    rows.insert(2500, "2001-02-30,7,1.5,")
+    write_csv(tmp_path / "F.csv", rows)
+    corpus = load_corpus(tmp_path, min_lifetime=1)
+    assert corpus.summary.n_rows_skipped == 1
+    assert corpus.get("F").lifetime_days == 5000
+
+
+# ---------------------------------------------------------------------------
+# the whole-file parser against the per-row parser
+
+# the malformed row shapes the benchmark injects, then odd shapes (some of
+# them valid rows) at the edges of what the whole-file parser accepts
+MALFORMED = (
+    "{d},{v}",
+    "{d},{v},{c},{s},9",
+    "1990/01/02,{v},{c},{s}",
+    "2001-02-30,{v},{c},{s}",
+    "{d},-5,{c},{s}",
+    "{d},1.5e3,{c},{s}",
+    "{d},{v},abc,{s}",
+    "{d},{v},0.0,{s}",
+    "{d},{v},{c},-3",
+)
+ODD = (
+    "",                                     # blank line
+    " {d},{v},{c},{s}",                     # padded fields
+    "{d}, {v} ,{c} ,{s}",
+    '"{d}",{v},"{c}",{s}',                  # quoted fields
+    "# {d},{v},{c},{s}",
+    "{d},{v},{c},{s}#",
+    "{d},\u0663{v},{c},{s}",                # a non-ASCII digit
+    "{d},+{v},{c},{s}",
+    "{d},{v},+{c},{s}",
+    "{d},{v},{c},+5",
+    "{d},9223372036854775808,{c},{s}",      # int64 overflow
+    "{d},{v},{c},99999999999999999999",
+    "{d},{v},1e999,{s}",
+    "{d},{v},1e-400,{s}",
+    "{d},{v},inf,{s}",
+    "{d},{v},{c},0",
+    "0000-02-29,{v},{c},{s}",
+    "2000-02-29,{v},{c},{s}",
+    "1900-02-29,{v},{c},{s}",
+    "2001-13-01,{v},{c},{s}",
+    "2001-00-10,{v},{c},{s}",
+    "2001-01-00,{v},{c},{s}",
+    "2001-1-01,{v},{c},{s}",
+    "2001+02-27,{v},{c},{s}",
+    "2001-02.27,{v},{c},{s}",
+    "{d},,{c},{s}",
+    "{d},{v},,{s}",
+)
+# well-formed spellings the whole-file parser must accept
+VARIANTS = (
+    "{d},{v},.5e1,{s}",
+    "{d},{v},5.,{s}",
+    "{d},{v},1E+2,{s}",
+    "{d},{v},25e-1,{s}",
+    "{d},007,{c},0042",
+    "{d},0,{c},",
+)
+
+
+@st.composite
+def csv_files(draw):
+    """(bytes of one file, whether every row is valid and in order).
+
+    Each row is written from a template. A defect replaces the template
+    of one row with a malformed or odd one, repeats a row's date or swaps
+    two rows; a variant spells one row in another valid way.
+    """
+    n = draw(st.integers(1, 30))
+    days = sorted(draw(st.sets(st.integers(-5000, 20000), min_size=n, max_size=n)))
+    rows = [{"d": np.datetime_as_string(np.datetime64(day, "D")),
+             "v": draw(st.integers(0, 2 ** 20) | st.integers(0, 2 ** 63 - 1)),
+             "c": repr(draw(st.floats(0, exclude_min=True, allow_infinity=False))),
+             "s": draw(st.just("") | st.integers(1, 2 ** 63 - 1).map(str))}
+            for day in days]
+    templates = ["{d},{v},{c},{s}"] * n
+    clean = True
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(("malformed", "odd", "duplicate", "swap",
+                                     "variant")))
+        clean &= kind == "variant"
+        if kind == "duplicate":
+            rows.insert(i + 1, {**rows[i], "v": rows[i]["v"] + 1})
+            templates.insert(i + 1, templates[i])
+        elif kind == "swap":
+            j = min(i + 1, len(rows) - 1)
+            rows[i], rows[j] = rows[j], rows[i]
+            templates[i], templates[j] = templates[j], templates[i]
+        else:
+            shapes = {"malformed": MALFORMED, "odd": ODD, "variant": VARIANTS}[kind]
+            templates[i] = draw(st.sampled_from(shapes))
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    lines = [t.format(**row) for t, row in zip(templates, rows)]
+    text = end.join([HEADER, *lines]) + draw(st.sampled_from((end, "")))
+    return text.encode(), clean
+
+
+def _load_both(path, strict):
+    """load_corpus as it is, and with the whole-file parser turned away."""
+    def load():
+        try:
+            corpus = load_corpus(path, min_lifetime=1, strict=strict)
+        except vi.DataError as exc:
+            return str(exc)
+        return corpus.summary.as_dict(), list(corpus)
+    fast = load()
+    with mock.patch.object(ingest, "_parse_fast", return_value=None):
+        return fast, load()
+
+
+def check_parsers_agree(data, clean):
+    """The whole-file parser takes every clean file, and whatever it takes
+    it parses as the per-row parser does; load_corpus counts the same
+    with it and without it."""
+    fast = ingest._parse_fast("T", data)
+    rows, skipped = ingest._parse_rows(data, Path("T.csv"), strict=False)
+    slow, n_dup = ingest._build_series("T", rows, strict=False)
+    if clean:
+        assert fast is not None
+    if fast is not None:
+        assert (skipped, n_dup) == (0, 0)
+        assert fast == slow
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "T.csv").write_bytes(data)
+        for strict in (False, True):
+            with_fast, per_row = _load_both(tmp, strict)
+            assert with_fast == per_row
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+@pytest.mark.parametrize("template", MALFORMED + ODD + VARIANTS)
+def test_each_row_shape_parses_alike_on_both_paths(template, end):
+    # the first and last dates bound every date a template can hold
+    row = template.format(d="2001-02-27", v=12, c="1.25", s=7)
+    lines = [HEADER, "0000-01-01,1,2.5,", row, "9999-12-31,3,4.5,100"]
+    check_parsers_agree((end.join(lines) + end).encode(), template in VARIANTS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_files())
+def test_whole_file_parser_agrees_with_per_row_parser(file):
+    check_parsers_agree(*file)
