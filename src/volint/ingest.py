@@ -1,24 +1,24 @@
 """CSV corpus loading and the canonical in-memory data model.
 
-One CSV file per ticker with header ``date,volume,close,shares_outstanding``.
+One CSV file per ticker, read under the one row grammar the README
+states: the exact header ``date,volume,close,shares_outstanding``,
+``\\n`` or ``\\r\\n`` line ends, and four unpadded, unquoted ASCII fields
+per line (a real ``YYYY-MM-DD`` date, a volume of digits up to 2**63 - 1,
+a finite positive decimal close, and shares_outstanding empty or digits
+from 1 to 2**63 - 1). Every line of a file is checked at once, in numpy
+passes over its bytes.
+
 Loading is lossless where possible: zero-volume days are retained (the
 volatility step decides their treatment) and a stock is only rejected for
 being shorter than ``min_lifetime``, for a bad header or an unreadable
 file, or, under strict mode, for containing bad rows. Non-trading
 calendar gaps are not special: consecutive records are treated as
 successive days.
-
-Each file is first offered to a whole-file parser (_parse_fast) that
-accepts only clean files and parses them with a few numpy passes; any
-file it does not accept whole goes to the per-row parser (_parse_rows,
-_build_series), which decides what is skipped, kept or rejected.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,12 +29,27 @@ from .errors import ConfigError, DataError
 CSV_HEADER = ("date", "volume", "close", "shares_outstanding")
 DEFAULT_MIN_LIFETIME = 350
 
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-_INT64_MAX = 2 ** 63 - 1
-_HEADER_LINE = ",".join(CSV_HEADER).encode() + b"\n"
-# the bytes a file body may hold on the whole-file path: digits, the two
-# separators and the other characters of a decimal float
-_FAST_BYTES = b"0123456789,\n.eE+-"
+_HEADER = ",".join(CSV_HEADER).encode()
+_INT64_MAX = np.uint64(2 ** 63 - 1)     # a Python int would compare as float on numpy 1.x
+# what the checks of one line test, in the order they are made
+_FIELDS = ("field count", "date", "volume", "close", "shares_outstanding")
+
+# the close grammar, [0-9]+(.[0-9]*)?([eE][+-]?[0-9]+)? or
+# .[0-9]+([eE][+-]?[0-9]+)?, as a table automaton. Byte classes: 0 digit,
+# 1 ".", 2 "e" or "E", 3 sign, 4 other. States: 0 start, 1 digits, 2 digits
+# and ".", 3 a leading ".", 4 fraction digits, 5 exponent mark, 6 exponent
+# sign, 7 exponent digits, 8 dead. Row s, column k of _CLOSE_STEP: the
+# state after a byte of class k in state s.
+_BYTE_CLASS = np.full(256, 4, dtype=np.uint8)
+_BYTE_CLASS[list(b"0123456789")] = 0
+_BYTE_CLASS[list(b".")] = 1
+_BYTE_CLASS[list(b"eE")] = 2
+_BYTE_CLASS[list(b"+-")] = 3
+_CLOSE_DEAD = 8
+_CLOSE_STEP = np.array([list(map(int, row)) for row in (
+    "13888", "12588", "48588", "48888", "48588", "78868", "78888", "78888", "88888")],
+    dtype=np.uint8)
+_CLOSE_ACCEPT = np.isin(np.arange(9), (1, 2, 4, 7))
 
 
 @dataclass(frozen=True)
@@ -145,183 +160,128 @@ class Corpus:
         return self._by_ticker[ticker]
 
 
-def _parse_rows(data: bytes, path: Path, strict: bool):
-    """Parse one file's bytes row by row. Returns (rows, n_skipped) or
-    raises DataError."""
-    try:
-        with io.TextIOWrapper(io.BytesIO(data), newline="") as text:
-            return _parse_reader(csv.reader(text), path, strict)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def _parse_reader(reader, path: Path, strict: bool):
-    """Header check, then every row of one file; see _parse_rows."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        return [], 0
-    if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise DataError(f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}")
-    rows, skipped = [], 0
-    for lineno, rec in enumerate(reader, start=2):
-        try:
-            if len(rec) != 4:
-                raise ValueError("wrong field count")
-            d, v, c, so = (s.strip() for s in rec)
-            if not _DATE_RE.match(d):
-                raise ValueError(f"bad date {d!r}")
-            date = np.datetime64(d, "D")
-            volume = int(v)
-            if volume < 0:
-                raise ValueError("negative volume")
-            if volume > _INT64_MAX:
-                raise ValueError("volume does not fit in int64")
-            close = float(c)
-            if not (close > 0) or not np.isfinite(close):
-                raise ValueError("close must be positive")
-            shares = float("nan") if so == "" else float(int(so))
-            if shares == shares and shares <= 0:
-                raise ValueError("shares_outstanding must be positive")
-            rows.append((date, volume, close, shares))
-        except (ValueError, OverflowError) as exc:
-            if strict:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            skipped += 1
-    return rows, skipped
-
-
-def _build_series(ticker: str, rows, strict: bool):
-    """Sort rows by date, resolve duplicates. Returns (series | None, n_dups)."""
-    dates = np.array([r[0] for r in rows], dtype="datetime64[D]")
-    order = np.argsort(dates, kind="stable")
-    dates = dates[order]
-    dup = np.zeros(len(dates), dtype=bool)
-    dup[1:] = dates[1:] == dates[:-1]
-    n_dup = int(dup.sum())
-    if n_dup and strict:
-        return None, n_dup
-    keep = order[~dup]
-    return DailySeries(
-        ticker=ticker,
-        dates=dates[~dup],
-        volume=np.array([rows[i][1] for i in keep], dtype=np.int64),
-        close=np.array([rows[i][2] for i in keep], dtype=np.float64),
-        shares_outstanding=np.array([rows[i][3] for i in keep], dtype=np.float64),
-    ), n_dup
+def _uints(b: np.ndarray, start: np.ndarray, stop: np.ndarray):
+    """(values, ok) of the fields b[start:stop]: ok where a field is one or
+    more ASCII digits with a value of at most 2**63 - 1. The uint64 values
+    mean nothing where a field is not ok."""
+    width = stop - start
+    ok = width > 0
+    value = np.zeros(len(start), dtype=np.uint64)
+    for k in range(int(width.max(initial=0))):
+        live = ok & (k < width)
+        if not live.any():
+            break
+        # uint8 arithmetic: the bytes below "0" wrap above 9
+        digit = (b[np.where(live, start + k, 0)] - ord("0")).astype(np.uint64)
+        ok &= ~live | ((digit <= 9) & (value <= (_INT64_MAX - digit) // 10))
+        value = np.where(live & ok, value * 10 + digit, value)
+    return value, ok
 
 
 def _dates(b: np.ndarray, start: np.ndarray, stop: np.ndarray):
-    """datetime64[D] of the ``YYYY-MM-DD`` fields b[start:stop], or None
-    if any field is not a real date in that form.
+    """(datetime64[D] values, ok) of the fields b[start:stop]: ok where a
+    field is a real date written ``YYYY-MM-DD``.
 
     Digit arithmetic, not a cast of the text: casting a bytes array of a
     thousand or more dates that holds an impossible one (``2001-02-30``)
     to datetime64 can crash numpy.
     """
-    if np.any(stop - start != 10) or np.any(b[start + 4] != ord("-")) \
-            or np.any(b[start + 7] != ord("-")):
-        return None
-    parts = [_uints(b, start + i, start + j) for i, j in ((0, 4), (5, 7), (8, 10))]
-    if any(p is None for p in parts):
-        return None
-    year, month, day = (p.astype(np.int64) for p in parts)
-    if np.any((month < 1) | (month > 12)):
-        return None
+    ok = stop - start == 10
+    s = start[ok]
+    (year, y_ok), (month, m_ok), (day, d_ok) = (
+        _uints(b, s + i, s + j) for i, j in ((0, 4), (5, 7), (8, 10)))
+    year, month, day = (p.astype(np.int64) for p in (year, month, day))
     first = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
     first_day = first.astype("datetime64[D]")
     month_days = ((first + 1).astype("datetime64[D]") - first_day).astype(np.int64)
-    if np.any((day < 1) | (day > month_days)):
-        return None
-    return first_day + (day - 1)
+    dates = np.zeros(len(start), dtype="datetime64[D]")
+    dates[ok] = first_day + (day - 1)
+    ok[ok] = (y_ok & m_ok & d_ok & (b[s + 4] == ord("-")) & (b[s + 7] == ord("-"))
+              & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days))
+    return dates, ok
 
 
-def _uints(b: np.ndarray, start: np.ndarray, stop: np.ndarray):
-    """uint64 values of the digit-only fields b[start:stop], 0 where a
-    field is empty; None if a field holds another byte or more than 19
-    digits (19 always fit in uint64)."""
-    width = stop - start
-    longest = int(width.max())
-    if longest > 19:
-        return None
-    value = np.zeros(len(start), dtype=np.uint64)
-    for k in range(longest):
-        live = k < width
-        digit = b[np.where(live, start + k, 0)] - ord("0")   # uint8: "+-." wrap above 9
-        if np.any(live & (digit > 9)):
-            return None
-        value = np.where(live, value * 10 + digit, value)
-    return value
+def _closes(b: np.ndarray, start: np.ndarray, stop: np.ndarray):
+    """(float64 values, ok) of the fields b[start:stop], each followed by
+    a comma: ok where a field matches the close grammar and its value is
+    finite and positive.
 
-
-def _parse_fast(ticker: str, data: bytes) -> DailySeries | None:
-    """The series of a file whose every row is valid, parsed in whole-file
-    numpy passes; None for any file it does not accept whole.
-
-    It accepts the exact header, ``\\n`` or ``\\r\\n`` line ends, three
-    commas on every line, ``YYYY-MM-DD`` dates, unsigned decimal integers
-    that fit in int64, and strictly increasing dates: no blank line,
-    padding, quote, sign on an integer or non-ASCII byte. Such a file
-    parses to exactly the series _parse_rows and _build_series give.
+    The grammar is checked by a table automaton; only the fields it
+    accepts are handed to numpy's text parser.
     """
-    data = data.replace(b"\r\n", b"\n")
-    if not data.startswith(_HEADER_LINE):
-        return None
-    body = data[len(_HEADER_LINE):]
-    if not body.endswith(b"\n"):
-        body += b"\n"
-    if body.translate(None, _FAST_BYTES):        # some other byte is left
-        return None
-    b = np.frombuffer(body, dtype=np.uint8)
-    ends = np.flatnonzero(b == ord("\n"))
-    commas = np.flatnonzero(b == ord(","))
-    if len(commas) != 3 * len(ends):
-        return None
-    commas = commas.reshape(-1, 3)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    if np.any(commas[:, 0] < starts) or np.any(commas[:, 2] > ends):
-        return None                 # some line has other than three commas
-    dates = _dates(b, starts, commas[:, 0])
-    volume = _uints(b, commas[:, 0] + 1, commas[:, 1])
-    shares = _uints(b, commas[:, 2] + 1, ends)
-    if dates is None or volume is None or shares is None:
-        return None
-    has_shares = commas[:, 2] + 1 < ends
-    big = np.uint64(_INT64_MAX)     # a Python int would compare as float on numpy 1.x
-    if np.any(commas[:, 1] == commas[:, 0] + 1) or np.any(volume > big) \
-            or np.any(has_shares & ((shares == 0) | (shares > big))) \
-            or np.any(dates[1:] <= dates[:-1]):
-        return None
-    try:
-        close = np.loadtxt(io.StringIO(body.decode("ascii")), delimiter=",",
-                           comments=None, usecols=2, ndmin=1)
-    except ValueError:
-        return None
-    if not (np.all(close > 0) and np.all(np.isfinite(close))):
-        return None
-    return DailySeries(
-        ticker=ticker, dates=dates, volume=volume.astype(np.int64), close=close,
-        shares_outstanding=np.where(has_shares, shares.astype(np.int64), np.nan))
+    width = stop - start
+    state = np.zeros(len(start), dtype=np.uint8)
+    for k in range(int(width.max(initial=0))):
+        live = (k < width) & (state != _CLOSE_DEAD)
+        if not live.any():
+            break
+        cls = _BYTE_CLASS[b[np.where(live, start + k, 0)]]
+        state = np.where(live, _CLOSE_STEP[state, cls], state)
+    ok = _CLOSE_ACCEPT[state]
+    value = np.full(len(start), np.nan)
+    if ok.any():
+        # the accepted fields, each with the comma after it as a line end
+        n = stop[ok] - start[ok] + 1
+        end = np.cumsum(n)
+        text = b[np.arange(end[-1]) + np.repeat(start[ok] - end + n, n)]
+        text[end - 1] = ord("\n")
+        value[ok] = np.loadtxt(io.StringIO(text.tobytes().decode()), ndmin=1)
+    return value, ok & (value > 0) & np.isfinite(value)
 
 
 def _read_series(path: Path, strict: bool):
     """One file's (series | None, n_skipped, n_dup).
 
-    The whole-file parser takes the file if it can; otherwise the per-row
-    parser does. The series is None for duplicate dates under strict.
-    Raises DataError for an unreadable file or a bad header, and under
-    strict for a malformed row.
+    Every line after the header is checked against the row grammar at
+    once; a line that breaks it is skipped, and the valid rows are sorted
+    by date with the first of duplicate dates kept. The series is None
+    for duplicate dates under strict. Raises DataError for an unreadable
+    file or a bad header, and under strict at the first malformed line.
     """
     try:
         data = path.read_bytes()
-    except OSError as exc:
+        data.decode()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    series = _parse_fast(path.stem, data)
-    if series is not None:
-        return series, 0, 0
-    rows, skipped = _parse_rows(data, path, strict)
-    series, n_dup = _build_series(path.stem, rows, strict)
-    return series, skipped, n_dup
+    header, _, body = data.replace(b"\r\n", b"\n").partition(b"\n")
+    if data and header != _HEADER:
+        raise DataError(f"{path}: bad header {header[:80]!r}, "
+                        f"expected {_HEADER.decode()}")
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    b = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))[:len(ends)]
+    commas = np.flatnonzero(b == ord(","))
+    line = np.searchsorted(ends, commas)
+    three = np.bincount(line, minlength=len(ends)) == 3
+    c = np.repeat(ends[:, None], 3, axis=1)     # lines failing the count check
+    c[three] = commas[three[line]].reshape(-1, 3)
+    dates, date_ok = _dates(b, starts, c[:, 0])
+    volume, volume_ok = _uints(b, c[:, 0] + 1, c[:, 1])
+    close, close_ok = _closes(b, c[:, 1] + 1, c[:, 2])
+    shares, shares_ok = _uints(b, c[:, 2] + 1, ends)
+    has_shares = c[:, 2] + 1 < ends
+    checks = (three, date_ok, volume_ok, close_ok,
+              ~has_shares | (shares_ok & (shares > 0)))
+    valid = np.logical_and.reduce(checks)
+    if strict and not valid.all():
+        i = int(np.argmin(valid))
+        name = next(f for f, ok in zip(_FIELDS, checks) if not ok[i])
+        raise DataError(f"{path}:{i + 2}: {name} breaks the row grammar")
+    rows = np.flatnonzero(valid)
+    rows = rows[np.argsort(dates[rows], kind="stable")]
+    dup = np.zeros(len(rows), dtype=bool)
+    dup[1:] = dates[rows[1:]] == dates[rows[:-1]]
+    n_skipped, n_dup = len(ends) - len(rows), int(dup.sum())
+    if n_dup and strict:
+        return None, n_skipped, n_dup
+    rows = rows[~dup]
+    return DailySeries(
+        ticker=path.stem, dates=dates[rows], volume=volume[rows].astype(np.int64),
+        close=close[rows], shares_outstanding=np.where(
+            has_shares[rows], shares[rows].astype(np.int64), np.nan),
+    ), n_skipped, n_dup
 
 
 def load_corpus(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
@@ -381,8 +341,7 @@ def write_corpus(corpus: Corpus, out_dir) -> None:
     """Write a corpus back to the per-ticker CSV schema (loader inverse).
 
     Lines end in ``\\r\\n`` and close prices are written with ``repr``, so
-    every file read back takes the whole-file parser and gives the same
-    arrays.
+    every file reads back, under strict mode too, to the same arrays.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

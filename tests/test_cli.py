@@ -230,6 +230,26 @@ def test_lenient_load_rejects_one_bad_file_not_the_corpus(tmp_path):
     assert main([*args, "--strict", "--out", str(tmp_path / "strict")]) == 3
 
 
+@pytest.mark.parametrize("data", [
+    b" date,volume,close,shares_outstanding\n2001-01-01,1,1.0,\n",
+    b"date,volume,close,shares_outstanding\r2001-01-01,1,1.0,\r",
+], ids=["padded-header", "cr-line-ends"])
+def test_file_outside_the_grammar_counted_when_lenient_exit_3_when_strict(
+        tmp_path, data):
+    src = tmp_path / "src"
+    main(["synth", "--kind", "iid", "--n-stocks", "3", "--length", "400",
+          "--seed", "11", "--out", str(src)])
+    (src / "BAD.csv").write_bytes(data)
+    args = ["intervals", "--data-dir", str(src), "--thresholds", "2.0",
+            "--min-lifetime", "400", "--jobs", "1"]
+    out = tmp_path / "res"
+    assert main([*args, "--out", str(out)]) == 0
+    summary = read_report(out)["load_summary"]
+    assert summary["n_rejected_error"] == 1
+    assert summary["n_accepted"] == 3
+    assert main([*args, "--strict", "--out", str(tmp_path / "strict")]) == 3
+
+
 def test_volume_overflow_row_counted_when_lenient_exit_3_when_strict(tmp_path):
     src = tmp_path / "src"
     main(["synth", "--kind", "iid", "--n-stocks", "3", "--length", "600",

@@ -1,13 +1,13 @@
+import re
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import volint as vi
-from volint import ingest
+from csv_oracle import expected_load
 from volint.ingest import CSV_HEADER, DailySeries, load_corpus, write_corpus
 
 
@@ -213,12 +213,10 @@ def test_write_then_load_round_trips_any_valid_series(stocks):
     with tempfile.TemporaryDirectory() as out:
         write_corpus(corpus, out)
         back = load_corpus(out, min_lifetime=1, strict=True)
-        fast = [ingest._parse_fast(s.ticker, (Path(out) / f"{s.ticker}.csv").read_bytes())
-                for s in corpus]
     assert back.tickers == corpus.tickers
     assert all(a == b for a, b in zip(back, corpus))
     assert back.summary.n_accepted == len(corpus)
-    assert fast == corpus.stocks        # every written file is parsed whole
+    assert back.summary.n_rows_skipped == 0
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -247,11 +245,47 @@ def test_impossible_date_in_a_long_file_is_skipped_not_fatal(tmp_path):
     assert corpus.get("F").lifetime_days == 5000
 
 
-# ---------------------------------------------------------------------------
-# the whole-file parser against the per-row parser
+# rows outside the grammar, each with the field it breaks; the first nine
+# are spellings that Python's int() and float() accept
+@pytest.mark.parametrize("row, field", [
+    ("2001-01-02,1_000,1.0,", "volume"),
+    ("2001-01-02,5,1_0.5,", "close"),
+    ("2001-01-02,+5,1.0,", "volume"),
+    ("2001-01-02,\u0663,1.0,", "volume"),
+    ("2001-01-02,5,1.0,0_7", "shares_outstanding"),
+    ("2001-01-02, 7 ,1.0,", "volume"),
+    ('"2001-01-02",5,1.0,', "date"),
+    (f"2001-01-02,5,1.0,{2 ** 63}", "shares_outstanding"),
+    ("2001-01-02,5,1.0,99999999999999999999", "shares_outstanding"),
+    ("2001-01-02,5,1.0", "field count"),
+    ("2001-02-30,5,1.0,", "date"),
+    ("2001-01-02,5,0.0,", "close"),
+    ("2001-01-02,5,1.0,0", "shares_outstanding"),
+])
+def test_row_outside_the_grammar_skipped_when_lenient_named_when_strict(
+        tmp_path, row, field):
+    lines = [HEADER, "2001-01-01,5,1.0,", row, "2001-01-03,6,1.0,"]
+    (tmp_path / "T.csv").write_bytes(("\n".join(lines) + "\n").encode())
+    corpus = load_corpus(tmp_path, min_lifetime=1)
+    assert corpus.summary.n_rows_skipped == 1
+    assert list(corpus.get("T").volume) == [5, 6]
+    with pytest.raises(vi.DataError, match=rf"T\.csv:3: {field} "):
+        load_corpus(tmp_path, min_lifetime=1, strict=True)
 
-# the malformed row shapes the benchmark injects, then odd shapes (some of
-# them valid rows) at the edges of what the whole-file parser accepts
+
+def test_strict_names_the_first_bad_file_in_sorted_order(tmp_path):
+    write_csv(tmp_path / "A.csv", ["2001-01-01,1,1.0,"])
+    write_csv(tmp_path / "Z.csv", ["2001-01-01,x,1.0,"])
+    write_csv(tmp_path / "M.csv", ["2001-01-01,1,1.0,", "2001-01-02,1,1.0,0"])
+    with pytest.raises(vi.DataError, match=r"M\.csv:3: shares_outstanding "):
+        load_corpus(tmp_path, min_lifetime=1, strict=True)
+
+
+# ---------------------------------------------------------------------------
+# load_corpus against the grammar oracle (tests/csv_oracle.py)
+
+# the malformed row shapes the benchmark injects, then other shapes outside
+# the grammar, among them the spellings Python's int() and float() accept
 MALFORMED = (
     "{d},{v}",
     "{d},{v},{c},{s},9",
@@ -276,12 +310,22 @@ ODD = (
     "{d},{v},{c},+5",
     "{d},9223372036854775808,{c},{s}",      # int64 overflow
     "{d},{v},{c},99999999999999999999",
+    "{d},{v},{c},9223372036854775808",
+    "{d},1_000,{c},{s}",                    # underscores
+    "{d},{v},1_0.5,{s}",
+    "{d},{v},{c},0_7",
     "{d},{v},1e999,{s}",
     "{d},{v},1e-400,{s}",
     "{d},{v},inf,{s}",
+    "{d},{v},nan,{s}",
+    "{d},{v},.,{s}",
+    "{d},{v},.e1,{s}",
+    "{d},{v},1e,{s}",
+    "{d},{v},1e+,{s}",
+    "{d},{v},1.5.5,{s}",
+    "{d},{v},1e5.5,{s}",
+    "{d},{v},1.5\r,{s}",                    # a stray carriage return
     "{d},{v},{c},0",
-    "0000-02-29,{v},{c},{s}",
-    "2000-02-29,{v},{c},{s}",
     "1900-02-29,{v},{c},{s}",
     "2001-13-01,{v},{c},{s}",
     "2001-00-10,{v},{c},{s}",
@@ -292,41 +336,54 @@ ODD = (
     "{d},,{c},{s}",
     "{d},{v},,{s}",
 )
-# well-formed spellings the whole-file parser must accept
+# other well-formed spellings
 VARIANTS = (
     "{d},{v},.5e1,{s}",
     "{d},{v},5.,{s}",
+    "{d},{v},5.e-1,{s}",
     "{d},{v},1E+2,{s}",
     "{d},{v},25e-1,{s}",
     "{d},007,{c},0042",
+    "{d},0000000000000000000009223372036854775807,{c},{s}",
+    "{d},{v},{c},0000000000000000000009223372036854775807",
     "{d},0,{c},",
+    "0000-02-29,{v},{c},{s}",
+    "2000-02-29,{v},{c},{s}",
 )
+
+
+VOLUMES = st.integers(0, 2 ** 20) | st.integers(0, 2 ** 63 - 1)
+CLOSES = st.floats(0, exclude_min=True, allow_infinity=False).map(repr)
+SHARES = st.just("") | st.integers(1, 2 ** 63 - 1).map(str)
 
 
 @st.composite
 def csv_files(draw):
-    """(bytes of one file, whether every row is valid and in order).
+    """(bytes of one file, whether every row is valid).
 
-    Each row is written from a template. A defect replaces the template
-    of one row with a malformed or odd one, repeats a row's date or swaps
-    two rows; a variant spells one row in another valid way.
+    Each row is written from a template. A malformed or odd shape
+    replaces the template of one row; a duplicate repeats a row's date, a
+    swap puts two rows out of order and a variant spells one row in
+    another valid way.
     """
     n = draw(st.integers(1, 30))
-    days = sorted(draw(st.sets(st.integers(-5000, 20000), min_size=n, max_size=n)))
-    rows = [{"d": np.datetime_as_string(np.datetime64(day, "D")),
-             "v": draw(st.integers(0, 2 ** 20) | st.integers(0, 2 ** 63 - 1)),
-             "c": repr(draw(st.floats(0, exclude_min=True, allow_infinity=False))),
-             "s": draw(st.just("") | st.integers(1, 2 ** 63 - 1).map(str))}
-            for day in days]
+    # the rows cycle through a few drawn values of each field and date
+    # gap; a draw per row and field took most of the test's time
+    gap, v, c, s = (draw(st.lists(values, min_size=1, max_size=4))
+                    for values in (st.integers(1, 1000), VOLUMES, CLOSES, SHARES))
+    day = draw(st.integers(-5000, 20000)) + np.cumsum([gap[i % len(gap)] for i in range(n)])
+    rows = [{"d": np.datetime_as_string(np.datetime64(int(d), "D")),
+             "v": v[i % len(v)], "c": c[i % len(c)], "s": s[i % len(s)]}
+            for i, d in enumerate(day)]
     templates = ["{d},{v},{c},{s}"] * n
     clean = True
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(rows) - 1))
         kind = draw(st.sampled_from(("malformed", "odd", "duplicate", "swap",
                                      "variant")))
-        clean &= kind == "variant"
+        clean &= kind not in ("malformed", "odd")
         if kind == "duplicate":
-            rows.insert(i + 1, {**rows[i], "v": rows[i]["v"] + 1})
+            rows.insert(i + 1, {**rows[i], "v": rows[i]["v"] ^ 1})    # stays in range
             templates.insert(i + 1, templates[i])
         elif kind == "swap":
             j = min(i + 1, len(rows) - 1)
@@ -341,48 +398,58 @@ def csv_files(draw):
     return text.encode(), clean
 
 
-def _load_both(path, strict):
-    """load_corpus as it is, and with the whole-file parser turned away."""
-    def load():
-        try:
-            corpus = load_corpus(path, min_lifetime=1, strict=strict)
-        except vi.DataError as exc:
-            return str(exc)
-        return corpus.summary.as_dict(), list(corpus)
-    fast = load()
-    with mock.patch.object(ingest, "_parse_fast", return_value=None):
-        return fast, load()
+def load_one(directory, strict: bool):
+    """load_corpus on a directory holding one file, T.csv, in the form
+    csv_oracle.expected_load gives."""
+    try:
+        corpus = load_corpus(directory, min_lifetime=1, strict=strict)
+    except vi.DataError as exc:
+        row = re.search(r"T\.csv:(\d+): (field count|\w+) ", str(exc))
+        if row:
+            return "error", int(row[1]), row[2]
+        return "error", re.search("cannot read|bad header", str(exc))[0]
+    rows = [list(zip(np.datetime_as_string(s.dates).tolist(), s.volume.tolist(),
+                     s.close.tolist(),
+                     [None if x != x else x for x in s.shares_outstanding.tolist()]))
+            for s in corpus]
+    return corpus.summary.as_dict(), rows[0] if rows else []
 
 
-def check_parsers_agree(data, clean):
-    """The whole-file parser takes every clean file, and whatever it takes
-    it parses as the per-row parser does; load_corpus counts the same
-    with it and without it."""
-    fast = ingest._parse_fast("T", data)
-    rows, skipped = ingest._parse_rows(data, Path("T.csv"), strict=False)
-    slow, n_dup = ingest._build_series("T", rows, strict=False)
-    if clean:
-        assert fast is not None
-    if fast is not None:
-        assert (skipped, n_dup) == (0, 0)
-        assert fast == slow
+def check_loader_agrees_with_oracle(data):
+    """load_corpus gives what the oracle reads from the grammar, lenient
+    and strict: summaries, series and the line of the first fault."""
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "T.csv").write_bytes(data)
         for strict in (False, True):
-            with_fast, per_row = _load_both(tmp, strict)
-            assert with_fast == per_row
+            assert load_one(tmp, strict) == expected_load(data, strict)
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n"])
 @pytest.mark.parametrize("template", MALFORMED + ODD + VARIANTS)
 def test_each_row_shape_parses_alike_on_both_paths(template, end):
-    # the first and last dates bound every date a template can hold
+    # load_corpus and the oracle; the first and last dates bound every
+    # date a template can hold
     row = template.format(d="2001-02-27", v=12, c="1.25", s=7)
     lines = [HEADER, "0000-01-01,1,2.5,", row, "9999-12-31,3,4.5,100"]
-    check_parsers_agree((end.join(lines) + end).encode(), template in VARIANTS)
+    data = (end.join(lines) + end).encode()
+    check_loader_agrees_with_oracle(data)
+    assert expected_load(data, strict=False)[0]["n_rows_skipped"] == \
+        (template not in VARIANTS)
 
 
 @settings(max_examples=300, deadline=None)
 @given(csv_files())
-def test_whole_file_parser_agrees_with_per_row_parser(file):
-    check_parsers_agree(*file)
+def test_loader_agrees_with_grammar_oracle(file):
+    data, clean = file
+    check_loader_agrees_with_oracle(data)
+    if clean:
+        summary, _ = expected_load(data, strict=False)
+        assert summary["n_rows_skipped"] == 0
+
+
+def test_long_file_keeps_the_first_of_scattered_duplicate_dates():
+    # long enough that an unstable sort would reorder equal dates
+    days = np.random.default_rng(0).integers(0, 300, 1000)
+    dates = np.datetime_as_string(np.datetime64("2001-01-01") + days)
+    lines = [HEADER, *(f"{d},{i},1.0," for i, d in enumerate(dates))]
+    check_loader_agrees_with_oracle(("\n".join(lines) + "\n").encode())
