@@ -357,3 +357,56 @@ def test_cli_runs_blas_on_one_thread_unless_told(env, want):
     if res.stdout.strip() == "[]":
         pytest.skip("numpy is not linked against OpenBLAS")
     assert res.stdout.strip() == f"[{want}]"
+
+
+ANALYSIS_DEFAULTS = {
+    "--data-dir": None, "--synth-kind": None, "--synth-n-stocks": 100,
+    "--synth-length": 5000, "--synth-hurst": None, "--synth-levels": None,
+    "--synth-sigma": None, "--synth-vol-scale": None, "--synth-df": None,
+    "--synth-kappa": None, "--synth-dist": None, "--series": "volume",
+    "--thresholds": "2.0,2.5,3.0,3.5,4.0", "--seed": 0, "--out": "o",
+    "--min-lifetime": 350, "--strict": False, "--bins-per-decade": 8,
+    "--x-min": 1.0}
+SURFACE = {
+    "intervals": {**ANALYSIS_DEFAULTS, "--dump-intervals": False},
+    "conditional": {**ANALYSIS_DEFAULTS, "--octiles": "geometric",
+                    "--shuffled": False},
+    "dfa": {**ANALYSIS_DEFAULTS, "--order": 1, "--shuffled": False,
+            "--dump-fluctuations": False},
+    "factors": {**ANALYSIS_DEFAULTS, "--q": 2.0},
+    "synth": {"--kind": "iid", "--n-stocks": 1, "--length": 2, "--seed": 0,
+              "--out": "o", "--hurst": None, "--levels": None,
+              "--sigma": None, "--vol-scale": None, "--df": None,
+              "--kappa": None, "--dist": None},
+}
+REQUIRED = {"synth": ["--kind", "--length", "--n-stocks", "--out"]}
+CHOICES = {"--synth-kind": ["iid", "fgn", "cascade"],
+           "--kind": ["iid", "fgn", "cascade"],
+           "--synth-dist": ["normal", "student_t", "powered_normal"],
+           "--dist": ["normal", "student_t", "powered_normal"],
+           "--series": ["volume", "price"],
+           "--octiles": ["geometric", "quantile"]}
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_cli_surface_flags_defaults_required_and_choices(command):
+    # --jobs is left out: its default is the machine's CPU count, which
+    # test_jobs_default_is_the_cpus_this_process_may_run_on pins
+    ap = build_parser()
+    [sub] = [a for a in ap._actions if a.dest == "command"]
+    options = [a for a in sub.choices[command]._actions
+               if a.option_strings and a.dest not in ("help", "jobs")]
+    minimal = ["--kind", "iid", "--n-stocks", "1", "--length", "2"]
+    args = ap.parse_args([command, "--out", "o",
+                          *(minimal if command == "synth" else [])])
+    want = SURFACE[command]
+    assert sorted(a.option_strings[0] for a in options) == sorted(want)
+    assert all(len(a.option_strings) == 1 for a in options)
+    assert {a.option_strings[0]: getattr(args, a.dest)
+            for a in options} == want
+    assert sorted(a.option_strings[0] for a in options
+                  if a.required) == REQUIRED.get(command, ["--out"])
+    assert {a.option_strings[0]: list(a.choices) for a in options
+            if a.choices} == {f: c for f, c in CHOICES.items() if f in want}
+    assert ("--jobs" in sub.choices[command]._option_string_actions) == (
+        command != "synth")
