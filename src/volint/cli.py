@@ -39,90 +39,52 @@ from .fitting import (DEFAULT_BINS_PER_DECADE, DEFAULT_X_MIN, fit_exponential,
 from .ingest import DEFAULT_MIN_LIFETIME, load_corpus, write_corpus
 from .intervals import DEFAULT_THRESHOLDS, pool_scaled
 from .stage import map_stocks
-from .synth import KINDS, homogeneous_rule, synth_corpus
+from .synth import (DISTS, KINDS, GeneratorSpec, check_spec,
+                    homogeneous_rule, synth_corpus)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_EMPTY = 4
 
-# generator parameters shared by --synth-<name> and synth --<name>
-GENERATOR_FLAGS = {"hurst": float, "levels": int, "sigma": float,
-                   "vol_scale": float, "df": float, "kappa": float,
-                   "dist": ("normal", "student_t", "powered_normal")}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameters of one pipeline run."""
-
-    command: str
-    data_dir: str | None
-    synth: dict | None
-    series: str
-    thresholds: tuple
-    seed: int
-    octiles: str
-    bins_per_decade: int
-    x_min: float
-    q: float
-    out: str
-    jobs: int
-    min_lifetime: int
-    strict: bool
-    shuffled: bool
-    dump_intervals: bool
-    dump_fluctuations: bool
-    order: int
-
-    def echo(self) -> dict:
-        """Deterministic config subset recorded in the report.
-
-        Paths and parallelism are excluded on purpose: two runs that
-        differ only in --jobs or output location must produce identical
-        reports.
-        """
-        return {
-            "command": self.command,
-            "source": ({"type": "synth", **self.synth} if self.synth
-                       else {"type": "data-dir"}),
-            "series": self.series,
-            "thresholds": list(self.thresholds),
-            "seed": self.seed,
-            "octiles": self.octiles,
-            "bins_per_decade": self.bins_per_decade,
-            "x_min": self.x_min,
-            "q": self.q,
-            "min_lifetime": self.min_lifetime,
-            "strict": self.strict,
-            "shuffled": self.shuffled,
-        }
+COMMANDS = {"intervals": "interval PDFs, scaling, tail fits",
+            "conditional": "conditional PDFs over tau0 octiles",
+            "dfa": "long-term correlation exponents by factor",
+            "factors": "factor bins, tail exponents, correlations",
+            "synth": "write a synthetic corpus to CSV files"}
+ALL = tuple(COMMANDS)
+ANALYSES = ALL[:4]
+SYNTH = ("synth",)
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# the option table: parser, checks and report.json echo are built from it
 
-def _parse_thresholds(text: str) -> tuple:
-    try:
-        qs = tuple(float(t) for t in text.split(",") if t.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad thresholds {text!r}: {exc}") from exc
-    if not qs or any(not q > 0 for q in qs):
-        raise ConfigError(f"thresholds must be positive, got {text!r}")
+def _must(ok, text: str):
+    """A check: x when ok(x), else ValueError "must be <text>"."""
+    def check(x):
+        if not ok(x):
+            raise ValueError(f"must be {text}, got {x}")
+        return x
+    return check
+
+
+def _at_least(lo: int):
+    return _must(lambda x: x >= lo, f">= {lo}")
+
+
+_finite = _must(math.isfinite, "finite")
+_positive = _must(lambda x: x > 0, "> 0")
+
+
+def _thresholds(text: str) -> tuple:
+    qs = tuple(_positive(_finite(float(t))) for t in text.split(",")
+               if t.strip())
     tags = [_qtag(q) for q in qs]
-    if len(set(tags)) < len(tags):
-        raise ConfigError(f"thresholds {text!r} collide in output names "
-                          f"{tags}; give each threshold once")
+    if not qs or len(set(tags)) < len(tags):
+        raise ValueError(f"{text!r}: output names {tags} are empty or "
+                         f"collide; give each threshold once")
     return qs
-
-
-def _add_generator_args(p: argparse.ArgumentParser, prefix: str) -> None:
-    for name, kind in GENERATOR_FLAGS.items():
-        flag = "--" + (prefix + name).replace("_", "-")
-        if isinstance(kind, tuple):
-            p.add_argument(flag, choices=kind)
-        else:
-            p.add_argument(flag, type=kind)
 
 
 def _default_jobs() -> int:
@@ -132,172 +94,145 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data-dir", help="directory of <TICKER>.csv files")
-    p.add_argument("--synth-kind", choices=KINDS,
-                   help="generate the corpus instead of loading one")
-    p.add_argument("--synth-n-stocks", type=int, default=100)
-    p.add_argument("--synth-length", type=int, default=5000)
-    _add_generator_args(p, "synth_")
-    p.add_argument("--series", choices=("volume", "price"), default="volume")
-    p.add_argument("--thresholds", default=",".join(str(q) for q in DEFAULT_THRESHOLDS))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
-    p.add_argument("--min-lifetime", type=int, default=DEFAULT_MIN_LIFETIME)
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--bins-per-decade", type=int, default=DEFAULT_BINS_PER_DECADE)
-    p.add_argument("--x-min", type=float, default=DEFAULT_X_MIN)
+@dataclass(frozen=True)
+class Option:
+    """One row of the option table.
+
+    The flag is --<name>, or --synth-<name> on an analysis for a generator
+    option (gen "corpus": the corpus size and kind; "param": a generator
+    parameter). type is a type, a tuple of choices, or bool for a switch.
+    A callable default is called each time the parser is built. commands
+    take the option and required must be given it. check(value) returns
+    the value to run with or raises ValueError; a float is first checked
+    to be finite. echo records the value in report.json.
+    """
+
+    name: str
+    type: object = str
+    default: object = None
+    commands: tuple = ANALYSES
+    required: tuple = ()
+    echo: bool = False
+    check: object = None
+    gen: str = ""
+    help: str | None = None
+
+    def flag(self, command: str) -> str:
+        prefix = "synth-" if self.gen and command != "synth" else ""
+        return "--" + prefix + self.name.replace("_", "-")
+
+
+OPTIONS = (
+    Option("data_dir", help="directory of <TICKER>.csv files"),
+    Option("kind", KINDS, None, ALL, SYNTH, gen="corpus",
+           help="generator family of a synthetic corpus"),
+    Option("n_stocks", int, 100, ALL, SYNTH, check=_at_least(1), gen="corpus"),
+    Option("length", int, 5000, ALL, SYNTH, check=_at_least(2), gen="corpus"),
+    *(Option(name, type_, None, ALL, gen="param") for name, type_ in (
+        ("hurst", float), ("levels", int), ("sigma", float),
+        ("vol_scale", float), ("df", float), ("kappa", float),
+        ("dist", DISTS))),
+    Option("series", ("volume", "price"), "volume", echo=True),
+    Option("thresholds", str, ",".join(map(str, DEFAULT_THRESHOLDS)),
+           echo=True, check=_thresholds),
+    Option("seed", int, 0, ALL, echo=True),
+    Option("out", commands=ALL, required=ALL),
+    Option("jobs", int, _default_jobs, check=_at_least(1)),
+    Option("min_lifetime", int, DEFAULT_MIN_LIFETIME, echo=True,
+           check=_at_least(0)),
+    Option("strict", bool, False, echo=True),
+    Option("bins_per_decade", int, DEFAULT_BINS_PER_DECADE, echo=True,
+           check=_at_least(1)),
+    Option("x_min", float, DEFAULT_X_MIN, echo=True, check=_positive),
+    Option("dump_intervals", bool, False, ("intervals",),
+           help="also write ticker/q/tau rows to intervals.tsv"),
+    Option("octiles", ("geometric", "quantile"), "geometric",
+           ("conditional",), echo=True),
+    Option("shuffled", bool, False, ("conditional", "dfa"), echo=True,
+           help="analyze shuffled volatility instead"),
+    Option("order", int, DEFAULT_ORDER, ("dfa",), check=_at_least(1)),
+    Option("dump_fluctuations", bool, False, ("dfa",),
+           help="write per-stock n/F(n) curves"),
+    Option("q", float, DEFAULT_Q, ("factors",), echo=True, check=_positive,
+           help="threshold for the per-bin tail fits"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A subparser per command; its namespace holds every option."""
     ap = argparse.ArgumentParser(
         prog="volint",
         description="Threshold return-interval statistics for volatility series")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("intervals", help="interval PDFs, scaling, tail fits")
-    _add_common_args(p)
-    p.add_argument("--dump-intervals", action="store_true",
-                   help="also write ticker/q/tau rows to intervals.tsv")
-    p.set_defaults(func=cmd_intervals)
-
-    p = sub.add_parser("conditional", help="conditional PDFs over tau0 octiles")
-    _add_common_args(p)
-    p.add_argument("--octiles", choices=("geometric", "quantile"),
-                   default="geometric")
-    p.add_argument("--shuffled", action="store_true",
-                   help="analyze shuffled volatility instead")
-    p.set_defaults(func=cmd_conditional)
-
-    p = sub.add_parser("dfa", help="long-term correlation exponents by factor")
-    _add_common_args(p)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--shuffled", action="store_true")
-    p.add_argument("--dump-fluctuations", action="store_true",
-                   help="write per-stock n/F(n) curves")
-    p.set_defaults(func=cmd_dfa)
-
-    p = sub.add_parser("factors", help="factor bins, tail exponents, correlations")
-    _add_common_args(p)
-    p.add_argument("--q", type=float, default=DEFAULT_Q,
-                   help="threshold for the per-bin tail fits")
-    p.set_defaults(func=cmd_factors)
-
-    p = sub.add_parser("synth", help="write a synthetic corpus to CSV files")
-    p.add_argument("--kind", choices=KINDS, required=True)
-    p.add_argument("--n-stocks", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    _add_generator_args(p, "")
-    p.set_defaults(func=cmd_synth)
+    for command, text in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for opt in OPTIONS:
+            default = opt.default() if callable(opt.default) else opt.default
+            if command not in opt.commands:
+                p.set_defaults(**{opt.name: default})
+                continue
+            parse = ({"action": "store_true"} if opt.type is bool
+                     else {"choices": opt.type} if isinstance(opt.type, tuple)
+                     else {"type": opt.type})
+            p.add_argument(opt.flag(command), dest=opt.name, default=default,
+                           required=command in opt.required, help=opt.help,
+                           **parse)
     return ap
 
 
-def _synth_params(kind: str, args, prefix: str) -> dict:
-    """Translate flat generator flags into GeneratorSpec params for one kind."""
-    g = {name: getattr(args, prefix + name) for name in GENERATOR_FLAGS}
-    if kind == "iid":
-        params = {"dist": g["dist"] or "normal"}
-        if params["dist"] == "student_t":
-            if g["df"] is None:
-                raise ConfigError("student_t needs --df")
-            params["df"] = g["df"]
-        elif params["dist"] == "powered_normal":
-            if g["kappa"] is None:
-                raise ConfigError("powered_normal needs --kappa")
-            params["kappa"] = g["kappa"]
-        return params
-    if kind == "fgn":
-        if g["hurst"] is None:
-            raise ConfigError("fgn needs --hurst")
-        params = {"hurst": g["hurst"]}
-        if g["vol_scale"] is not None:
-            params["vol_scale"] = g["vol_scale"]
+def _configure(cfg):
+    """Check the parsed options before any data is read or generated: each
+    option's check in table order, then the source; the first failure
+    raises ConfigError with its flag. Adds params, the GeneratorSpec
+    params of the generator flags, which synth.check_spec checks."""
+    for opt in OPTIONS:
+        value = getattr(cfg, opt.name)
+        if value is None or cfg.command not in opt.commands:
+            continue
+        try:
+            value = _finite(value) if opt.type is float else value
+            setattr(cfg, opt.name, opt.check(value) if opt.check else value)
+        except ValueError as exc:
+            raise ConfigError(f"{opt.flag(cfg.command)} {exc}") from None
+    if bool(cfg.data_dir) == bool(cfg.kind):
+        raise ConfigError("give exactly one of --data-dir and --synth-kind")
+    given = [o for o in OPTIONS
+             if o.gen == "param" and getattr(cfg, o.name) is not None]
+    if given and not cfg.kind:
+        raise ConfigError(f"{given[0].flag(cfg.command)} needs --synth-kind")
+    cfg.params = {o.name: getattr(cfg, o.name) for o in given}
+    # --df is the df of iid student_t but the noise_df of fgn and cascade
+    if cfg.kind == "iid":
+        cfg.params.setdefault("dist", "normal")
+    elif "df" in cfg.params:
+        cfg.params["noise_df"] = cfg.params.pop("df")
+    if cfg.kind:
+        check_spec(GeneratorSpec(cfg.kind, cfg.length, cfg.params))
+    return cfg
+
+
+def _setup(cfg):
+    """(corpus, planted generator parameters or None, output directory)."""
+    planted = None
+    if cfg.kind:
+        corpus, planted = synth_corpus(cfg.n_stocks, homogeneous_rule(
+            cfg.kind, cfg.length, cfg.params, cfg.seed))
     else:
-        params = {k: g[k] for k in ("levels", "sigma") if g[k] is not None}
-    if g["df"] is not None:
-        params["noise_df"] = g["df"]
-    return params
-
-
-def _config_from_args(args) -> RunConfig:
-    if args.data_dir and args.synth_kind:
-        raise ConfigError("give either --data-dir or --synth-kind, not both")
-    if not args.data_dir and not args.synth_kind:
-        raise ConfigError("no data source: give --data-dir or --synth-kind")
-    synth = None
-    if args.synth_kind:
-        if args.synth_n_stocks < 1 or args.synth_length < 2:
-            raise ConfigError("synthetic corpus needs n_stocks >= 1, length >= 2")
-        synth = {
-            "kind": args.synth_kind,
-            "n_stocks": args.synth_n_stocks,
-            "length": args.synth_length,
-            "params": _synth_params(args.synth_kind, args, "synth_"),
-        }
-    q = getattr(args, "q", DEFAULT_Q)
-    order = getattr(args, "order", DEFAULT_ORDER)
-    for bad, what in ((args.bins_per_decade < 1, "--bins-per-decade must be >= 1"),
-                      (args.jobs < 1, "--jobs must be >= 1"),
-                      (not args.x_min > 0, "--x-min must be > 0"),
-                      (args.min_lifetime < 0, "--min-lifetime must be >= 0"),
-                      (not q > 0, "--q must be > 0"),
-                      (order < 1, "--order must be >= 1")):
-        if bad:
-            raise ConfigError(what)
-    return RunConfig(
-        command=args.command,
-        data_dir=args.data_dir,
-        synth=synth,
-        series=args.series,
-        thresholds=_parse_thresholds(args.thresholds),
-        seed=args.seed,
-        octiles=getattr(args, "octiles", "geometric"),
-        bins_per_decade=args.bins_per_decade,
-        x_min=args.x_min,
-        q=q,
-        out=args.out,
-        jobs=args.jobs,
-        min_lifetime=args.min_lifetime,
-        strict=args.strict,
-        shuffled=getattr(args, "shuffled", False),
-        dump_intervals=getattr(args, "dump_intervals", False),
-        dump_fluctuations=getattr(args, "dump_fluctuations", False),
-        order=order,
-    )
-
-
-def _outdir(path: str) -> Path:
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    return out
-
-
-def _setup(args):
-    """(config, corpus, output directory) of one analysis run."""
-    cfg = _config_from_args(args)
-    if cfg.data_dir:
         corpus = load_corpus(cfg.data_dir, cfg.min_lifetime, cfg.strict)
         if len(corpus) == 0:
             raise DataError(f"no stock in {cfg.data_dir} passed the "
                             f"lifetime filter ({cfg.min_lifetime})")
-    else:
-        s = cfg.synth
-        rule = homogeneous_rule(s["kind"], s["length"], s["params"], cfg.seed)
-        corpus, _ = synth_corpus(s["n_stocks"], rule)
-    return cfg, corpus, _outdir(cfg.out)
+    out = Path(cfg.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return corpus, planted, out
 
 
-def _map_stocks(cfg: RunConfig, corpus, **stage):
-    """The per-stock stage over the corpus with the run's series, seed and
-    pool size."""
-    return map_stocks(corpus, cfg.series, seed=cfg.seed, jobs=cfg.jobs,
-                      **stage)
+def _map_stocks(cfg, corpus, **stage):
+    """The per-stock stage over the corpus with the run's series, seed, jobs."""
+    return map_stocks(corpus, cfg.series, seed=cfg.seed, jobs=cfg.jobs, **stage)
 
 
 def _factor_binnings(fv):
@@ -317,17 +252,14 @@ def _qtag(q: float) -> str:
 
 def _jclean(obj):
     """Make a report JSON-safe and deterministic (NaN -> null)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _jclean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jclean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jclean(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return f if math.isfinite(f) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
@@ -337,13 +269,21 @@ def _write_json(path: Path, obj: dict) -> None:
         fh.write("\n")
 
 
-def _header(cfg: RunConfig, corpus) -> dict:
-    """The part of report.json every analysis writes."""
-    return {"config": cfg.echo(), "load_summary": corpus.summary.as_dict(),
-            "n_stocks": len(corpus)}
+def _header(cfg, corpus) -> dict:
+    """The part of report.json every analysis writes. Its config echoes
+    the options marked echo and never paths or parallelism: two runs that
+    differ only in --jobs or --out must write the same report."""
+    source = {"type": "data-dir"}
+    if cfg.kind:
+        source = {"type": "synth", "params": cfg.params,
+                  **{o.name: getattr(cfg, o.name) for o in OPTIONS
+                     if o.gen == "corpus"}}
+    config = {o.name: getattr(cfg, o.name) for o in OPTIONS if o.echo}
+    return {"config": {"command": cfg.command, "source": source, **config},
+            "load_summary": corpus.summary.as_dict(), "n_stocks": len(corpus)}
 
 
-def _fit_block(values, cfg: RunConfig) -> dict:
+def _fit_block(values, cfg) -> dict:
     """All fits of one pooled scaled sample, null where a fit cannot run."""
     pdf = log_bin(values, cfg.bins_per_decade)
     block = {"n_samples": int(values.size)}
@@ -371,8 +311,8 @@ def _fit_block(values, cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands: reducers over the per-stock stage
 
-def cmd_intervals(args) -> int:
-    cfg, corpus, outdir = _setup(args)
+def cmd_intervals(cfg) -> None:
+    corpus, _, outdir = _setup(cfg)
     results = _map_stocks(cfg, corpus, qs=cfg.thresholds,
                           shuffled_qs=cfg.thresholds)
     ok = [r for r in results if not r.degenerate]
@@ -381,89 +321,77 @@ def cmd_intervals(args) -> int:
               "n_degenerate": len(results) - len(ok),
               "n_returns_dropped": sum(r.n_dropped for r in results),
               "intervals": {}}
-    produced = False
     dump_rows = []
     for q in cfg.thresholds:
         tag = _qtag(q)
         items = [(r.ticker, r.by_q[q]) for r in ok]
-        pooled = pool_scaled(items) if items else None
-        if pooled is None or len(pooled) == 0:
+        pooled = pool_scaled(items)
+        if len(pooled) == 0:
             report["intervals"][tag] = {"empty": True}
             continue
-        produced = True
         raw = np.concatenate([iv.taus for _, iv in items if iv.taus.size])
-        sh_pooled = pool_scaled([(r.ticker, r.shuffled_by_q[q]) for r in ok])
-
-        write_pdf_tsv(log_bin(raw.astype(np.float64), cfg.bins_per_decade),
-                      outdir / f"pdf_q{tag}.tsv")
-        write_pdf_tsv(log_bin(pooled.values, cfg.bins_per_decade),
-                      outdir / f"pdf_scaled_q{tag}.tsv")
-        block = {"empty": False,
-                 "n_stocks_used": len(pooled.tickers),
-                 "n_insufficient": len(pooled.skipped),
-                 "n_intervals": len(pooled),
-                 "mean_tau": float(raw.mean()),
-                 "fits": _fit_block(pooled.values, cfg)}
-        if len(sh_pooled):
-            write_pdf_tsv(log_bin(sh_pooled.values, cfg.bins_per_decade),
-                          outdir / f"pdf_shuffled_q{tag}.tsv")
-            block["shuffled_fits"] = _fit_block(sh_pooled.values, cfg)
-        else:
-            block["shuffled_fits"] = None
-        report["intervals"][tag] = block
+        shuffled = pool_scaled([(r.ticker, r.shuffled_by_q[q]) for r in ok])
+        for name, values in (("pdf", raw.astype(np.float64)),
+                             ("pdf_scaled", pooled.values),
+                             ("pdf_shuffled", shuffled.values)):
+            if values.size:
+                write_pdf_tsv(log_bin(values, cfg.bins_per_decade),
+                              outdir / f"{name}_q{tag}.tsv")
+        report["intervals"][tag] = {
+            "empty": False,
+            "n_stocks_used": len(pooled.tickers),
+            "n_insufficient": len(pooled.skipped),
+            "n_intervals": len(pooled),
+            "mean_tau": float(raw.mean()),
+            "fits": _fit_block(pooled.values, cfg),
+            "shuffled_fits": (_fit_block(shuffled.values, cfg)
+                              if len(shuffled) else None)}
         if cfg.dump_intervals:
             dump_rows += [(t, tag, tau) for t, iv in items for tau in iv.taus]
-
+    produced = any(not b["empty"] for b in report["intervals"].values())
     if cfg.dump_intervals and produced:
         write_tsv(outdir / "intervals.tsv", dump_rows)
     _write_json(outdir / "report.json", report)
     if not produced:
-        print("no threshold produced any interval", file=sys.stderr)
-        return EXIT_EMPTY
-    return EXIT_OK
+        raise InsufficientStatisticsError("no threshold produced any interval")
 
 
-def cmd_conditional(args) -> int:
-    cfg, corpus, outdir = _setup(args)
-    if cfg.shuffled:
-        results = _map_stocks(cfg, corpus, shuffled_qs=cfg.thresholds)
-        by_q = [(r.ticker, r.shuffled_by_q) for r in results if not r.degenerate]
-    else:
-        results = _map_stocks(cfg, corpus, qs=cfg.thresholds)
-        by_q = [(r.ticker, r.by_q) for r in results if not r.degenerate]
+def cmd_conditional(cfg) -> None:
+    corpus, _, outdir = _setup(cfg)
+    results = _map_stocks(cfg, corpus, **{
+        "shuffled_qs" if cfg.shuffled else "qs": cfg.thresholds})
+    by_q = [(r.ticker, r.shuffled_by_q if cfg.shuffled else r.by_q)
+            for r in results if not r.degenerate]
 
     report = {**_header(cfg, corpus), "conditional": {}}
-    produced = False
     for q in cfg.thresholds:
         tag = _qtag(q)
         tau0, tau = consecutive_pairs([(t, ivs[q]) for t, ivs in by_q])
         if tau.size == 0:
             report["conditional"][tag] = {"empty": True}
             continue
-        produced = True
         boundaries = octile_boundaries(tau0, cfg.octiles)
-        cpdfs = conditional_pdfs(tau0, tau, boundaries, cfg.bins_per_decade)
-        for cp in cpdfs:
+        for cp in conditional_pdfs(tau0, tau, boundaries,
+                                   cfg.bins_per_decade):
             write_pdf_tsv(cp.pdf, outdir / f"cond_q{tag}_Q{cp.octile}.tsv")
         summary = memory_summary(tau0, tau, boundaries)
         report["conditional"][tag] = {
             "empty": False,
             "n_pairs": int(tau.size),
-            "boundaries": [b if math.isfinite(b) else None for b in boundaries],
+            "boundaries": boundaries,     # inf -> null in _jclean
             "octiles": [{**asdict(r),
                          "low_statistics": r.count < LOW_STATISTICS_PAIRS}
                         for r in summary.rows],
             "spearman": summary.spearman,
         }
     _write_json(outdir / "report.json", report)
-    if not produced:
-        print("no threshold produced any interval pair", file=sys.stderr)
-        return EXIT_EMPTY
-    return EXIT_OK
+    if all(b["empty"] for b in report["conditional"].values()):
+        raise InsufficientStatisticsError(
+            "no threshold produced any interval pair")
 
 
-def cmd_dfa(args) -> int:
-    cfg, corpus, outdir = _setup(args)
+def cmd_dfa(cfg) -> None:
+    corpus, _, outdir = _setup(cfg)
     results = _map_stocks(cfg, corpus, order=cfg.order,
                           shuffled_dfa=cfg.shuffled)
     curves = [(r.ticker, r.curve) for r in results if r.curve is not None]
@@ -472,8 +400,7 @@ def cmd_dfa(args) -> int:
     report = _header(cfg, corpus)
     if good.size == 0:
         _write_json(outdir / "report.json", {**report, "dfa": {"empty": True}})
-        print("no stock yielded a DFA exponent", file=sys.stderr)
-        return EXIT_EMPTY
+        raise InsufficientStatisticsError("no stock yielded a DFA exponent")
 
     if cfg.dump_fluctuations:
         for t, c in curves:
@@ -492,17 +419,17 @@ def cmd_dfa(args) -> int:
         write_tsv(outdir / f"dfa_alpha_by_{factor}.tsv", map(astuple, rows))
         report["dfa"]["by_factor"][factor] = list(map(asdict, rows))
     _write_json(outdir / "report.json", report)
-    return EXIT_OK
 
 
-def cmd_factors(args) -> int:
-    cfg, corpus, outdir = _setup(args)
+def cmd_factors(cfg) -> None:
+    corpus, _, outdir = _setup(cfg)
     fv = compute_factors(corpus)
     intervals = {r.ticker: r.by_q[cfg.q]
                  for r in _map_stocks(cfg, corpus, qs=(cfg.q,))
                  if not r.degenerate}
 
-    report = {**_header(cfg, corpus), "factors": {}}
+    report = {**_header(cfg, corpus),
+              "factors": {"gamma_by_factor": {}, "unbinned": {}}}
     try:
         corr = factor_correlations(fv)
         report["factors"]["correlations"] = {
@@ -513,7 +440,6 @@ def cmd_factors(args) -> int:
     except InsufficientStatisticsError:
         report["factors"]["correlations"] = None
 
-    report["factors"]["gamma_by_factor"] = {}
     for factor, binning in _factor_binnings(fv):
         rows = gamma_by_factor(binning, intervals, cfg.x_min,
                                cfg.bins_per_decade)
@@ -524,7 +450,7 @@ def cmd_factors(args) -> int:
             {"lo": r.lo, "hi": r.hi, "gamma": r.gamma, "stderr": r.stderr,
              "r2": r.r_squared, "n_stocks": r.n_stocks,
              "n_intervals": r.n_intervals} for r in rows]
-        report["factors"].setdefault("unbinned", {})[factor] = len(binning.unbinned)
+        report["factors"]["unbinned"][factor] = len(binning.unbinned)
 
     for fa, fb in combinations(FACTORS, 2):
         rows = [(f.ticker, factor_value(f, fa), factor_value(f, fb))
@@ -533,20 +459,13 @@ def cmd_factors(args) -> int:
         if rows:
             write_tsv(outdir / f"scatter_{fa}_vs_{fb}.tsv", rows)
     _write_json(outdir / "report.json", report)
-    return EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    if args.n_stocks < 1 or args.length < 2:
-        raise ConfigError("need --n-stocks >= 1 and --length >= 2")
-    params = _synth_params(args.kind, args, "")
-    rule = homogeneous_rule(args.kind, args.length, params, args.seed)
-    corpus, planted = synth_corpus(args.n_stocks, rule)
-    out = _outdir(args.out)
+def cmd_synth(cfg) -> None:
+    corpus, planted, out = _setup(cfg)
     write_corpus(corpus, out)
     _write_json(out / "planted.json", planted)
     print(f"wrote {len(corpus)} stocks to {out}")
-    return EXIT_OK
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -588,10 +507,11 @@ def _one_blas_thread() -> None:
 
 def main(argv=None) -> int:
     _one_blas_thread()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name, so a wrapper put on cmd_* (bench/traced.py) runs
+        globals()[f"cmd_{args.command}"](_configure(args))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

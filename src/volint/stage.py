@@ -73,7 +73,8 @@ def map_stocks(corpus, series: str = "volume", *, seed: int = 0,
 
     series picks the column ("volume" or "price"), seed is the master seed
     of the shuffle controls, and jobs > 1 maps in a process pool of that
-    size; the other arguments go to _stock.
+    size, or of one worker per stock when there are fewer stocks; the
+    other arguments go to _stock.
     """
     items = [(s.ticker, s.column(series)) for s in corpus]
     worker = partial(_stock, seed=seed, qs=qs, shuffled_qs=shuffled_qs,
@@ -84,5 +85,6 @@ def map_stocks(corpus, series: str = "volume", *, seed: int = 0,
     # made `import volint` about 40% slower
     from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(items) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    # a fork-started pool forks all max_workers at once
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as ex:
         return list(ex.map(worker, items, chunksize=chunk))

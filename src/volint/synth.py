@@ -87,6 +87,52 @@ def _noise(rng, n: int, df=None) -> np.ndarray:
     return rng.standard_t(df, n) if df is not None else rng.standard_normal(n)
 
 
+DISTS = ("normal", "student_t", "powered_normal")
+# (parameters taken, parameters required) per kind, iid's per dist
+PARAMS = {"iid normal": (("dist",), ()),
+          "iid student_t": (("dist", "df"), ("df",)),
+          "iid powered_normal": (("dist", "kappa"), ("kappa",)),
+          "fgn": (("hurst", "vol_scale", "noise_df"), ("hurst",)),
+          "cascade": (("levels", "sigma", "signed", "noise_df"), ())}
+# the range of each value; `not ok(x)` also rejects NaN
+RANGES = {"hurst": (lambda x: 0 < x < 1, "in (0, 1)"),
+          "df": (lambda x: x > 0, "> 0"),
+          "kappa": (lambda x: x > 0, "> 0"),
+          "noise_df": (lambda x: x > 0, "> 0"),
+          "vol_scale": (lambda x: x >= 0, ">= 0"),
+          "sigma": (lambda x: x >= 0, ">= 0"),
+          "levels": (lambda x: x >= 1, ">= 1")}
+
+
+def check_spec(spec: GeneratorSpec) -> None:
+    """Raise ConfigError unless generate can realize spec.
+
+    The kind is known, the length at least 2, every parameter one that the
+    kind (for iid: its dist) takes, every required one given, every value
+    in range, and a cascade's levels enough for the length.
+    """
+    if spec.kind not in KINDS:
+        raise ConfigError(f"unknown generator kind {spec.kind!r}")
+    if spec.length < 2:
+        raise ConfigError(f"length must be >= 2, got {spec.length}")
+    p = spec.params
+    name = (f"iid {p.get('dist', 'normal')}" if spec.kind == "iid"
+            else spec.kind)
+    if name not in PARAMS:
+        raise ConfigError(f"unknown iid dist {p['dist']!r}")
+    takes, required = PARAMS[name]
+    for what, keys in (("takes no", set(p) - set(takes)),
+                       ("needs", set(required) - set(p))):
+        if keys:
+            raise ConfigError(f"{name} {what} {', '.join(sorted(keys))}")
+    for key, (ok, text) in RANGES.items():
+        if key in p and not ok(p[key]):
+            raise ConfigError(f"{name} {key} must be {text}, got {p[key]}")
+    if "levels" in p and spec.length > 2 ** p["levels"]:
+        raise ConfigError(f"length {spec.length} exceeds cascade capacity "
+                          f"2**{p['levels']}")
+
+
 def generate(spec: GeneratorSpec) -> np.ndarray:
     """Realize a GeneratorSpec into a float series of spec.length.
 
@@ -100,70 +146,40 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
                      (default 0.4), signed (default True: noise modulated
                      by the cascade measure; False: the positive measure
                      itself), noise_df as above.
+
+    check_spec states which params each kind takes and their ranges.
     """
-    if spec.kind not in KINDS:
-        raise ConfigError(f"unknown generator kind {spec.kind!r}")
-    if spec.length < 2:
-        raise ConfigError(f"length must be >= 2, got {spec.length}")
-    p = dict(spec.params)
+    check_spec(spec)
+    p = spec.params
     rng = np.random.default_rng(spec.seed)
     n = int(spec.length)
+    noise_df = None if "noise_df" not in p else float(p["noise_df"])
 
     if spec.kind == "iid":
-        dist = p.pop("dist", "normal")
+        dist = p.get("dist", "normal")
         if dist == "normal":
             out = rng.standard_normal(n)
         elif dist == "student_t":
-            df = float(p.pop("df"))
-            if df <= 0:
-                raise ConfigError(f"df must be positive, got {df}")
-            out = rng.standard_t(df, n)
-        elif dist == "powered_normal":
-            kappa = float(p.pop("kappa"))
-            if kappa <= 0:
-                raise ConfigError(f"kappa must be positive, got {kappa}")
-            z = rng.standard_normal(n)
-            out = np.sign(z) * np.abs(z) ** kappa
+            out = rng.standard_t(float(p["df"]), n)
         else:
-            raise ConfigError(f"unknown iid dist {dist!r}")
+            z = rng.standard_normal(n)
+            out = np.sign(z) * np.abs(z) ** float(p["kappa"])
 
     elif spec.kind == "fgn":
-        if "hurst" not in p:
-            raise ConfigError("fgn requires a hurst parameter")
-        hurst = float(p.pop("hurst"))
-        vol_scale = float(p.pop("vol_scale", 0.0))
-        noise_df = p.pop("noise_df", None)
-        if vol_scale < 0:
-            raise ConfigError(f"vol_scale must be >= 0, got {vol_scale}")
-        g = fgn(n, hurst, rng)
-        if vol_scale == 0.0:
-            out = g
-        else:
-            out = _noise(rng, n, None if noise_df is None else float(noise_df)) \
-                * np.exp(vol_scale * g)
+        vol_scale = float(p.get("vol_scale", 0.0))
+        g = fgn(n, float(p["hurst"]), rng)
+        out = (g if vol_scale == 0.0
+               else _noise(rng, n, noise_df) * np.exp(vol_scale * g))
 
     else:   # cascade
-        levels = int(p.pop("levels", math.ceil(math.log2(n))))
-        sigma = float(p.pop("sigma", 0.4))
-        signed = bool(p.pop("signed", True))
-        noise_df = p.pop("noise_df", None)
-        if sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {sigma}")
-        if n > 2 ** levels:
-            raise ConfigError(
-                f"length {n} exceeds cascade capacity 2**{levels}")
-        logw = cascade_log_weights(levels, sigma, rng)
+        levels = int(p.get("levels", math.ceil(math.log2(n))))
+        logw = cascade_log_weights(levels, float(p.get("sigma", 0.4)), rng)
         omega = logw - logw.mean()
-        if signed:
-            out = _noise(rng, 2 ** levels,
-                         None if noise_df is None else float(noise_df)) \
-                * np.exp(omega)
+        if p.get("signed", True):
+            out = _noise(rng, 2 ** levels, noise_df) * np.exp(omega)
         else:
             out = np.exp(omega)
         out = out[:n]
-
-    if p:
-        raise ConfigError(f"unused {spec.kind} params: {sorted(p)}")
     return out
 
 

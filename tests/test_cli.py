@@ -190,6 +190,14 @@ def test_colliding_threshold_tags_exit_2(tmp_path, capsys, thresholds):
     ("factors", ["--q", "0"]),
     ("factors", ["--q", "-2.5"]),
     ("dfa", ["--order", "0"]),
+    ("intervals", ["--x-min", "inf"]),
+    ("intervals", ["--x-min", "nan"]),
+    ("factors", ["--q", "inf"]),
+    ("factors", ["--q", "nan"]),
+    ("intervals", ["--thresholds", "inf"]),
+    ("conditional", ["--thresholds", "2,nan"]),
+    ("intervals", ["--bins-per-decade", "0"]),
+    ("intervals", ["--synth-hurst", "0.7"]),     # a generator flag, no kind
 ])
 def test_bad_numeric_flags_exit_2_before_loading(tmp_path, capsys, command,
                                                   flags):
@@ -201,6 +209,76 @@ def test_bad_numeric_flags_exit_2_before_loading(tmp_path, capsys, command,
     assert rc == 2
     assert flags[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+GENERATOR_CASES = [
+    # flags foreign to the kind (or to iid's dist)
+    (["--synth-kind", "iid", "--synth-hurst", "0.7"], "hurst"),
+    (["--synth-kind", "iid", "--synth-dist", "normal", "--synth-df", "3"],
+     "df"),
+    (["--synth-kind", "iid", "--synth-df", "3"], "df"),
+    (["--synth-kind", "iid", "--synth-dist", "student_t", "--synth-df", "3",
+      "--synth-kappa", "2"], "kappa"),
+    (["--synth-kind", "fgn", "--synth-hurst", "0.7", "--synth-levels", "3"],
+     "levels"),
+    (["--synth-kind", "cascade", "--synth-hurst", "0.7"], "hurst"),
+    (["--synth-kind", "fgn", "--synth-hurst", "0.7", "--synth-dist",
+      "normal"], "dist"),
+    # missing or out-of-range parameters
+    (["--synth-kind", "iid", "--synth-dist", "student_t"], "df"),
+    (["--synth-kind", "iid", "--synth-dist", "student_t", "--synth-df", "0"],
+     "df"),
+    (["--synth-kind", "iid", "--synth-dist", "powered_normal",
+      "--synth-kappa", "-1"], "kappa"),
+    (["--synth-kind", "fgn", "--synth-hurst", "0.7", "--synth-vol-scale", "1",
+      "--synth-df", "0"], "noise_df"),
+    (["--synth-kind", "cascade", "--synth-df", "0"], "noise_df"),
+    (["--synth-kind", "cascade", "--synth-levels", "0"], "levels"),
+    (["--synth-kind", "fgn", "--synth-vol-scale", "0.3"], "hurst"),
+    # non-finite values
+    (["--synth-kind", "cascade", "--synth-sigma", "nan"], "--synth-sigma"),
+    (["--synth-kind", "fgn", "--synth-hurst", "0.7", "--synth-vol-scale",
+      "nan"], "--synth-vol-scale"),
+    (["--synth-kind", "fgn", "--synth-hurst", "inf"], "--synth-hurst"),
+]
+
+
+@pytest.mark.parametrize("command", ["intervals", "synth"])
+@pytest.mark.parametrize("flags, name", GENERATOR_CASES)
+def test_bad_generator_flags_exit_2_before_generating(tmp_path, capsys,
+                                                      command, flags, name):
+    out = tmp_path / "x"
+    if command == "synth":
+        flags = [f.replace("--synth-", "--") for f in flags]
+        name = name.replace("--synth-", "--")
+        argv = ["synth", *flags, "--n-stocks", "2", "--length", "64"]
+    else:
+        argv = ["intervals", *flags, "--jobs", "1"]
+    rc = main([*argv, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and name in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, params", [
+    (["--kind", "iid"], {"dist": "normal"}),
+    (["--kind", "iid", "--dist", "student_t", "--df", "3"],
+     {"dist": "student_t", "df": 3.0}),
+    (["--kind", "iid", "--dist", "powered_normal", "--kappa", "2"],
+     {"dist": "powered_normal", "kappa": 2.0}),
+    (["--kind", "fgn", "--hurst", "0.7", "--vol-scale", "0.3", "--df", "3"],
+     {"hurst": 0.7, "vol_scale": 0.3, "noise_df": 3.0}),
+    (["--kind", "cascade", "--levels", "7", "--sigma", "0.2", "--df", "3"],
+     {"levels": 7, "sigma": 0.2, "noise_df": 3.0}),
+])
+def test_generator_flags_map_onto_spec_params(tmp_path, flags, params):
+    # --df is iid student_t's df but the noise_df of fgn and cascade
+    out = tmp_path / "corpus"
+    assert main(["synth", *flags, "--n-stocks", "1", "--length", "100",
+                 "--out", str(out)]) == 0
+    with open(out / "planted.json") as fh:
+        assert json.load(fh)["S00000"]["params"] == params
 
 
 def test_dfa_partial_report_has_header(tmp_path):

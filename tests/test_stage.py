@@ -42,3 +42,36 @@ def test_map_stocks_matches_the_library_steps_in_a_pool():
         np.testing.assert_array_equal(r.shuffled_by_q[2.0].taus,
                                       p.shuffled_by_q[2.0].taus)
         assert r.curve.alpha == p.curve.alpha
+
+
+def test_map_stocks_starts_at_most_one_worker_per_stock(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool:
+        """Records the pool's size and maps in this process."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            pools.append((self.max_workers, chunksize))
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    corpus, _ = vi.synth_corpus(2, vi.homogeneous_rule(
+        "iid", 600, {"dist": "normal"}, 73))
+    serial = vi.map_stocks(corpus, qs=(2.0,))
+    for jobs in (2, 4):
+        pooled = vi.map_stocks(corpus, jobs=jobs, qs=(2.0,))
+        assert [r.by_q[2.0].taus.tolist() for r in pooled] == [
+            r.by_q[2.0].taus.tolist() for r in serial]
+    assert pools == [(2, 1), (2, 1)]

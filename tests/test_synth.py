@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import volint as vi
-from volint.synth import (GeneratorSpec, cascade_log_weights, fgn, generate,
-                          iid_exceedance_probability, normal_abs_moment,
-                          synth_corpus, volume_from_series)
+from volint.synth import (GeneratorSpec, cascade_log_weights, check_spec, fgn,
+                          generate, iid_exceedance_probability,
+                          normal_abs_moment, synth_corpus, volume_from_series)
 
 
 def test_generate_is_deterministic():
@@ -200,3 +200,45 @@ def test_synth_corpus_roundtrips_through_pipeline():
     assert v.values.size == 399
     iv = vi.extract_intervals(v, 2.0)
     assert iv.n_exceedances > 0
+
+
+@pytest.mark.parametrize("spec, name", [
+    # a required parameter missing: ConfigError, not KeyError
+    (GeneratorSpec("iid", 100, {"dist": "student_t"}, 0), "df"),
+    (GeneratorSpec("iid", 100, {"dist": "powered_normal"}, 0), "kappa"),
+    # a parameter the kind (or iid's dist) does not take
+    (GeneratorSpec("iid", 100, {"dist": "normal", "df": 3.0}, 0), "df"),
+    (GeneratorSpec("iid", 100, {"dist": "student_t", "df": 3.0,
+                                "kappa": 2.0}, 0), "kappa"),
+    (GeneratorSpec("fgn", 100, {"hurst": 0.7, "levels": 3}, 0), "levels"),
+    (GeneratorSpec("cascade", 100, {"hurst": 0.7}, 0), "hurst"),
+    (GeneratorSpec("iid", 100, {"dist": "laplace"}, 0), "laplace"),
+    # values out of range, NaN included: numpy would raise ValueError or
+    # silently return NaN
+    (GeneratorSpec("fgn", 100, {"hurst": 0.7, "vol_scale": 1.0,
+                                "noise_df": 0.0}, 0), "noise_df"),
+    (GeneratorSpec("cascade", 100, {"noise_df": -1.0}, 0), "noise_df"),
+    (GeneratorSpec("cascade", 100, {"sigma": float("nan")}, 0), "sigma"),
+    (GeneratorSpec("fgn", 100, {"hurst": 0.7,
+                                "vol_scale": float("nan")}, 0), "vol_scale"),
+    (GeneratorSpec("fgn", 100, {"hurst": float("nan")}, 0), "hurst"),
+    (GeneratorSpec("iid", 100, {"dist": "student_t",
+                                "df": float("nan")}, 0), "df"),
+    (GeneratorSpec("cascade", 100, {"levels": 0}, 0), "levels"),
+])
+def test_check_spec_names_the_bad_parameter(spec, name):
+    for check in (check_spec, generate):
+        with pytest.raises(vi.ConfigError, match=name):
+            check(spec)
+
+
+def test_check_spec_accepts_what_generate_realizes():
+    for spec in (GeneratorSpec("iid", 64, {}, 0),
+                 GeneratorSpec("iid", 64, {"dist": "student_t", "df": 3}, 0),
+                 GeneratorSpec("fgn", 64, {"hurst": 0.7, "vol_scale": 0.0,
+                                           "noise_df": 3.0}, 0),
+                 GeneratorSpec("cascade", 64, {"levels": 6, "sigma": 0.0,
+                                               "signed": False}, 0)):
+        check_spec(spec)
+        x = generate(spec)
+        assert x.size == 64 and np.isfinite(x).all()
