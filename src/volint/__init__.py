@@ -20,19 +20,21 @@ from .factors import (DEFAULT_BIN_COUNTS, FACTORS, AlphaBin,
                       CorrelationReport, FactorBinning, FactorVector, GammaBin,
                       alpha_by_factor, bin_stocks, compute_factors,
                       factor_correlations, factor_value, gamma_by_factor,
-                      make_edges)
+                      make_edges, stock_factors)
 from .fitting import (BinnedPdf, ExpFit, TailFit, collapse_distance,
                       fit_exponential, fit_power_tail, geometric_edges,
                       hill_gamma, log_bin, power_fit_sensitivity, spearman,
                       write_pdf_tsv)
-from .ingest import Corpus, DailySeries, LoadSummary, load_corpus, write_corpus
+from .ingest import (Corpus, DailySeries, FileLoad, LoadSummary, corpus_files,
+                     load_corpus, read_stock, write_corpus)
 from .intervals import (DEFAULT_THRESHOLDS, IntervalSeries, PooledIntervals,
                         extract_intervals, pool_scaled, shuffle_control)
 from .seeds import derive_seed
 from .stage import StockResult, map_stocks
 from .synth import (GeneratorSpec, cascade_log_weights, fgn, generate,
                     homogeneous_rule, iid_exceedance_probability,
-                    normal_abs_moment, synth_corpus, volume_from_series)
+                    normal_abs_moment, synth_corpus, synth_stock,
+                    volume_from_series)
 from .volatility import (ReturnSeries, VolatilitySeries, log_returns,
                          normalize_volatility, volatility)
 

@@ -1,11 +1,12 @@
 """Command-line pipelines: corpus in, plot-ready TSVs plus report.json out.
 
 Subcommands: intervals, conditional, dfa, factors, synth. Every analysis
-maps the per-stock stage (stage.map_stocks: column -> volatility ->
-intervals per threshold, shuffled control, DFA) over the corpus and
-reduces its ticker-ordered results, so the --jobs value can never change
-any output byte. The report deliberately omits execution environment
-(paths, parallelism) for the same reason.
+maps the per-stock stage (stage.map_stocks: CSV file or generator spec ->
+column -> volatility -> intervals per threshold, shuffled control, DFA,
+factors) over the corpus's sources and reduces its ticker-ordered
+results, so the --jobs value can never change any output byte. The
+report deliberately omits execution environment (paths, parallelism) for
+the same reason.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 insufficient statistics everywhere (nothing useful produced).
@@ -31,16 +32,17 @@ from .dfa import DEFAULT_ORDER
 from .errors import (ConfigError, DataError, FitShapeError,
                      InsufficientStatisticsError, InsufficientTailError)
 from .factors import (DEFAULT_Q, FACTORS, alpha_by_factor, bin_stocks,
-                      compute_factors, factor_correlations, factor_value,
-                      gamma_by_factor, make_edges)
+                      factor_correlations, factor_value, gamma_by_factor,
+                      make_edges)
 from .fitting import (DEFAULT_BINS_PER_DECADE, DEFAULT_X_MIN, fit_exponential,
                       fit_power_tail, hill_gamma, log_bin,
                       power_fit_sensitivity, write_pdf_tsv, write_tsv)
-from .ingest import DEFAULT_MIN_LIFETIME, load_corpus, write_corpus
+from .ingest import (DEFAULT_MIN_LIFETIME, LoadSummary, corpus_files,
+                     write_corpus)
 from .intervals import DEFAULT_THRESHOLDS, pool_scaled
 from .stage import map_stocks
 from .synth import (DISTS, KINDS, GeneratorSpec, check_spec,
-                    homogeneous_rule, synth_corpus)
+                    homogeneous_rule, synth_stock)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -211,28 +213,39 @@ def _configure(cfg):
     return cfg
 
 
-def _setup(cfg):
-    """(corpus, planted generator parameters or None, output directory)."""
-    planted = None
+def _sources(cfg) -> list:
+    """The stage's sources: the corpus's CSV files, or a (GeneratorSpec,
+    index) pair per synthetic stock."""
     if cfg.kind:
-        corpus, planted = synth_corpus(cfg.n_stocks, homogeneous_rule(
-            cfg.kind, cfg.length, cfg.params, cfg.seed))
-    else:
-        corpus = load_corpus(cfg.data_dir, cfg.min_lifetime, cfg.strict)
-        if len(corpus) == 0:
-            raise DataError(f"no stock in {cfg.data_dir} passed the "
-                            f"lifetime filter ({cfg.min_lifetime})")
+        rule = homogeneous_rule(cfg.kind, cfg.length, cfg.params, cfg.seed)
+        return [(rule(i), i) for i in range(cfg.n_stocks)]
+    return corpus_files(cfg.data_dir)
+
+
+def _outdir(cfg) -> Path:
     out = Path(cfg.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    return corpus, planted, out
+    return out
 
 
-def _map_stocks(cfg, corpus, **stage):
-    """The per-stock stage over the corpus with the run's series, seed, jobs."""
-    return map_stocks(corpus, cfg.series, seed=cfg.seed, jobs=cfg.jobs, **stage)
+def _stage(cfg, **stage):
+    """The per-stock stage over the run's sources with its series, seed,
+    jobs and lifetime rules: (the accepted stocks' results in ticker order,
+    the LoadSummary of every file, the output directory)."""
+    results = map_stocks(_sources(cfg), cfg.series, seed=cfg.seed,
+                         jobs=cfg.jobs, min_lifetime=cfg.min_lifetime,
+                         strict=cfg.strict, **stage)
+    summary = LoadSummary.of(r.load for r in results)
+    if summary.n_accepted == 0:
+        raise DataError(f"no stock in {cfg.data_dir} passed the "
+                        f"lifetime filter ({cfg.min_lifetime})")
+    # sorted file names need not give sorted tickers: "A-.csv" < "A.csv"
+    accepted = sorted((r for r in results if r.load.disposition == "ok"),
+                      key=lambda r: r.ticker)
+    return accepted, summary, _outdir(cfg)
 
 
 def _factor_binnings(fv):
@@ -269,7 +282,7 @@ def _write_json(path: Path, obj: dict) -> None:
         fh.write("\n")
 
 
-def _header(cfg, corpus) -> dict:
+def _header(cfg, summary) -> dict:
     """The part of report.json every analysis writes. Its config echoes
     the options marked echo and never paths or parallelism: two runs that
     differ only in --jobs or --out must write the same report."""
@@ -280,7 +293,7 @@ def _header(cfg, corpus) -> dict:
                      if o.gen == "corpus"}}
     config = {o.name: getattr(cfg, o.name) for o in OPTIONS if o.echo}
     return {"config": {"command": cfg.command, "source": source, **config},
-            "load_summary": corpus.summary.as_dict(), "n_stocks": len(corpus)}
+            "load_summary": summary.as_dict(), "n_stocks": summary.n_accepted}
 
 
 def _fit_block(values, cfg) -> dict:
@@ -312,12 +325,11 @@ def _fit_block(values, cfg) -> dict:
 # subcommands: reducers over the per-stock stage
 
 def cmd_intervals(cfg) -> None:
-    corpus, _, outdir = _setup(cfg)
-    results = _map_stocks(cfg, corpus, qs=cfg.thresholds,
-                          shuffled_qs=cfg.thresholds)
+    results, summary, outdir = _stage(cfg, qs=cfg.thresholds,
+                                      shuffled_qs=cfg.thresholds)
     ok = [r for r in results if not r.degenerate]
 
-    report = {**_header(cfg, corpus),
+    report = {**_header(cfg, summary),
               "n_degenerate": len(results) - len(ok),
               "n_returns_dropped": sum(r.n_dropped for r in results),
               "intervals": {}}
@@ -357,13 +369,12 @@ def cmd_intervals(cfg) -> None:
 
 
 def cmd_conditional(cfg) -> None:
-    corpus, _, outdir = _setup(cfg)
-    results = _map_stocks(cfg, corpus, **{
+    results, summary, outdir = _stage(cfg, **{
         "shuffled_qs" if cfg.shuffled else "qs": cfg.thresholds})
     by_q = [(r.ticker, r.shuffled_by_q if cfg.shuffled else r.by_q)
             for r in results if not r.degenerate]
 
-    report = {**_header(cfg, corpus), "conditional": {}}
+    report = {**_header(cfg, summary), "conditional": {}}
     for q in cfg.thresholds:
         tag = _qtag(q)
         tau0, tau = consecutive_pairs([(t, ivs[q]) for t, ivs in by_q])
@@ -391,13 +402,12 @@ def cmd_conditional(cfg) -> None:
 
 
 def cmd_dfa(cfg) -> None:
-    corpus, _, outdir = _setup(cfg)
-    results = _map_stocks(cfg, corpus, order=cfg.order,
-                          shuffled_dfa=cfg.shuffled)
+    results, summary, outdir = _stage(cfg, order=cfg.order,
+                                      shuffled_dfa=cfg.shuffled, factors=True)
     curves = [(r.ticker, r.curve) for r in results if r.curve is not None]
     alphas = {t: c.alpha for t, c in curves}
     good = np.array(list(alphas.values()))
-    report = _header(cfg, corpus)
+    report = _header(cfg, summary)
     if good.size == 0:
         _write_json(outdir / "report.json", {**report, "dfa": {"empty": True}})
         raise InsufficientStatisticsError("no stock yielded a DFA exponent")
@@ -414,7 +424,7 @@ def cmd_dfa(cfg) -> None:
                      "n_skipped": int(len(results) - good.size),
                      "n_flagged_above_1": sum(c.alpha_flagged for _, c in curves),
                      "by_factor": {}}
-    for factor, binning in _factor_binnings(compute_factors(corpus)):
+    for factor, binning in _factor_binnings([r.factors for r in results]):
         rows = alpha_by_factor(binning, alphas)
         write_tsv(outdir / f"dfa_alpha_by_{factor}.tsv", map(astuple, rows))
         report["dfa"]["by_factor"][factor] = list(map(asdict, rows))
@@ -422,13 +432,11 @@ def cmd_dfa(cfg) -> None:
 
 
 def cmd_factors(cfg) -> None:
-    corpus, _, outdir = _setup(cfg)
-    fv = compute_factors(corpus)
-    intervals = {r.ticker: r.by_q[cfg.q]
-                 for r in _map_stocks(cfg, corpus, qs=(cfg.q,))
-                 if not r.degenerate}
+    results, summary, outdir = _stage(cfg, qs=(cfg.q,), factors=True)
+    fv = [r.factors for r in results]
+    intervals = {r.ticker: r.by_q[cfg.q] for r in results if not r.degenerate}
 
-    report = {**_header(cfg, corpus),
+    report = {**_header(cfg, summary),
               "factors": {"gamma_by_factor": {}, "unbinned": {}}}
     try:
         corr = factor_correlations(fv)
@@ -462,10 +470,14 @@ def cmd_factors(cfg) -> None:
 
 
 def cmd_synth(cfg) -> None:
-    corpus, planted, out = _setup(cfg)
-    write_corpus(corpus, out)
+    out = _outdir(cfg)
+    planted = {}
+    for source in _sources(cfg):        # one stock in memory at a time
+        stock, truth = synth_stock(*source)
+        planted[stock.ticker] = truth
+        write_corpus([stock], out)
     _write_json(out / "planted.json", planted)
-    print(f"wrote {len(corpus)} stocks to {out}")
+    print(f"wrote {len(planted)} stocks to {out}")
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")

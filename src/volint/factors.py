@@ -75,26 +75,28 @@ class CorrelationReport:
     degenerate: tuple[str, ...] = ()    # zero-variance factors
 
 
-def compute_factors(corpus) -> list[FactorVector]:
-    """One FactorVector per stock, ticker order.
+def stock_factors(s) -> FactorVector:
+    """The FactorVector of one DailySeries.
 
     Trading value is close * volume per day, averaged; capitalization is
     close * shares_outstanding averaged over the rows where shares are
     present, None when no row has them.
     """
-    out = []
-    for s in corpus:
-        if s.lifetime_days == 0:
-            raise DataError(f"{s.ticker}: empty series")
-        vol = s.volume.astype(np.float64)
-        mask = np.isfinite(s.shares_outstanding)
-        cap = (float(np.mean(s.close[mask] * s.shares_outstanding[mask]))
-               if mask.any() else None)
-        out.append(FactorVector(
-            ticker=s.ticker, lifetime=s.lifetime_days,
-            mean_capitalization=cap, mean_volume=float(vol.mean()),
-            mean_trading_value=float(np.mean(s.close * vol))))
-    return out
+    if s.lifetime_days == 0:
+        raise DataError(f"{s.ticker}: empty series")
+    vol = s.volume.astype(np.float64)
+    mask = np.isfinite(s.shares_outstanding)
+    cap = (float(np.mean(s.close[mask] * s.shares_outstanding[mask]))
+           if mask.any() else None)
+    return FactorVector(
+        ticker=s.ticker, lifetime=s.lifetime_days,
+        mean_capitalization=cap, mean_volume=float(vol.mean()),
+        mean_trading_value=float(np.mean(s.close * vol)))
+
+
+def compute_factors(corpus) -> list[FactorVector]:
+    """One FactorVector per stock (stock_factors), ticker order."""
+    return [stock_factors(s) for s in corpus]
 
 
 def factor_value(fv: FactorVector, factor: str):

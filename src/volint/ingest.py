@@ -19,6 +19,7 @@ successive days.
 from __future__ import annotations
 
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -100,9 +101,20 @@ class DailySeries:
                                    other.shares_outstanding, equal_nan=True))
 
 
+@dataclass(frozen=True)
+class FileLoad:
+    """How one file loaded: disposition "ok" (accepted), "short" (below the
+    lifetime filter) or "error" (unreadable, a bad header, or duplicate
+    dates under strict), with its skipped and duplicate row counts."""
+
+    disposition: str = "ok"
+    n_rows_skipped: int = 0
+    n_duplicate_rows: int = 0
+
+
 @dataclass
 class LoadSummary:
-    """Bookkeeping for one load_corpus call.
+    """Bookkeeping for one corpus load.
 
     accepted + rejected == total files encountered.
     """
@@ -113,6 +125,16 @@ class LoadSummary:
     n_rejected_error: int = 0
     n_rows_skipped: int = 0
     n_duplicate_rows: int = 0
+
+    @classmethod
+    def of(cls, loads) -> LoadSummary:
+        """The summary of the FileLoads of every file encountered."""
+        loads = list(loads)
+        n = Counter(load.disposition for load in loads)
+        return cls(n_files=len(loads), n_accepted=n["ok"],
+                   n_rejected_short=n["short"], n_rejected_error=n["error"],
+                   n_rows_skipped=sum(x.n_rows_skipped for x in loads),
+                   n_duplicate_rows=sum(x.n_duplicate_rows for x in loads))
 
     @property
     def n_rejected(self) -> int:
@@ -284,6 +306,39 @@ def _read_series(path: Path, strict: bool):
     ), n_skipped, n_dup
 
 
+def corpus_files(path) -> list[Path]:
+    """The CSV files of a corpus: the sorted ``*.csv`` files of a directory,
+    or a single file. Raises DataError when path is neither."""
+    path = Path(path)
+    if path.is_dir():
+        return sorted(path.glob("*.csv"))
+    if path.is_file():
+        return [path]
+    raise DataError(f"no such file or directory: {path}")
+
+
+def read_stock(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
+               strict: bool = False) -> tuple[DailySeries | None, FileLoad]:
+    """One CSV file's series, None unless accepted, and its FileLoad.
+
+    A file with a bad header or that cannot be read is an "error", and so
+    is one with duplicate dates under strict; a series shorter than
+    min_lifetime (or empty) is "short". Under strict, a bad header, an
+    unreadable file or a malformed row raises DataError instead.
+    """
+    try:
+        series, skipped, n_dup = _read_series(Path(path), strict)
+    except DataError:
+        if strict:
+            raise
+        return None, FileLoad("error")
+    if series is None:                          # duplicate dates under strict
+        return None, FileLoad("error", skipped, n_dup)
+    if series.lifetime_days < max(min_lifetime, 1):     # no row is short
+        return None, FileLoad("short", skipped, n_dup)
+    return series, FileLoad("ok", skipped, n_dup)
+
+
 def load_corpus(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
                 strict: bool = False) -> Corpus:
     """Load a corpus from a directory of per-ticker CSV files (or one file).
@@ -307,34 +362,10 @@ def load_corpus(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
         Ticker-sorted stocks with lifetime >= min_lifetime plus a
         LoadSummary accounting for every file encountered.
     """
-    path = Path(path)
-    if path.is_dir():
-        files = sorted(path.glob("*.csv"))
-    elif path.is_file():
-        files = [path]
-    else:
-        raise DataError(f"no such file or directory: {path}")
-
-    summary = LoadSummary(n_files=len(files))
-    stocks = []
-    for fp in files:
-        try:
-            series, skipped, n_dup = _read_series(fp, strict)
-        except DataError:
-            if strict:
-                raise
-            summary.n_rejected_error += 1
-            continue
-        summary.n_rows_skipped += skipped
-        summary.n_duplicate_rows += n_dup
-        if series is None:                      # duplicate dates under strict
-            summary.n_rejected_error += 1
-        elif series.lifetime_days < max(min_lifetime, 1):   # no row is short
-            summary.n_rejected_short += 1
-        else:
-            stocks.append(series)
-            summary.n_accepted += 1
-    return Corpus(stocks=stocks, min_lifetime=min_lifetime, summary=summary)
+    read = [read_stock(fp, min_lifetime, strict) for fp in corpus_files(path)]
+    return Corpus(stocks=[s for s, _ in read if s is not None],
+                  min_lifetime=min_lifetime,
+                  summary=LoadSummary.of(load for _, load in read))
 
 
 def write_corpus(corpus: Corpus, out_dir) -> None:

@@ -18,6 +18,7 @@ All randomness comes from numpy's PCG64 via default_rng(seed); identical
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -51,11 +52,7 @@ def fgn(n: int, hurst: float, rng) -> np.ndarray:
     """
     if not 0 < hurst < 1:
         raise ConfigError(f"hurst must be in (0, 1), got {hurst}")
-    k = np.arange(n + 1)
-    rho = 0.5 * (np.abs(k - 1) ** (2 * hurst) - 2 * np.abs(k) ** (2 * hurst)
-                 + np.abs(k + 1) ** (2 * hurst))
-    row = np.concatenate([rho, rho[-2:0:-1]])
-    lam = np.clip(np.fft.fft(row).real, 0.0, None)
+    lam = _circulant_eigenvalues(int(n), float(hurst))
     m = 2 * n
     a = rng.standard_normal(n + 1)
     b = rng.standard_normal(n + 1)
@@ -65,6 +62,20 @@ def fgn(n: int, hurst: float, rng) -> np.ndarray:
     w[n] = np.sqrt(lam[n] / m) * a[n]
     w[n + 1:] = np.conj(w[n - 1:0:-1])
     return np.fft.fft(w)[:n].real
+
+
+@functools.lru_cache(maxsize=4)
+def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
+    """The eigenvalues, clipped at 0, of the circulant embedding of the fGn
+    autocovariance of n samples; read-only, since every stock of a
+    corpus with this (n, hurst) shares the one array."""
+    k = np.arange(n + 1)
+    rho = 0.5 * (np.abs(k - 1) ** (2 * hurst) - 2 * np.abs(k) ** (2 * hurst)
+                 + np.abs(k + 1) ** (2 * hurst))
+    row = np.concatenate([rho, rho[-2:0:-1]])
+    lam = np.clip(np.fft.fft(row).real, 0.0, None)
+    lam.flags.writeable = False
+    return lam
 
 
 def cascade_log_weights(levels: int, sigma: float, rng) -> np.ndarray:
@@ -109,7 +120,9 @@ def check_spec(spec: GeneratorSpec) -> None:
 
     The kind is known, the length at least 2, every parameter one that the
     kind (for iid: its dist) takes, every required one given, every value
-    in range, and a cascade's levels enough for the length.
+    in range, a cascade's levels enough for the length and at most
+    ceil(log2(length)) (more only multiplies the memory), and an fgn
+    noise_df only with vol_scale > 0 (plain fGn has no noise to shape).
     """
     if spec.kind not in KINDS:
         raise ConfigError(f"unknown generator kind {spec.kind!r}")
@@ -128,9 +141,16 @@ def check_spec(spec: GeneratorSpec) -> None:
     for key, (ok, text) in RANGES.items():
         if key in p and not ok(p[key]):
             raise ConfigError(f"{name} {key} must be {text}, got {p[key]}")
-    if "levels" in p and spec.length > 2 ** p["levels"]:
-        raise ConfigError(f"length {spec.length} exceeds cascade capacity "
-                          f"2**{p['levels']}")
+    if "levels" in p:
+        most = max(1, math.ceil(math.log2(spec.length)))
+        if p["levels"] > most:
+            raise ConfigError(f"{name} levels must be <= {most} for length "
+                              f"{spec.length}, got {p['levels']}")
+        if spec.length > 2 ** p["levels"]:
+            raise ConfigError(f"length {spec.length} exceeds cascade "
+                              f"capacity 2**{p['levels']}")
+    if spec.kind == "fgn" and "noise_df" in p and not p.get("vol_scale", 0) > 0:
+        raise ConfigError("fgn noise_df needs vol_scale > 0")
 
 
 def generate(spec: GeneratorSpec) -> np.ndarray:
@@ -140,8 +160,8 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
                      student_t takes df, powered_normal takes kappa
                      (x = sign(z) |z|**kappa).
     fgn params:      hurst (required); vol_scale (default 0 = plain fGn);
-                     noise_df (heavy-tailed modulated noise when vol_scale
-                     is on, Gaussian otherwise).
+                     noise_df (heavy-tailed modulated noise; only with
+                     vol_scale > 0, Gaussian noise when absent).
     cascade params:  levels (default log2 of length, rounded up), sigma
                      (default 0.4), signed (default True: noise modulated
                      by the cascade measure; False: the positive measure
@@ -235,6 +255,44 @@ def volume_from_series(x, lo: float = 1e4, hi: float = 1e7) -> np.ndarray:
     return np.maximum(np.rint(np.exp(logv)), 1.0).astype(np.int64)
 
 
+def synth_stock(spec: GeneratorSpec, index: int, ticker_prefix: str = "S",
+                start_date: str = "1990-01-02",
+                close_rule: Callable[[int], float] | None = None,
+                shares_rule: Callable[[int], int | None] | None = None):
+    """Synthesize stock number index of a corpus plus its planted truth.
+
+    The ticker is ticker_prefix and the index in five digits. The series
+    of spec becomes the daily volume (volume_from_series) from start_date
+    on; close_rule and shares_rule as in synth_corpus.
+
+    Returns
+    -------
+    (DailySeries, dict)
+        The stock and its generator parameters and size attributes.
+    """
+    vol = volume_from_series(generate(spec))
+    n = vol.size
+    attrs = np.random.default_rng(derive_seed(spec.seed, "attrs"))
+    close = (close_rule(index) if close_rule is not None
+             else round(float(attrs.lognormal(math.log(20.0), 1.0)), 2))
+    shares = (shares_rule(index) if shares_rule is not None
+              else int(attrs.lognormal(math.log(5e6), 1.0)))
+    series = DailySeries(
+        ticker=f"{ticker_prefix}{index:05d}",
+        dates=np.datetime64(start_date, "D") + np.arange(n),
+        volume=vol,
+        close=np.full(n, float(close)),
+        shares_outstanding=np.full(
+            n, float("nan") if shares is None else float(shares)),
+    )
+    planted = {
+        "kind": spec.kind, "length": spec.length, "seed": int(spec.seed),
+        "params": {k: v for k, v in spec.params.items()},
+        "close": close, "shares_outstanding": shares,
+    }
+    return series, planted
+
+
 def synth_corpus(n_stocks: int, spec_rule: Callable[[int], GeneratorSpec],
                  ticker_prefix: str = "S", start_date: str = "1990-01-02",
                  close_rule: Callable[[int], float] | None = None,
@@ -252,6 +310,9 @@ def synth_corpus(n_stocks: int, spec_rule: Callable[[int], GeneratorSpec],
         Constant per-stock close price and shares outstanding; defaults
         draw log-normal values from a stream derived from each stock's
         seed. shares_rule may return None for an absent column.
+    min_lifetime : int, optional
+        The corpus minimum; by default the shortest stock's lifetime, so
+        no stock is filtered out.
 
     Returns
     -------
@@ -261,37 +322,14 @@ def synth_corpus(n_stocks: int, spec_rule: Callable[[int], GeneratorSpec],
     """
     if n_stocks < 1:
         raise ConfigError(f"n_stocks must be >= 1, got {n_stocks}")
-    stocks, planted = [], {}
-    day0 = np.datetime64(start_date, "D")
-    for i in range(n_stocks):
-        spec = spec_rule(i)
-        ticker = f"{ticker_prefix}{i:05d}"
-        x = generate(spec)
-        vol = volume_from_series(x)
-        n = vol.size
-        attrs = np.random.default_rng(derive_seed(spec.seed, "attrs"))
-        close = (close_rule(i) if close_rule is not None
-                 else round(float(attrs.lognormal(math.log(20.0), 1.0)), 2))
-        shares = (shares_rule(i) if shares_rule is not None
-                  else int(attrs.lognormal(math.log(5e6), 1.0)))
-        stocks.append(DailySeries(
-            ticker=ticker,
-            dates=day0 + np.arange(n),
-            volume=vol,
-            close=np.full(n, float(close)),
-            shares_outstanding=np.full(
-                n, float("nan") if shares is None else float(shares)),
-        ))
-        planted[ticker] = {
-            "kind": spec.kind, "length": spec.length, "seed": int(spec.seed),
-            "params": {k: v for k, v in spec.params.items()},
-            "close": close, "shares_outstanding": shares,
-        }
-    lifetimes = [s.lifetime_days for s in stocks]
-    ml = min(lifetimes) if min_lifetime is None else min_lifetime
+    made = [synth_stock(spec_rule(i), i, ticker_prefix, start_date,
+                        close_rule, shares_rule) for i in range(n_stocks)]
+    stocks = [s for s, _ in made]
+    ml = (min(s.lifetime_days for s in stocks) if min_lifetime is None
+          else min_lifetime)
     corpus = Corpus(stocks=stocks, min_lifetime=ml,
                     summary=LoadSummary(n_files=n_stocks, n_accepted=n_stocks))
-    return corpus, planted
+    return corpus, {s.ticker: truth for s, truth in made}
 
 
 def homogeneous_rule(kind: str, length: int, params: Mapping,

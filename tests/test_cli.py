@@ -234,6 +234,9 @@ GENERATOR_CASES = [
       "--synth-df", "0"], "noise_df"),
     (["--synth-kind", "cascade", "--synth-df", "0"], "noise_df"),
     (["--synth-kind", "cascade", "--synth-levels", "0"], "levels"),
+    (["--synth-kind", "cascade", "--synth-levels", "70"], "levels"),
+    (["--synth-kind", "fgn", "--synth-hurst", "0.7", "--synth-df", "3"],
+     "noise_df"),
     (["--synth-kind", "fgn", "--synth-vol-scale", "0.3"], "hurst"),
     # non-finite values
     (["--synth-kind", "cascade", "--synth-sigma", "nan"], "--synth-sigma"),

@@ -134,6 +134,51 @@ def test_fgn_magnitudes_forget_weak_linear_memory():
     assert abs(vi.dfa(np.abs(x)).alpha - 0.5) < 0.05
 
 
+def _fgn_uncached(n, hurst, rng):
+    """fgn as it was before its eigenvalues were cached: the reference."""
+    k = np.arange(n + 1)
+    rho = 0.5 * (np.abs(k - 1) ** (2 * hurst) - 2 * np.abs(k) ** (2 * hurst)
+                 + np.abs(k + 1) ** (2 * hurst))
+    row = np.concatenate([rho, rho[-2:0:-1]])
+    lam = np.clip(np.fft.fft(row).real, 0.0, None)
+    m = 2 * n
+    a = rng.standard_normal(n + 1)
+    b = rng.standard_normal(n + 1)
+    w = np.empty(m, dtype=complex)
+    w[0] = np.sqrt(lam[0] / m) * a[0]
+    w[1:n] = np.sqrt(lam[1:n] / (2 * m)) * (a[1:n] + 1j * b[1:n])
+    w[n] = np.sqrt(lam[n] / m) * a[n]
+    w[n + 1:] = np.conj(w[n - 1:0:-1])
+    return np.fft.fft(w)[:n].real
+
+
+@pytest.mark.parametrize("n, hurst", [(2, 0.5), (3, 0.3), (100, 0.7),
+                                      (1000, 0.8), (4096, 0.95)])
+def test_fgn_matches_the_uncached_formula_bit_for_bit(n, hurst):
+    for seed in (1, 2):
+        got = fgn(n, hurst, np.random.default_rng(seed))
+        want = _fgn_uncached(n, hurst, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_fgn_eigenvalue_cache_is_read_only_and_keyed_by_n_and_hurst():
+    from volint.synth import _circulant_eigenvalues
+    lam = _circulant_eigenvalues(256, 0.8)
+    assert not lam.flags.writeable
+    with pytest.raises(ValueError):
+        lam[0] = 0.0
+    # corpora with different (n, hurst), their stocks interleaved; more
+    # shapes than the cache holds, so entries are evicted and recomputed
+    shapes = [(256, 0.8), (300, 0.6), (64, 0.3), (65, 0.3), (64, 0.31),
+              (2, 0.5)] * 2
+    for i, (n, hurst) in enumerate(shapes):
+        got = fgn(n, hurst, np.random.default_rng(i))
+        want = _fgn_uncached(n, hurst, np.random.default_rng(i))
+        assert got.tobytes() == want.tobytes()
+    for n, hurst in shapes:
+        assert not _circulant_eigenvalues(n, hurst).flags.writeable
+
+
 def test_cascade_length_bounded_by_levels():
     with pytest.raises(vi.ConfigError):
         generate(GeneratorSpec("cascade", 1025,
@@ -225,6 +270,13 @@ def test_synth_corpus_roundtrips_through_pipeline():
     (GeneratorSpec("iid", 100, {"dist": "student_t",
                                 "df": float("nan")}, 0), "df"),
     (GeneratorSpec("cascade", 100, {"levels": 0}, 0), "levels"),
+    # more levels than the length needs: 2**levels values per stock
+    (GeneratorSpec("cascade", 64, {"levels": 7}, 0), "levels"),
+    (GeneratorSpec("cascade", 64, {"levels": 70}, 0), "levels"),
+    # noise_df shapes the noise that only vol_scale > 0 draws
+    (GeneratorSpec("fgn", 64, {"hurst": 0.7, "vol_scale": 0.0,
+                               "noise_df": 3.0}, 0), "noise_df"),
+    (GeneratorSpec("fgn", 64, {"hurst": 0.7, "noise_df": 3.0}, 0), "noise_df"),
 ])
 def test_check_spec_names_the_bad_parameter(spec, name):
     for check in (check_spec, generate):
@@ -235,7 +287,8 @@ def test_check_spec_names_the_bad_parameter(spec, name):
 def test_check_spec_accepts_what_generate_realizes():
     for spec in (GeneratorSpec("iid", 64, {}, 0),
                  GeneratorSpec("iid", 64, {"dist": "student_t", "df": 3}, 0),
-                 GeneratorSpec("fgn", 64, {"hurst": 0.7, "vol_scale": 0.0,
+                 GeneratorSpec("fgn", 64, {"hurst": 0.7, "vol_scale": 0.0}, 0),
+                 GeneratorSpec("fgn", 64, {"hurst": 0.7, "vol_scale": 0.5,
                                            "noise_df": 3.0}, 0),
                  GeneratorSpec("cascade", 64, {"levels": 6, "sigma": 0.0,
                                                "signed": False}, 0)):
