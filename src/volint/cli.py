@@ -490,10 +490,11 @@ def _one_blas_thread() -> None:
     """Run OpenBLAS on one thread in this process and in the --jobs
     workers forked from it, unless a thread variable is set.
 
-    Every BLAS call of the pipeline is a small per-window fit, and the
-    parallelism is the process pool over stocks: BLAS threads only add
-    start-up cost, and with --jobs > 1 they oversubscribe the cores, which
-    made one run's wall time differ from the next by half or more. The
+    The pipeline's BLAS calls are DFA's per-window projections (a small
+    matrix product per box size), and the parallelism is the process pool
+    over stocks: BLAS threads only add start-up cost, and with --jobs > 1
+    they oversubscribe the cores, which made one run's wall time differ
+    from the next by half or more. The
     thread count never changes a result. OpenBLAS is found among the
     libraries mapped into the process (Linux); elsewhere this does nothing.
     """

@@ -7,10 +7,17 @@ least-squares polynomial per box, and reports the RMS residual F(n). The
 exponent alpha is the log-log slope of F(n). alpha = 0.5 marks an
 uncorrelated series, larger values persistence; values above 1 indicate
 nonstationary scaling and are flagged, not clamped.
+
+Every box of one size shares its design matrix, so the least-squares fit
+is one projection: with q an orthonormal basis (from the QR factorization
+of the Vandermonde matrix of 0..n-1) of the polynomials of degree <= order,
+the residuals of all boxes are boxes - (boxes @ q) @ q.T. The basis is
+cached per (n, order); stocks of one length share their windows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +50,29 @@ def default_windows(n: int, n_windows: int = DEFAULT_N_WINDOWS,
         raise DataError(
             f"series of length {n} supports windows up to {largest}, "
             f"smaller than the minimum window {smallest}")
-    sizes = np.unique(np.rint(np.geomspace(smallest, largest,
-                                           n_windows)).astype(np.int64))
-    return sizes
+    return _distinct(np.rint(np.geomspace(smallest, largest,
+                                          n_windows)).astype(np.int64))
+
+
+def _distinct(sizes: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array, as np.unique gives
+    them; under numpy 2, np.unique imports numpy.ma (about 13 ms) on its
+    first call in every process, pool workers included."""
+    sizes = np.sort(sizes)
+    keep = np.ones(sizes.size, dtype=bool)
+    keep[1:] = sizes[1:] != sizes[:-1]
+    return sizes[keep]
+
+
+@functools.lru_cache(maxsize=128)
+def _detrend_basis(w: int, order: int) -> np.ndarray:
+    """Orthonormal basis, shape (w, order + 1), of the polynomials of
+    degree <= order on 0..w-1; read-only, since every box of size w and
+    every stock with this window shares the one array."""
+    t = np.arange(w, dtype=np.float64)
+    q = np.linalg.qr(np.vander(t, order + 1, increasing=True))[0]
+    q.flags.writeable = False
+    return q
 
 
 def dfa(series, order: int = DEFAULT_ORDER, windows=None, fit_range=None,
@@ -78,13 +105,23 @@ def dfa(series, order: int = DEFAULT_ORDER, windows=None, fit_range=None,
     n = x.size
     if windows is None:
         windows = default_windows(n)
-    windows = np.unique(np.asarray(windows, dtype=np.int64))
+    windows = np.asarray(windows)
     if windows.size == 0:
         raise ConfigError("no window sizes given")
+    if not np.issubdtype(windows.dtype, np.integer):
+        raise ConfigError(f"window sizes must be integers, got {windows}")
+    windows = _distinct(windows.astype(np.int64).ravel())
     if int(windows[0]) < order + 2:
         raise ConfigError(
             f"smallest window {windows[0]} cannot fit an order-{order} "
             f"polynomial, need >= {order + 2}")
+    if fit_range is not None and not fit_range[0] < fit_range[1]:
+        raise ConfigError(
+            f"fit range {tuple(fit_range)} must run from a smaller window "
+            f"to a larger one")
+    n_bad = int(np.count_nonzero(~np.isfinite(x)))
+    if n_bad:
+        raise DataError(f"series has {n_bad} non-finite values of {n}")
     if n < 4 * int(windows[-1]):
         raise DataError(
             f"series of length {n} too short for window {windows[-1]}; "
@@ -99,9 +136,8 @@ def dfa(series, order: int = DEFAULT_ORDER, windows=None, fit_range=None,
             y[:k * w].reshape(k, w),
             y[n - k * w:].reshape(k, w),
         ])
-        t = np.arange(w, dtype=np.float64)
-        coef = np.polynomial.polynomial.polyfit(t, segs.T, order)
-        resid = segs.T - np.polynomial.polynomial.polyvander(t, order) @ coef
+        q = _detrend_basis(w, order)
+        resid = segs - (segs @ q) @ q.T
         fluct[i] = np.sqrt(np.mean(resid * resid))
 
     if fit_range is None:

@@ -1,7 +1,12 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import volint as vi
+from dfa_reference import reference_dfa
 from volint.dfa import default_windows, dfa
 
 
@@ -83,6 +88,10 @@ def test_bad_order_and_windows_rejected():
         dfa(x, order=0)
     with pytest.raises(vi.ConfigError):
         dfa(x, order=3, windows=[4, 8, 16])   # 4 < order + 2
+    with pytest.raises(vi.ConfigError, match="integers"):
+        dfa(x, windows=[8.7, 16.2, 40])
+    with pytest.raises(vi.ConfigError, match="fit range"):
+        dfa(x, fit_range=(100, 10))
 
 
 def test_fit_range_restricts_slope_estimate():
@@ -109,3 +118,79 @@ def test_alpha_by_factor_flat_for_iid():
     for b in bins:
         if b.count > 0:
             assert abs(b.mean_alpha - 0.5) < 0.05
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_series_rejected(bad):
+    x = np.random.default_rng(70).standard_normal(1024)
+    x[[3, 500, 1000]] = bad
+    with pytest.raises(vi.DataError, match="3 non-finite"):
+        dfa(x)
+
+
+def test_first_dfa_call_imports_no_numpy_module():
+    # every pool worker makes a first call; numpy.polynomial (polyfit) and
+    # numpy.ma (np.unique under numpy 2) each cost milliseconds to import
+    code = ("import sys, numpy as np, volint; "
+            "x = np.random.default_rng(0).standard_normal(4096); "
+            "before = set(sys.modules); volint.dfa(x, windows=[16, 8, 16, 64]); "
+            "volint.dfa(x); "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.startswith('numpy')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.strip() == "[]"
+
+
+# the projection against the per-box polyfit it replaced (tests/dfa_reference.py)
+
+@st.composite
+def dfa_case(draw):
+    """(order, integrate, n, windows or None) over every legal shape,
+    down to the smallest window order + 2 and up to n == 4 * max(window)."""
+    order = draw(st.integers(1, 3))
+    integrate = draw(st.booleans())
+    n = draw(st.integers(4 * (order + 2), 5000))
+    if n >= 32 and draw(st.booleans()):
+        return order, integrate, n, None
+    sizes = st.integers(order + 2, n // 4)
+    windows = draw(st.lists(sizes, min_size=1, max_size=6))
+    windows += draw(st.sampled_from([[], [order + 2], [n // 4],
+                                     [order + 2, n // 4]]))
+    return order, integrate, n, windows
+
+
+@settings(max_examples=150, deadline=None)
+@given(dfa_case(), st.integers(0, 2 ** 32 - 1),
+       st.floats(1e-3, 1e6), st.floats(-1e6, 1e6))
+def test_projection_matches_polyfit_reference(case, seed, scale, offset):
+    order, integrate, n, windows = case
+    x = offset + scale * np.random.default_rng(seed).standard_normal(n)
+    got = dfa(x, order=order, windows=windows, integrate=integrate)
+    w, f, alpha, _ = reference_dfa(x, order, windows, integrate=integrate)
+    assert np.array_equal(got.window_sizes, w)
+    np.testing.assert_allclose(got.fluctuations, f, rtol=1e-12, atol=0)
+    if np.isnan(alpha):
+        assert np.isnan(got.alpha)
+    else:
+        assert abs(got.alpha - alpha) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(dfa_case(), st.lists(st.floats(-10, 10), min_size=4, max_size=4))
+def test_detrendable_input_agrees_with_reference(case, coefs):
+    # input of degree <= order whose profile is a polynomial of degree
+    # <= order: every F(n) is rounding noise, which the floor rule drops
+    order, integrate, n, windows = case
+    degree = order - int(integrate)
+    x = np.polynomial.polynomial.polyval(np.arange(n, dtype=np.float64),
+                                         coefs[:degree + 1])
+    got = dfa(x, order=order, windows=windows, integrate=integrate)
+    _, f, alpha, floor = reference_dfa(x, order, windows, integrate=integrate)
+    kept, ref_kept = got.fluctuations > floor, f > floor
+    if not ref_kept.any():
+        assert not kept.any()
+        assert np.isnan(got.alpha) and np.isnan(alpha)
+    else:
+        assert np.array_equal(kept, ref_kept)

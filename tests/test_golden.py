@@ -146,7 +146,7 @@ GOLDEN = {
         'dfa_alpha_by_volume.tsv':
             'a5245754496f1cd06ec52f68943e7516a90b25aa48883e3989f47b3b72c39c5c',
         'report.json':
-            '62c4cff14b52ce302c1761eb63e33678cd1af9291663bc3b2a7acfba0c3fb52e',
+            '7b6a1f0a47a064255539dd8ca14a04442f8eb8c559654f5bf0f574d398f067b3',
     }),
     'dfa_dump': (0, {
         'dfa_alpha_by_capitalization.tsv':
@@ -182,7 +182,7 @@ GOLDEN = {
         'dfa_alpha_by_volume.tsv':
             '0abcfc8cdee0bba6035306216111b41c05be0adc183764d7727cefba58809d60',
         'report.json':
-            '6348a66762dd78bad201c84bcd21e9cd9548b6e549d1672de4dca40705b70b6d',
+            'ad78fc382dffcaaabee4da617f5f7e9972510cfa0e768e3fb895776712adc99b',
     }),
     'factors_csv': (0, {
         'gamma_by_capitalization.tsv':
