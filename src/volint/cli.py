@@ -25,9 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .conditional import (LOW_STATISTICS_PAIRS, conditional_pdfs,
-                          consecutive_pairs, memory_summary,
-                          octile_boundaries)
+from .conditional import (conditional_pdfs, consecutive_pairs,
+                          memory_summary, octile_boundaries)
 from .dfa import DEFAULT_ORDER
 from .errors import (ConfigError, DataError, FitShapeError,
                      InsufficientStatisticsError, InsufficientTailError)
@@ -239,9 +238,14 @@ def _stage(cfg, **stage):
                          jobs=cfg.jobs, min_lifetime=cfg.min_lifetime,
                          strict=cfg.strict, **stage)
     summary = LoadSummary.of(r.load for r in results)
+    if summary.n_files == 0:
+        raise DataError(f"no *.csv file in {cfg.data_dir}")
     if summary.n_accepted == 0:
-        raise DataError(f"no stock in {cfg.data_dir} passed the "
-                        f"lifetime filter ({cfg.min_lifetime})")
+        raise DataError(
+            f"no stock in {cfg.data_dir} was accepted: {summary.n_files} "
+            f"file(s), {summary.n_rejected_short} shorter than "
+            f"--min-lifetime {cfg.min_lifetime}, {summary.n_rejected_error} "
+            f"unreadable or malformed")
     # sorted file names need not give sorted tickers: "A-.csv" < "A.csv"
     accepted = sorted((r for r in results if r.load.disposition == "ok"),
                       key=lambda r: r.ticker)
@@ -293,7 +297,7 @@ def _header(cfg, summary) -> dict:
                      if o.gen == "corpus"}}
     config = {o.name: getattr(cfg, o.name) for o in OPTIONS if o.echo}
     return {"config": {"command": cfg.command, "source": source, **config},
-            "load_summary": summary.as_dict(), "n_stocks": summary.n_accepted}
+            "load_summary": asdict(summary), "n_stocks": summary.n_accepted}
 
 
 def _fit_block(values, cfg) -> dict:
@@ -381,24 +385,29 @@ def cmd_conditional(cfg) -> None:
         if tau.size == 0:
             report["conditional"][tag] = {"empty": True}
             continue
-        boundaries = octile_boundaries(tau0, cfg.octiles)
-        for cp in conditional_pdfs(tau0, tau, boundaries,
-                                   cfg.bins_per_decade):
+        try:
+            boundaries = octile_boundaries(tau0, cfg.octiles)
+        except DataError as exc:    # too few pairs, or tied quantiles
+            report["conditional"][tag] = {"empty": True,
+                                          "n_pairs": int(tau.size),
+                                          "reason": str(exc)}
+            continue
+        pdfs = conditional_pdfs(tau0, tau, boundaries, cfg.bins_per_decade)
+        for cp in pdfs:
             write_pdf_tsv(cp.pdf, outdir / f"cond_q{tag}_Q{cp.octile}.tsv")
-        summary = memory_summary(tau0, tau, boundaries)
+        memory = memory_summary(tau0, tau, boundaries)
         report["conditional"][tag] = {
             "empty": False,
             "n_pairs": int(tau.size),
             "boundaries": boundaries,     # inf -> null in _jclean
-            "octiles": [{**asdict(r),
-                         "low_statistics": r.count < LOW_STATISTICS_PAIRS}
-                        for r in summary.rows],
-            "spearman": summary.spearman,
+            "octiles": [{**asdict(r), "low_statistics": cp.low_statistics}
+                        for r, cp in zip(memory.rows, pdfs)],
+            "spearman": memory.spearman,
         }
     _write_json(outdir / "report.json", report)
     if all(b["empty"] for b in report["conditional"].values()):
         raise InsufficientStatisticsError(
-            "no threshold produced any interval pair")
+            "no threshold produced octiles of interval pairs")
 
 
 def cmd_dfa(cfg) -> None:
@@ -480,46 +489,7 @@ def cmd_synth(cfg) -> None:
     print(f"wrote {len(planted)} stocks to {out}")
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-OPENBLAS_SETTERS = ("openblas_set_num_threads",
-                    "scipy_openblas_set_num_threads64_",
-                    "openblas_set_num_threads64_")
-
-
-def _one_blas_thread() -> None:
-    """Run OpenBLAS on one thread in this process and in the --jobs
-    workers forked from it, unless a thread variable is set.
-
-    The pipeline's BLAS calls are DFA's per-window projections (a small
-    matrix product per box size), and the parallelism is the process pool
-    over stocks: BLAS threads only add start-up cost, and with --jobs > 1
-    they oversubscribe the cores, which made one run's wall time differ
-    from the next by half or more. The
-    thread count never changes a result. OpenBLAS is found among the
-    libraries mapped into the process (Linux); elsewhere this does nothing.
-    """
-    if any(os.environ.get(v) for v in BLAS_THREAD_VARS):
-        return
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split(None, 5)[5].strip() for line in maps
-                     if "openblas" in line}
-    except (OSError, IndexError):
-        return
-    import ctypes
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        setter = next((getattr(lib, name) for name in OPENBLAS_SETTERS
-                       if hasattr(lib, name)), None)
-        if setter is not None:
-            setter(1)
-
-
 def main(argv=None) -> int:
-    _one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
         # looked up by name, so a wrapper put on cmd_* (bench/traced.py) runs

@@ -104,14 +104,13 @@ def assign_octiles(tau0, boundaries) -> np.ndarray:
 
 def conditional_pdfs(tau0, tau, boundaries,
                      bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
-                     edges=None,
-                     low_stat_threshold: int = LOW_STATISTICS_PAIRS):
+                     edges=None):
     """One BinnedPdf of scaled tau per octile of scaled tau0.
 
     All octiles share one bin grid (derived from the full tau sample when
     edges is not given) so that the pair-count-weighted mixture of the
     eight conditional densities reproduces the unconditional density
-    bin-for-bin. Octiles below low_stat_threshold pairs are still computed
+    bin-for-bin. Octiles below LOW_STATISTICS_PAIRS pairs are still computed
     but flagged.
     """
     tau0 = np.asarray(tau0, dtype=np.float64)
@@ -135,7 +134,7 @@ def conditional_pdfs(tau0, tau, boundaries,
                             densities=np.zeros(nbins),
                             counts=np.zeros(nbins, dtype=np.int64), n_total=0)
         out.append(ConditionalPdf(octile=k, pdf=pdf, n_pairs=n,
-                                  low_statistics=n < low_stat_threshold))
+                                  low_statistics=n < LOW_STATISTICS_PAIRS))
     return out
 
 

@@ -42,16 +42,16 @@ class DfaCurve:
     alpha_flagged: bool = False     # alpha > 1, nonstationary scaling
 
 
-def default_windows(n: int, n_windows: int = DEFAULT_N_WINDOWS,
-                    smallest: int = DEFAULT_MIN_WINDOW) -> np.ndarray:
-    """About n_windows geometrically spaced sizes from smallest to n//4."""
+def default_windows(n: int) -> np.ndarray:
+    """About DEFAULT_N_WINDOWS geometrically spaced sizes from
+    DEFAULT_MIN_WINDOW to n//4."""
     largest = n // 4
-    if largest < smallest:
+    if largest < DEFAULT_MIN_WINDOW:
         raise DataError(
             f"series of length {n} supports windows up to {largest}, "
-            f"smaller than the minimum window {smallest}")
-    return _distinct(np.rint(np.geomspace(smallest, largest,
-                                          n_windows)).astype(np.int64))
+            f"smaller than the minimum window {DEFAULT_MIN_WINDOW}")
+    return _distinct(np.rint(np.geomspace(
+        DEFAULT_MIN_WINDOW, largest, DEFAULT_N_WINDOWS)).astype(np.int64))
 
 
 def _distinct(sizes: np.ndarray) -> np.ndarray:

@@ -253,10 +253,10 @@ def hill_gamma(samples, x_min: float = DEFAULT_X_MIN) -> float:
     return float(1.0 + tail.size / np.sum(np.log(tail / x_min)))
 
 
-def power_fit_sensitivity(pdf: BinnedPdf, grid=DEFAULT_X_MIN_GRID):
-    """fit_power_tail across an x_min grid; None gamma where it fails."""
+def power_fit_sensitivity(pdf: BinnedPdf):
+    """fit_power_tail across DEFAULT_X_MIN_GRID; None gamma where it fails."""
     rows = []
-    for xm in grid:
+    for xm in DEFAULT_X_MIN_GRID:
         try:
             f = fit_power_tail(pdf, x_min=xm)
             rows.append({"x_min": float(xm), "gamma": f.gamma,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import io
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -87,9 +87,6 @@ class DailySeries:
         raise ConfigError(f"unknown series kind {series_kind!r}; "
                           "choose volume or price")
 
-    def has_capitalization(self) -> bool:
-        return bool(np.any(np.isfinite(self.shares_outstanding)))
-
     def __eq__(self, other):
         if not isinstance(other, DailySeries):
             return NotImplemented
@@ -141,14 +138,8 @@ class LoadSummary:
         return self.n_rejected_short + self.n_rejected_error
 
     def as_dict(self) -> dict:
-        return {
-            "n_files": self.n_files,
-            "n_accepted": self.n_accepted,
-            "n_rejected_short": self.n_rejected_short,
-            "n_rejected_error": self.n_rejected_error,
-            "n_rows_skipped": self.n_rows_skipped,
-            "n_duplicate_rows": self.n_duplicate_rows,
-        }
+        """dataclasses.asdict of the summary; bench/test_bench.py calls it."""
+        return asdict(self)
 
 
 @dataclass

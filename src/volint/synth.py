@@ -239,11 +239,11 @@ def iid_exceedance_probability(q: float, dist: str = "normal",
 # ---------------------------------------------------------------------------
 # corpus synthesis
 
-def volume_from_series(x, lo: float = 1e4, hi: float = 1e7) -> np.ndarray:
+def volume_from_series(x) -> np.ndarray:
     """Map a series to integer daily volumes.
 
     The series is integrated, affinely rescaled so its log-volume path
-    spans [log lo, log hi], exponentiated, and rounded to whole shares.
+    spans [log 1e4, log 1e7], exponentiated, and rounded to whole shares.
     Positivity makes every log return defined; the affine map is a
     per-stock constant scale, to which normalized volatility is invariant
     up to rounding noise.
@@ -251,19 +251,22 @@ def volume_from_series(x, lo: float = 1e4, hi: float = 1e7) -> np.ndarray:
     y = np.cumsum(np.asarray(x, dtype=np.float64))
     ymin, ymax = float(y.min()), float(y.max())
     z = np.full(y.size, 0.5) if ymax == ymin else (y - ymin) / (ymax - ymin)
-    logv = math.log(lo) + z * (math.log(hi) - math.log(lo))
+    lo, hi = math.log(1e4), math.log(1e7)
+    logv = lo + z * (hi - lo)
     return np.maximum(np.rint(np.exp(logv)), 1.0).astype(np.int64)
 
 
-def synth_stock(spec: GeneratorSpec, index: int, ticker_prefix: str = "S",
-                start_date: str = "1990-01-02",
-                close_rule: Callable[[int], float] | None = None,
-                shares_rule: Callable[[int], int | None] | None = None):
+def _ticker(index: int) -> str:
+    """The ticker of stock number index of a synthetic corpus."""
+    return f"S{index:05d}"
+
+
+def synth_stock(spec: GeneratorSpec, index: int):
     """Synthesize stock number index of a corpus plus its planted truth.
 
-    The ticker is ticker_prefix and the index in five digits. The series
-    of spec becomes the daily volume (volume_from_series) from start_date
-    on; close_rule and shares_rule as in synth_corpus.
+    The series of spec becomes the daily volume (volume_from_series) from
+    1990-01-02 on. The constant close price and shares outstanding are
+    log-normal draws from a stream derived from spec's seed.
 
     Returns
     -------
@@ -273,17 +276,14 @@ def synth_stock(spec: GeneratorSpec, index: int, ticker_prefix: str = "S",
     vol = volume_from_series(generate(spec))
     n = vol.size
     attrs = np.random.default_rng(derive_seed(spec.seed, "attrs"))
-    close = (close_rule(index) if close_rule is not None
-             else round(float(attrs.lognormal(math.log(20.0), 1.0)), 2))
-    shares = (shares_rule(index) if shares_rule is not None
-              else int(attrs.lognormal(math.log(5e6), 1.0)))
+    close = round(float(attrs.lognormal(math.log(20.0), 1.0)), 2)
+    shares = int(attrs.lognormal(math.log(5e6), 1.0))
     series = DailySeries(
-        ticker=f"{ticker_prefix}{index:05d}",
-        dates=np.datetime64(start_date, "D") + np.arange(n),
+        ticker=_ticker(index),
+        dates=np.datetime64("1990-01-02", "D") + np.arange(n),
         volume=vol,
-        close=np.full(n, float(close)),
-        shares_outstanding=np.full(
-            n, float("nan") if shares is None else float(shares)),
+        close=np.full(n, close),
+        shares_outstanding=np.full(n, float(shares)),
     )
     planted = {
         "kind": spec.kind, "length": spec.length, "seed": int(spec.seed),
@@ -294,9 +294,6 @@ def synth_stock(spec: GeneratorSpec, index: int, ticker_prefix: str = "S",
 
 
 def synth_corpus(n_stocks: int, spec_rule: Callable[[int], GeneratorSpec],
-                 ticker_prefix: str = "S", start_date: str = "1990-01-02",
-                 close_rule: Callable[[int], float] | None = None,
-                 shares_rule: Callable[[int], int | None] | None = None,
                  min_lifetime: int | None = None):
     """Synthesize a corpus plus its planted ground truth.
 
@@ -306,10 +303,6 @@ def synth_corpus(n_stocks: int, spec_rule: Callable[[int], GeneratorSpec],
     spec_rule : int -> GeneratorSpec
         Per-stock generator recipe (index runs 0..n_stocks-1). Planted
         factor sweeps couple parameters to the index here.
-    close_rule, shares_rule : optional int -> scalar
-        Constant per-stock close price and shares outstanding; defaults
-        draw log-normal values from a stream derived from each stock's
-        seed. shares_rule may return None for an absent column.
     min_lifetime : int, optional
         The corpus minimum; by default the shortest stock's lifetime, so
         no stock is filtered out.
@@ -322,8 +315,7 @@ def synth_corpus(n_stocks: int, spec_rule: Callable[[int], GeneratorSpec],
     """
     if n_stocks < 1:
         raise ConfigError(f"n_stocks must be >= 1, got {n_stocks}")
-    made = [synth_stock(spec_rule(i), i, ticker_prefix, start_date,
-                        close_rule, shares_rule) for i in range(n_stocks)]
+    made = [synth_stock(spec_rule(i), i) for i in range(n_stocks)]
     stocks = [s for s, _ in made]
     ml = (min(s.lifetime_days for s in stocks) if min_lifetime is None
           else min_lifetime)
@@ -333,12 +325,11 @@ def synth_corpus(n_stocks: int, spec_rule: Callable[[int], GeneratorSpec],
 
 
 def homogeneous_rule(kind: str, length: int, params: Mapping,
-                     master_seed: int, ticker_prefix: str = "S"):
+                     master_seed: int):
     """spec_rule where every stock shares parameters, seeds derived per ticker."""
     frozen = dict(params)
 
     def rule(i: int) -> GeneratorSpec:
         return GeneratorSpec(kind=kind, length=length, params=dict(frozen),
-                             seed=derive_seed(master_seed,
-                                              f"{ticker_prefix}{i:05d}"))
+                             seed=derive_seed(master_seed, _ticker(i)))
     return rule

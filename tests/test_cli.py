@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +124,47 @@ def test_missing_data_dir_exit_3(tmp_path):
     rc = main(["intervals", "--data-dir", str(tmp_path / "nope"),
                "--out", str(tmp_path / "x"), "--jobs", "1"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("files, text", [
+    ({}, "no *.csv file in"),
+    ({"BAD.csv": "date,vol,close,shares_outstanding\n2001-01-01,1,1.0,\n"},
+     "1 file(s), 0 shorter than --min-lifetime 350, 1 unreadable or malformed"),
+    ({"A.csv": "date,volume,close,shares_outstanding\n2001-01-01,1,1.0,\n",
+      "B.csv": "date,volume,close,shares_outstanding\n"},
+     "2 file(s), 2 shorter than --min-lifetime 350, 0 unreadable or malformed"),
+], ids=["empty-dir", "bad-header", "short"])
+def test_no_accepted_stock_exit_3_says_why(tmp_path, capsys, files, text):
+    src = tmp_path / "src"
+    src.mkdir()
+    for name, body in files.items():
+        (src / name).write_text(body)
+    rc = main(["intervals", "--data-dir", str(src), "--out",
+               str(tmp_path / "x"), "--jobs", "1"])
+    assert rc == 3
+    assert text in capsys.readouterr().err
+
+
+def test_tied_quantile_octiles_empty_one_threshold_not_the_run(tmp_path):
+    # q=1's tau0 quantiles tie on this corpus; q=2 and q=3 have distinct ones
+    args = ["conditional", "--synth-kind", "iid", "--synth-n-stocks", "2",
+            "--synth-length", "1000", "--octiles", "quantile", "--jobs", "1"]
+    out = tmp_path / "all"
+    assert main([*args, "--thresholds", "1,2,3", "--out", str(out)]) == 0
+    blocks = read_report(out)["conditional"]
+    assert blocks["1"] == {"empty": True, "n_pairs": blocks["1"]["n_pairs"],
+                           "reason": "tau0 quantiles are not distinct; "
+                                     "use geometric mode"}
+    assert blocks["1"]["n_pairs"] > 0
+    assert not any(out.glob("cond_q1_*"))
+    for q in ("2", "3"):
+        assert not blocks[q]["empty"]
+        assert sorted(p.name for p in out.glob(f"cond_q{q}_*")) == [
+            f"cond_q{q}_Q{k}.tsv" for k in range(1, 9)]
+    # with no threshold left that produced octiles the run exits 4
+    only = tmp_path / "only"
+    assert main([*args, "--thresholds", "1", "--out", str(only)]) == 4
+    assert read_report(only)["conditional"] == {"1": blocks["1"]}
 
 
 def test_unreachable_threshold_exit_4(tmp_path):
@@ -407,37 +449,26 @@ def test_runtime_imports_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
-BLAS_THREADS = """
-import ctypes
-from volint import cli
-cli._one_blas_thread()
-counts = []
-for line in open("/proc/self/maps"):
-    if "openblas" in line:
-        lib = ctypes.CDLL(line.split(None, 5)[5].strip())
-        for name in ("openblas_get_num_threads",
-                     "scipy_openblas_get_num_threads64_",
-                     "openblas_get_num_threads64_"):
-            if hasattr(lib, name):
-                counts.append(getattr(lib, name)())
-                break
-print(sorted(set(counts)))
-"""
-
-
-@pytest.mark.parametrize("env, want", [({}, 1),
-                                       ({"OPENBLAS_NUM_THREADS": "2"}, 2)])
-def test_cli_runs_blas_on_one_thread_unless_told(env, want):
-    if not os.path.exists("/proc/self/maps"):
-        pytest.skip("needs /proc/self/maps")
-    base = {k: v for k, v in os.environ.items()
-            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    res = subprocess.run([sys.executable, "-c", BLAS_THREADS],
-                         env={**base, **env}, capture_output=True,
-                         text=True, check=True)
-    if res.stdout.strip() == "[]":
-        pytest.skip("numpy is not linked against OpenBLAS")
-    assert res.stdout.strip() == f"[{want}]"
+def test_blas_thread_count_changes_no_byte(tmp_path):
+    # the CLI leaves OpenBLAS's thread count alone, so DFA's projections
+    # must give the same bytes on one BLAS thread as on two
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(vi.__file__).parents[1]), env.get("PYTHONPATH")]))
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "volint", "dfa",
+                        "--synth-kind", "fgn", "--synth-n-stocks", "4",
+                        "--synth-length", "4096", "--synth-hurst", "0.8",
+                        "--order", "3", "--dump-fluctuations", "--jobs", "1",
+                        "--out", str(out)],
+                       env={**env, "OPENBLAS_NUM_THREADS": threads},
+                       check=True)
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert trees[0] == trees[1]
+    assert "dfa_fluct_S00003.tsv" in trees[0]
 
 
 ANALYSIS_DEFAULTS = {

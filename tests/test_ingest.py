@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tempfile
 from pathlib import Path
@@ -412,7 +413,7 @@ def load_one(directory, strict: bool):
                      s.close.tolist(),
                      [None if x != x else x for x in s.shares_outstanding.tolist()]))
             for s in corpus]
-    return corpus.summary.as_dict(), rows[0] if rows else []
+    return dataclasses.asdict(corpus.summary), rows[0] if rows else []
 
 
 def check_loader_agrees_with_oracle(data):

@@ -145,7 +145,7 @@ def test_worker_reads_csv_like_load_corpus_then_map_stocks(tmp_path, jobs):
     corpus = vi.load_corpus(tmp_path, min_lifetime=300)
     results, summary = _stage(tmp_path, jobs)
     assert summary == corpus.summary
-    assert summary.as_dict() == {
+    assert dataclasses.asdict(summary) == {
         "n_files": 7, "n_accepted": 5, "n_rejected_short": 1,
         "n_rejected_error": 1, "n_rows_skipped": 3, "n_duplicate_rows": 2}
     assert [r.ticker for r in results] == corpus.tickers == [

@@ -228,14 +228,7 @@ def test_synth_corpus_shape_and_planted_truth():
     assert s.lifetime_days == 512
     assert np.all(s.volume >= 1)
     assert np.all(s.close > 0)
-    assert s.has_capitalization()
-
-
-def test_synth_corpus_without_shares():
-    corpus, _ = synth_corpus(3, vi.homogeneous_rule(
-        "iid", 256, {"dist": "normal"}, 95), shares_rule=lambda i: None)
-    for s in corpus:
-        assert not s.has_capitalization()
+    assert np.isfinite(s.shares_outstanding).all()
 
 
 def test_synth_corpus_roundtrips_through_pipeline():
