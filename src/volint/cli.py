@@ -47,6 +47,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_EMPTY = 4
+# log_bin's edges and counts grow linearly with --bins-per-decade
+MAX_BINS_PER_DECADE = 1000
 
 COMMANDS = {"intervals": "interval PDFs, scaling, tail fits",
             "conditional": "conditional PDFs over tau0 octiles",
@@ -143,7 +145,8 @@ OPTIONS = (
            check=_at_least(0)),
     Option("strict", bool, False, echo=True),
     Option("bins_per_decade", int, DEFAULT_BINS_PER_DECADE, echo=True,
-           check=_at_least(1)),
+           check=_must(lambda x: 1 <= x <= MAX_BINS_PER_DECADE,
+                       f"from 1 to {MAX_BINS_PER_DECADE}")),
     Option("x_min", float, DEFAULT_X_MIN, echo=True, check=_positive),
     Option("dump_intervals", bool, False, ("intervals",),
            help="also write ticker/q/tau rows to intervals.tsv"),

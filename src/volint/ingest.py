@@ -10,10 +10,10 @@ passes over its bytes.
 
 Loading is lossless where possible: zero-volume days are retained (the
 volatility step decides their treatment) and a stock is only rejected for
-being shorter than ``min_lifetime``, for a bad header or an unreadable
-file, or, under strict mode, for containing bad rows. Non-trading
-calendar gaps are not special: consecutive records are treated as
-successive days.
+being shorter than ``min_lifetime``, for a bad header, an unreadable
+file or a file name that makes no printable ticker, or, under strict
+mode, for containing bad rows. Non-trading calendar gaps are not
+special: consecutive records are treated as successive days.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ DEFAULT_MIN_LIFETIME = 350
 
 _HEADER = ",".join(CSV_HEADER).encode()
 _INT64_MAX = np.uint64(2 ** 63 - 1)     # a Python int would compare as float on numpy 1.x
+# Unicode category Cc; a ticker holding one would break TSV rows and the
+# names of per-ticker output files
+_CONTROL = frozenset(map(chr, [*range(0x20), *range(0x7F, 0xA0)]))
 # what the checks of one line test, in the order they are made
 _FIELDS = ("field count", "date", "volume", "close", "shares_outstanding")
 
@@ -248,9 +251,14 @@ def _read_series(path: Path, strict: bool):
     Every line after the header is checked against the row grammar at
     once; a line that breaks it is skipped, and the valid rows are sorted
     by date with the first of duplicate dates kept. The series is None
-    for duplicate dates under strict. Raises DataError for an unreadable
-    file or a bad header, and under strict at the first malformed line.
+    for duplicate dates under strict. Raises DataError for a file stem
+    that is empty or holds a control character (it becomes the ticker),
+    an unreadable file or a bad header, and under strict at the first
+    malformed line.
     """
+    if not path.stem or not _CONTROL.isdisjoint(path.stem):
+        raise DataError(f"{str(path)!r}: the file name gives no ticker or "
+                        f"one with a control character")
     try:
         data = path.read_bytes()
         data.decode()
@@ -312,10 +320,12 @@ def read_stock(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
                strict: bool = False) -> tuple[DailySeries | None, FileLoad]:
     """One CSV file's series, None unless accepted, and its FileLoad.
 
-    A file with a bad header or that cannot be read is an "error", and so
-    is one with duplicate dates under strict; a series shorter than
-    min_lifetime (or empty) is "short". Under strict, a bad header, an
-    unreadable file or a malformed row raises DataError instead.
+    A file whose stem (the ticker) is empty or holds a control character,
+    that has a bad header or that cannot be read is an "error", and so is
+    one with duplicate dates under strict; a series shorter than
+    min_lifetime (or empty) is "short". Under strict, a bad ticker, a bad
+    header, an unreadable file or a malformed row raises DataError
+    instead.
     """
     try:
         series, skipped, n_dup = _read_series(Path(path), strict)

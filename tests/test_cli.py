@@ -239,6 +239,7 @@ def test_colliding_threshold_tags_exit_2(tmp_path, capsys, thresholds):
     ("intervals", ["--thresholds", "inf"]),
     ("conditional", ["--thresholds", "2,nan"]),
     ("intervals", ["--bins-per-decade", "0"]),
+    ("intervals", ["--bins-per-decade", "1001"]),
     ("intervals", ["--synth-hurst", "0.7"]),     # a generator flag, no kind
 ])
 def test_bad_numeric_flags_exit_2_before_loading(tmp_path, capsys, command,
@@ -389,6 +390,41 @@ def test_volume_overflow_row_counted_when_lenient_exit_3_when_strict(tmp_path):
     assert main([*args, "--strict", "--out", str(tmp_path / "strict")]) == 3
 
 
+@pytest.mark.parametrize("stem", ["a\tb", "c\nd"], ids=["tab", "newline"])
+def test_control_character_ticker_rejected_when_lenient_exit_3_when_strict(
+        tmp_path, capsys, stem):
+    # the stem is the ticker, written into TSV rows and file names
+    src = tmp_path / "src"
+    main(["synth", "--kind", "iid", "--n-stocks", "3", "--length", "400",
+          "--seed", "11", "--out", str(src)])
+    bad = src / f"{stem}.csv"
+    try:
+        bad.write_bytes((src / "S00000.csv").read_bytes())
+    except OSError as exc:
+        pytest.skip(f"the filesystem refuses {bad.name!r}: {exc}")
+    args = ["factors", "--data-dir", str(src), "--q", "2.0",
+            "--min-lifetime", "400", "--jobs", "1"]
+    out = tmp_path / "res"
+    assert main([*args, "--out", str(out)]) == 0
+    summary = read_report(out)["load_summary"]
+    assert summary["n_rejected_error"] == 1
+    assert summary["n_accepted"] == 3
+    assert all(stem not in p.read_text() for p in out.glob("*.tsv"))
+    capsys.readouterr()
+    strict = tmp_path / "strict"
+    assert main([*args, "--strict", "--out", str(strict)]) == 3
+    assert repr(str(bad)) in capsys.readouterr().err
+    assert not strict.exists()
+
+
+def test_bins_per_decade_1000_is_accepted(tmp_path):
+    out = tmp_path / "iv"
+    assert main(["intervals", *SYNTH, "--thresholds", "2.0",
+                 "--bins-per-decade", "1000", "--out", str(out),
+                 "--jobs", "1"]) == 0
+    assert read_report(out)["config"]["bins_per_decade"] == 1000
+
+
 def test_report_ignores_input_directory_name_and_write_order(tmp_path):
     src = tmp_path / "src"
     main(["synth", "--kind", "fgn", "--n-stocks", "5", "--length", "1024",
@@ -449,25 +485,92 @@ def test_runtime_imports_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
-def test_blas_thread_count_changes_no_byte(tmp_path):
-    # the CLI leaves OpenBLAS's thread count alone, so DFA's projections
-    # must give the same bytes on one BLAS thread as on two
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+
+
+def python_env(**preset):
+    """os.environ without a BLAS thread variable, plus preset, with the
+    package's source tree first on PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(vi.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return {**env, **preset}
+
+
+def run_python(code, **preset):
+    """The stdout of `python -c code` as JSON."""
+    res = subprocess.run([sys.executable, "-c", code], env=python_env(**preset),
+                         capture_output=True, text=True, check=True)
+    return json.loads(res.stdout)
+
+
+ENTRY = """
+import json, os, sys
+VARS = {vars!r}
+seen = []
+
+class Spy:      # notes the thread setting when the first numpy module loads
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy" and not seen:
+            seen.append({{v: os.environ.get(v) for v in VARS}})
+
+sys.meta_path.insert(0, Spy())
+before = dict(os.environ)
+import volint.__main__ as entry
+untouched = dict(os.environ) == before and not seen
+sys.argv = ["volint", "intervals", "--out", "never"]    # exits 2 at once
+code = entry.main()
+print(json.dumps([untouched, seen, code]))
+""".format(vars=BLAS_THREAD_VARS)
+
+
+def test_entry_runs_blas_on_one_thread_before_numpy_loads():
+    untouched, seen, code = run_python(ENTRY)
+    assert untouched
+    assert code == 2
+    assert seen == [{"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                     "OMP_NUM_THREADS": None}]
+
+
+@pytest.mark.parametrize("preset", [{"OPENBLAS_NUM_THREADS": "3"},
+                                    {"OMP_NUM_THREADS": "2"},
+                                    {"GOTO_NUM_THREADS": "2"}])
+def test_entry_leaves_a_preset_blas_thread_count(preset):
+    untouched, seen, code = run_python(ENTRY, **preset)
+    assert untouched
+    assert code == 2
+    assert seen == [{v: preset.get(v) for v in BLAS_THREAD_VARS}]
+
+
+def test_library_import_leaves_the_environment_and_numpy_alone():
+    imported, same_env = run_python(
+        "import json, os, sys\n"
+        "before = dict(os.environ)\n"
+        "import volint\n"
+        "numpy = sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy')\n"
+        "import volint.cli\n"
+        "print(json.dumps([numpy, dict(os.environ) == before]))")
+    assert imported == []
+    assert same_env
+
+
+def test_blas_thread_count_changes_no_byte(tmp_path):
+    # the entry runs BLAS on one thread unless the environment sets a
+    # count, so DFA's projections must give the same bytes at the
+    # default, on one BLAS thread and on two
     trees = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
+    for threads in (None, "1", "2"):
+        out = tmp_path / str(threads)
+        preset = {"OPENBLAS_NUM_THREADS": threads} if threads else {}
         subprocess.run([sys.executable, "-m", "volint", "dfa",
                         "--synth-kind", "fgn", "--synth-n-stocks", "4",
                         "--synth-length", "4096", "--synth-hurst", "0.8",
                         "--order", "3", "--dump-fluctuations", "--jobs", "1",
                         "--out", str(out)],
-                       env={**env, "OPENBLAS_NUM_THREADS": threads},
-                       check=True)
+                       env=python_env(**preset), check=True)
         trees.append({p.name: p.read_bytes() for p in out.iterdir()})
-    assert trees[0] == trees[1]
+    assert trees[0] == trees[1] == trees[2]
     assert "dfa_fluct_S00003.tsv" in trees[0]
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tempfile
+import unicodedata
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import volint as vi
 from csv_oracle import expected_load
-from volint.ingest import CSV_HEADER, DailySeries, load_corpus, write_corpus
+from volint.ingest import (CSV_HEADER, DailySeries, FileLoad, load_corpus,
+                           read_stock, write_corpus)
 
 
 HEADER = ",".join(CSV_HEADER)
@@ -100,6 +102,28 @@ def test_unreadable_file_rejected_when_lenient_fatal_when_strict(tmp_path):
     assert corpus.summary.n_rejected_error == 1
     with pytest.raises(vi.DataError, match="cannot read"):
         load_corpus(tmp_path, min_lifetime=1, strict=True)
+
+
+def test_ticker_without_control_characters_or_error(tmp_path):
+    # checked before the file is opened, so no file needs to exist; of
+    # paths, "." has an empty stem
+    control = [c for c in map(chr, range(0x110000))
+               if unicodedata.category(c) == "Cc"]
+    for path in [tmp_path / f"x{c}y.csv" for c in control] + [Path(".")]:
+        assert read_stock(path, min_lifetime=1) == (None, FileLoad("error"))
+        with pytest.raises(vi.DataError, match="no ticker") as err:
+            read_stock(path, min_lifetime=1, strict=True)
+        assert repr(str(path)) in str(err.value)
+
+
+def test_ticker_next_to_the_control_characters_is_kept(tmp_path):
+    names = ["a b", "a~b", "a\xa0b", "a\u200bb"]      # Zs, Po, Zs, Cf
+    for name in names:
+        try:
+            write_csv(tmp_path / f"{name}.csv", ["2001-01-01,1,1.0,"])
+        except OSError as exc:
+            pytest.skip(f"the filesystem refuses {name!r}: {exc}")
+    assert load_corpus(tmp_path, min_lifetime=1, strict=True).tickers == sorted(names)
 
 
 def test_corpus_get_unknown_ticker_raises_key_error(tmp_path):
