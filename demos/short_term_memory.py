@@ -30,13 +30,13 @@ def pairs_from(corpus, shuffle_seed=None):
 
 def show(label, tau0, tau):
     bounds = vi.octile_boundaries(tau0, mode="quantile")
-    summary = vi.memory_summary(tau0, tau, bounds)
-    means = [r.mean_scaled_tau for r in summary.rows]
+    conds = vi.conditional_pdfs(tau0, tau, bounds)
+    means = [cp.mean_scaled_tau for cp in conds]
     print(f"\n{label}: {tau0.size} pairs")
-    for row in summary.rows:
-        bar = "#" * int(round(row.mean_scaled_tau * 20))
-        print(f"  Q{row.octile}: mean tau = {row.mean_scaled_tau:5.2f} {bar}")
-    print(f"  spearman(octile, mean) = {summary.spearman:+.2f}, "
+    for cp in conds:
+        bar = "#" * int(round(cp.mean_scaled_tau * 20))
+        print(f"  Q{cp.octile}: mean tau = {cp.mean_scaled_tau:5.2f} {bar}")
+    print(f"  spearman(octile, mean) = {vi.memory_summary(conds):+.2f}, "
           f"mean range = {max(means) - min(means):.2f}")
 
 

@@ -21,9 +21,8 @@ from types import ModuleType as _ModuleType
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "conditional": ("GEOMETRIC_BOUNDARIES", "ConditionalPdf", "MemorySummary",
-                    "OctileStat", "assign_octiles", "conditional_pdfs",
-                    "consecutive_pairs", "memory_summary",
+    "conditional": ("GEOMETRIC_BOUNDARIES", "ConditionalPdf", "assign_octiles",
+                    "conditional_pdfs", "consecutive_pairs", "memory_summary",
                     "octile_boundaries"),
     "dfa": ("DfaCurve", "default_windows", "dfa"),
     "errors": ("ConfigError", "DataError", "DegenerateSeriesError",

@@ -303,9 +303,8 @@ def _header(cfg, summary) -> dict:
             "load_summary": asdict(summary), "n_stocks": summary.n_accepted}
 
 
-def _fit_block(values, cfg) -> dict:
-    """All fits of one pooled scaled sample, null where a fit cannot run."""
-    pdf = log_bin(values, cfg.bins_per_decade)
+def _fit_block(values, pdf, cfg) -> dict:
+    """All fits of one pooled scaled sample and its PDF, null where one fails."""
     block = {"n_samples": int(values.size)}
     try:
         f = fit_power_tail(pdf, cfg.x_min)
@@ -350,20 +349,22 @@ def cmd_intervals(cfg) -> None:
             continue
         raw = np.concatenate([iv.taus for _, iv in items if iv.taus.size])
         shuffled = pool_scaled([(r.ticker, r.shuffled_by_q[q]) for r in ok])
+        pdfs = {}
         for name, values in (("pdf", raw.astype(np.float64)),
                              ("pdf_scaled", pooled.values),
                              ("pdf_shuffled", shuffled.values)):
             if values.size:
-                write_pdf_tsv(log_bin(values, cfg.bins_per_decade),
-                              outdir / f"{name}_q{tag}.tsv")
+                pdfs[name] = log_bin(values, cfg.bins_per_decade)
+                write_pdf_tsv(pdfs[name], outdir / f"{name}_q{tag}.tsv")
         report["intervals"][tag] = {
             "empty": False,
             "n_stocks_used": len(pooled.tickers),
             "n_insufficient": len(pooled.skipped),
             "n_intervals": len(pooled),
             "mean_tau": float(raw.mean()),
-            "fits": _fit_block(pooled.values, cfg),
-            "shuffled_fits": (_fit_block(shuffled.values, cfg)
+            "fits": _fit_block(pooled.values, pdfs["pdf_scaled"], cfg),
+            "shuffled_fits": (_fit_block(shuffled.values,
+                                         pdfs["pdf_shuffled"], cfg)
                               if len(shuffled) else None)}
         if cfg.dump_intervals:
             dump_rows += [(t, tag, tau) for t, iv in items for tau in iv.taus]
@@ -398,14 +399,15 @@ def cmd_conditional(cfg) -> None:
         pdfs = conditional_pdfs(tau0, tau, boundaries, cfg.bins_per_decade)
         for cp in pdfs:
             write_pdf_tsv(cp.pdf, outdir / f"cond_q{tag}_Q{cp.octile}.tsv")
-        memory = memory_summary(tau0, tau, boundaries)
         report["conditional"][tag] = {
             "empty": False,
             "n_pairs": int(tau.size),
             "boundaries": boundaries,     # inf -> null in _jclean
-            "octiles": [{**asdict(r), "low_statistics": cp.low_statistics}
-                        for r, cp in zip(memory.rows, pdfs)],
-            "spearman": memory.spearman,
+            "octiles": [{"octile": cp.octile, "count": cp.n_pairs,
+                         "mean_scaled_tau": cp.mean_scaled_tau,
+                         "low_statistics": cp.low_statistics}
+                        for cp in pdfs],
+            "spearman": memory_summary(pdfs),
         }
     _write_json(outdir / "report.json", report)
     if all(b["empty"] for b in report["conditional"].values()):

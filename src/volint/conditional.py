@@ -29,20 +29,8 @@ class ConditionalPdf:
     octile: int                 # 1..8
     pdf: BinnedPdf
     n_pairs: int
-    low_statistics: bool
-
-
-@dataclass(frozen=True)
-class OctileStat:
-    octile: int
     mean_scaled_tau: float      # nan when empty
-    count: int
-
-
-@dataclass(frozen=True)
-class MemorySummary:
-    rows: tuple[OctileStat, ...]
-    spearman: float             # rank corr of octile index vs mean, populated octiles
+    low_statistics: bool
 
 
 def consecutive_pairs(items):
@@ -105,7 +93,7 @@ def assign_octiles(tau0, boundaries) -> np.ndarray:
 def conditional_pdfs(tau0, tau, boundaries,
                      bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
                      edges=None):
-    """One BinnedPdf of scaled tau per octile of scaled tau0.
+    """One BinnedPdf and mean of scaled tau per octile of scaled tau0.
 
     All octiles share one bin grid (derived from the full tau sample when
     edges is not given) so that the pair-count-weighted mixture of the
@@ -133,30 +121,17 @@ def conditional_pdfs(tau0, tau, boundaries,
             pdf = BinnedPdf(edges=np.asarray(edges, dtype=np.float64),
                             densities=np.zeros(nbins),
                             counts=np.zeros(nbins, dtype=np.int64), n_total=0)
-        out.append(ConditionalPdf(octile=k, pdf=pdf, n_pairs=n,
-                                  low_statistics=n < LOW_STATISTICS_PAIRS))
+        out.append(ConditionalPdf(
+            octile=k, pdf=pdf, n_pairs=n,
+            mean_scaled_tau=float(sel.mean()) if n else float("nan"),
+            low_statistics=n < LOW_STATISTICS_PAIRS))
     return out
 
 
-def memory_summary(tau0, tau, boundaries) -> MemorySummary:
-    """Per-octile mean of the following scaled interval, plus a rank trend.
-
-    The Spearman coefficient between octile index and per-octile mean is
-    the monotonicity diagnostic: near zero for independent series, near
-    one for persistent ones.
-    """
-    tau0 = np.asarray(tau0, dtype=np.float64)
-    tau = np.asarray(tau, dtype=np.float64)
-    if tau.size == 0:
-        raise DataError("no pairs")
-    labels = assign_octiles(tau0, boundaries)
-    rows = []
-    for k in range(1, N_OCTILES + 1):
-        sel = tau[labels == k]
-        rows.append(OctileStat(
-            octile=k,
-            mean_scaled_tau=float(sel.mean()) if sel.size else float("nan"),
-            count=int(sel.size)))
-    pop = [(r.octile, r.mean_scaled_tau) for r in rows if r.count > 0]
-    rho = spearman([p[0] for p in pop], [p[1] for p in pop])
-    return MemorySummary(rows=tuple(rows), spearman=rho)
+def memory_summary(pdfs) -> float:
+    """Spearman coefficient of octile index against mean scaled tau over the
+    populated octiles: near zero for independent series, near one for
+    persistent ones."""
+    pop = [cp for cp in pdfs if cp.n_pairs]
+    return spearman([cp.octile for cp in pop],
+                    [cp.mean_scaled_tau for cp in pop])

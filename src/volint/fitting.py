@@ -141,7 +141,7 @@ def log_bin(samples, bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
 
     Parameters
     ----------
-    samples : array-like of positive floats
+    samples : array-like of finite positive floats
     bins_per_decade : int
         Resolution of the geometric grid (ignored when edges is given).
     edges : array-like, optional
@@ -158,8 +158,8 @@ def log_bin(samples, bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
     x = np.asarray(samples, dtype=np.float64)
     if x.size == 0:
         raise DataError("no samples to bin")
-    if np.any(~(x > 0)):
-        raise DataError("samples must all be positive")
+    if not np.all(np.isfinite(x) & (x > 0)):
+        raise DataError("samples must all be finite and positive")
     if edges is not None:
         edges = np.asarray(edges, dtype=np.float64)
         if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
@@ -246,11 +246,16 @@ def hill_gamma(samples, x_min: float = DEFAULT_X_MIN) -> float:
     For f(x) ~ x**(-gamma) above x_min: gamma = 1 + n / sum(ln(x/x_min)).
     The headline estimator stays the least-squares fit for comparability.
     """
+    if not (math.isfinite(x_min) and x_min > 0):
+        raise ConfigError(f"x_min must be finite and > 0, got {x_min}")
     x = np.asarray(samples, dtype=np.float64)
     tail = x[x >= x_min]
     if tail.size < 5:
         raise InsufficientTailError(f"{tail.size} tail samples, need 5")
-    return float(1.0 + tail.size / np.sum(np.log(tail / x_min)))
+    log_sum = np.sum(np.log(tail / x_min))
+    if log_sum == 0:
+        raise InsufficientTailError("every tail sample equals x_min")
+    return float(1.0 + tail.size / log_sum)
 
 
 def power_fit_sensitivity(pdf: BinnedPdf):

@@ -147,19 +147,13 @@ class LoadSummary:
 
 @dataclass
 class Corpus:
-    """A ticker-sorted collection of DailySeries passing the lifetime filter."""
+    """A ticker-sorted collection of DailySeries."""
 
     stocks: list[DailySeries]
-    min_lifetime: int
     summary: LoadSummary = field(default_factory=LoadSummary)
 
     def __post_init__(self):
         self.stocks = sorted(self.stocks, key=lambda s: s.ticker)
-        for s in self.stocks:
-            if s.lifetime_days < self.min_lifetime:
-                raise DataError(
-                    f"{s.ticker}: lifetime {s.lifetime_days} below corpus minimum "
-                    f"{self.min_lifetime}")
         self._by_ticker = {s.ticker: s for s in self.stocks}
 
     def __len__(self):
@@ -365,7 +359,6 @@ def load_corpus(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
     """
     read = [read_stock(fp, min_lifetime, strict) for fp in corpus_files(path)]
     return Corpus(stocks=[s for s, _ in read if s is not None],
-                  min_lifetime=min_lifetime,
                   summary=LoadSummary.of(load for _, load in read))
 
 

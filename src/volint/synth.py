@@ -293,8 +293,7 @@ def synth_stock(spec: GeneratorSpec, index: int):
     return series, planted
 
 
-def synth_corpus(n_stocks: int, spec_rule: Callable[[int], GeneratorSpec],
-                 min_lifetime: int | None = None):
+def synth_corpus(n_stocks: int, spec_rule: Callable[[int], GeneratorSpec]):
     """Synthesize a corpus plus its planted ground truth.
 
     Parameters
@@ -303,9 +302,6 @@ def synth_corpus(n_stocks: int, spec_rule: Callable[[int], GeneratorSpec],
     spec_rule : int -> GeneratorSpec
         Per-stock generator recipe (index runs 0..n_stocks-1). Planted
         factor sweeps couple parameters to the index here.
-    min_lifetime : int, optional
-        The corpus minimum; by default the shortest stock's lifetime, so
-        no stock is filtered out.
 
     Returns
     -------
@@ -316,10 +312,7 @@ def synth_corpus(n_stocks: int, spec_rule: Callable[[int], GeneratorSpec],
     if n_stocks < 1:
         raise ConfigError(f"n_stocks must be >= 1, got {n_stocks}")
     made = [synth_stock(spec_rule(i), i) for i in range(n_stocks)]
-    stocks = [s for s, _ in made]
-    ml = (min(s.lifetime_days for s in stocks) if min_lifetime is None
-          else min_lifetime)
-    corpus = Corpus(stocks=stocks, min_lifetime=ml,
+    corpus = Corpus(stocks=[s for s, _ in made],
                     summary=LoadSummary(n_files=n_stocks, n_accepted=n_stocks))
     return corpus, {s.ticker: truth for s, truth in made}
 

@@ -182,7 +182,7 @@ def test_shuffling_destroys_memory(fgn_corpus, fgn_pools):
     # short-term: octile curves order by tau0 only before shuffling
     tau0, tau = vi.consecutive_pairs(items[2.0])
     bounds = vi.octile_boundaries(tau0, "quantile")
-    summary = vi.memory_summary(tau0, tau, bounds)
+    rho = vi.memory_summary(vi.conditional_pdfs(tau0, tau, bounds))
 
     sh_items = []
     for s in corpus:
@@ -196,11 +196,11 @@ def test_shuffling_destroys_memory(fgn_corpus, fgn_pools):
     worst_ks = max_pairwise_ks(s_samples)
 
     ok = (abs(mean_alpha - 0.5) < 0.03 and worst_ks < 0.05
-          and summary.spearman > 0.8)
+          and rho > 0.8)
     report(ok, "6 (shuffle controls)",
            f"shuffled DFA alpha={mean_alpha:.3f} within 0.5+-0.03, shuffled "
            f"octile max KS={worst_ks:.4f}<0.05, unshuffled spearman(octile, "
-           f"mean tau)={summary.spearman:.3f}>0.8")
+           f"mean tau)={rho:.3f}>0.8")
 
 
 def test_conditional_mixture_identity(fgn_pools):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,27 @@ def test_tied_quantile_octiles_empty_one_threshold_not_the_run(tmp_path):
     only = tmp_path / "only"
     assert main([*args, "--thresholds", "1", "--out", str(only)]) == 4
     assert read_report(only)["conditional"] == {"1": blocks["1"]}
+
+
+def test_hill_gamma_null_without_warning_when_every_tail_sample_is_x_min(
+        tmp_path):
+    # 10-day bursts of ten-fold volume: every interval is 10 days long,
+    # so every scaled interval equals x_min = 1
+    t = np.arange(1000)
+    volume = (1000 + t % 2) * np.where((t // 10) % 2 == 1, 10, 1)
+    data = tmp_path / "data"
+    data.mkdir()
+    days = np.datetime64("2001-01-01") + t
+    (data / "X.csv").write_text("date,volume,close,shares_outstanding\n" + "".join(
+        f"{d},{v},10.0,100\n" for d, v in zip(days, volume)))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["intervals", "--data-dir", str(data), "--thresholds", "2,3",
+                   "--jobs", "1", "--out", str(out)])
+    assert rc == 0
+    for block in read_report(out)["intervals"].values():
+        assert block["fits"]["hill_gamma"] is None
 
 
 def test_unreachable_threshold_exit_4(tmp_path):

@@ -113,27 +113,28 @@ def test_misaligned_pairs_rejected():
 def test_memory_summary_shape_and_degenerate_spearman():
     t0 = np.full(100, 0.1)     # single populated octile
     t1 = np.linspace(0.5, 2.0, 100)
-    ms = memory_summary(t0, t1, GEOMETRIC_BOUNDARIES)
-    assert len(ms.rows) == 8
-    assert sum(r.count for r in ms.rows) == 100
-    assert np.isnan(ms.spearman)
-    assert np.isnan(ms.rows[3].mean_scaled_tau)
+    conds = conditional_pdfs(t0, t1, GEOMETRIC_BOUNDARIES)
+    assert len(conds) == 8
+    assert sum(cp.n_pairs for cp in conds) == 100
+    assert conds[0].mean_scaled_tau == t1.mean()
+    assert np.isnan(memory_summary(conds))
+    assert np.isnan(conds[3].mean_scaled_tau)
 
 
 def test_persistence_orders_octile_means_iid_stays_flat():
     fgn, _ = vi.synth_corpus(60, vi.homogeneous_rule(
         "fgn", 4096, {"hurst": 0.8, "vol_scale": 0.4, "noise_df": 3.0}, 42))
     t0, t1 = consecutive_pairs(items_for(fgn))
-    ms = memory_summary(t0, t1, octile_boundaries(t0, "quantile"))
-    means = [r.mean_scaled_tau for r in ms.rows]
-    assert ms.spearman > 0.8
+    conds = conditional_pdfs(t0, t1, octile_boundaries(t0, "quantile"))
+    means = [cp.mean_scaled_tau for cp in conds]
+    assert memory_summary(conds) > 0.8
     assert max(means) - min(means) > 0.15
 
     iid, _ = vi.synth_corpus(100, vi.homogeneous_rule(
         "iid", 2000, {"dist": "student_t", "df": 3.0}, 41))
     t0, t1 = consecutive_pairs(items_for(iid))
-    ms = memory_summary(t0, t1, octile_boundaries(t0, "quantile"))
-    means = [r.mean_scaled_tau for r in ms.rows]
+    conds = conditional_pdfs(t0, t1, octile_boundaries(t0, "quantile"))
+    means = [cp.mean_scaled_tau for cp in conds]
     # an 8-point rank statistic is blind to scale, so flatness is the
     # right independence check, not spearman
     assert max(means) - min(means) < 0.08

@@ -45,6 +45,14 @@ def test_log_bin_rejects_nonpositive():
         log_bin(np.array([0.0, 1.0]))
 
 
+def test_log_bin_rejects_nonfinite():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(vi.DataError):
+            log_bin(np.array([1.0, bad]))
+        with pytest.raises(vi.DataError):
+            log_bin(np.array([1.0, bad]), edges=[0.5, 2.0])
+
+
 def test_log_bin_single_value_degenerate():
     pdf = log_bin(np.full(10, 3.0))
     assert pdf.degenerate
@@ -153,6 +161,21 @@ def test_hill_estimator_on_pareto():
     rng = np.random.default_rng(35)
     x = (1.0 - rng.random(200_000)) ** (-1.0 / 2.0)
     assert abs(hill_gamma(x, 1.0) - 3.0) < 0.05
+
+
+def test_hill_tail_at_x_min_has_no_estimate():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(vi.InsufficientTailError):
+            hill_gamma(np.ones(10))
+        with pytest.raises(vi.InsufficientTailError):
+            hill_gamma(np.full(10, 2.5), x_min=2.5)
+
+
+@pytest.mark.parametrize("x_min", [0.0, -1.0, np.inf, np.nan])
+def test_hill_rejects_x_min_outside_the_positive_reals(x_min):
+    with pytest.raises(vi.ConfigError):
+        hill_gamma(np.linspace(1.0, 10.0, 50), x_min)
 
 
 def test_pdf_tsv_format(tmp_path):

@@ -4,7 +4,8 @@ Each case runs one ``volint`` command on a small synthetic corpus (or a
 CSV tree written from one) at ``--jobs 2`` and compares the exit code and
 the SHA-256 of every output file with the digests in GOLDEN. A refactor
 that keeps the output byte-identical keeps this test green; any change of
-a file, a file name or an exit code fails it.
+a file, a file name or an exit code fails it. Every tree is also checked
+to be well formed: plain file names, and TSVs with one field count.
 
 The digests pin bytes produced by one numpy build; a different build
 may round a fitted number differently. To re-record them after an
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -58,7 +60,7 @@ def write_csv_tree(root: Path) -> None:
         return vi.GeneratorSpec("fgn", CSV_LENGTHS[i],
                                 {"hurst": 0.75, "vol_scale": 0.5},
                                 vi.derive_seed(31, f"{i:05d}"))
-    corpus, _ = vi.synth_corpus(len(CSV_LENGTHS), rule, min_lifetime=0)
+    corpus, _ = vi.synth_corpus(len(CSV_LENGTHS), rule)
     vi.write_corpus(corpus, root)
     with open(root / "S00001.csv", "a") as fh:
         fh.write("2001/01/01,5,1.0,\n")
@@ -77,6 +79,19 @@ def run_case(name: str, tmp: Path) -> tuple[int, dict]:
     digests = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.rglob("*")) if p.is_file()}
     return code, digests
+
+
+def assert_well_formed(out: Path) -> None:
+    """Every output file name is one path component with no control
+    character, and every TSV has one field count on every row."""
+    for p in out.rglob("*"):
+        parts = p.relative_to(out).parts
+        assert len(parts) == 1 and p.is_file(), parts
+        assert not any(unicodedata.category(c) == "Cc" for c in p.name), parts
+        if p.suffix == ".tsv":
+            rows = p.read_text().split("\n")
+            assert rows[-1] == "", f"{p.name}: last row has no newline"
+            assert len({r.count("\t") for r in rows[:-1]}) <= 1, p.name
 
 
 GOLDEN = {
@@ -276,6 +291,7 @@ def test_output_tree_matches_golden(name, tmp_path_factory):
     tmp = tmp_path_factory.getbasetemp() / "golden"
     tmp.mkdir(exist_ok=True)
     code, digests = run_case(name, tmp)
+    assert_well_formed(tmp / name)
     want_code, want = GOLDEN[name]
     assert code == want_code
     assert sorted(digests) == sorted(want)

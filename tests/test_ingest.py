@@ -187,12 +187,6 @@ def test_unsorted_input_dates_sorted_on_load(tmp_path):
     assert np.all(s.dates[1:] > s.dates[:-1])
 
 
-def test_corpus_rejects_understated_lifetime():
-    s = make_series(n=3)
-    with pytest.raises(vi.DataError):
-        vi.Corpus(stocks=[s], min_lifetime=10)
-
-
 def test_daily_series_validates_shape():
     with pytest.raises(vi.DataError):
         DailySeries(ticker="X",
@@ -234,7 +228,7 @@ def daily_series(draw, ticker):
                 unique=True).flatmap(
     lambda ts: st.tuples(*(daily_series(t) for t in ts))))
 def test_write_then_load_round_trips_any_valid_series(stocks):
-    corpus = vi.Corpus(stocks=list(stocks), min_lifetime=1)
+    corpus = vi.Corpus(stocks=list(stocks))
     with tempfile.TemporaryDirectory() as out:
         write_corpus(corpus, out)
         back = load_corpus(out, min_lifetime=1, strict=True)
