@@ -44,9 +44,9 @@ def main():
     raw, shuf = [], []
     for stock in corpus:
         nu = vi.volatility(stock.volume)
-        raw.append(vi.dfa(nu.values).alpha)
+        raw.append(vi.dfa(nu).alpha)
         seed = vi.derive_seed(3, stock.ticker, "shuffle")
-        shuf.append(vi.dfa(vi.shuffle_control(nu, seed).values).alpha)
+        shuf.append(vi.dfa(vi.shuffle_control(nu, seed)).alpha)
     print(f"\nvolume volatility        alpha = {np.mean(raw):.3f}")
     print(f"same series, shuffled    alpha = {np.mean(shuf):.3f}  "
           f"(memoryless benchmark)")

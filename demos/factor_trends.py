@@ -62,7 +62,7 @@ def main():
     rep = vi.factor_correlations(factors)
     iv, it = vi.FACTORS.index("volume"), vi.FACTORS.index("trading_value")
     print(f"\nlog-log corr(volume, trading value) = "
-          f"{rep.log_matrix[iv, it]:.2f} over {rep.n_stocks} stocks")
+          f"{rep.log[iv, it]:.2f} over {rep.n_stocks} stocks")
 
 
 if __name__ == "__main__":

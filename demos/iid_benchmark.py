@@ -26,7 +26,7 @@ def main():
     items = []
     for stock in corpus:
         nu = vi.volatility(stock.volume)
-        iv = vi.extract_intervals(nu.values, Q)
+        iv = vi.extract_intervals(nu, Q)
         if iv.taus.size:
             items.append((stock.ticker, iv))
     pool = vi.pool_scaled(items)
@@ -50,7 +50,7 @@ def main():
     pdf = vi.log_bin(pool.values[pool.values >= 0.1], bins_per_decade=8)
     fit = vi.fit_exponential(pdf)
     print(f"scaled PDF exponential fit: slope a = {fit.a:.3f}, "
-          f"r2 = {fit.r_squared:.4f}")
+          f"r2 = {fit.r2:.4f}")
     print("\nno memory in, no memory out: the scaled distribution is a"
           "\npure exponential and any structure beyond it needs correlations")
 

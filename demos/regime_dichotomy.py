@@ -21,7 +21,7 @@ def scaled_pool(corpus):
             nu = vi.volatility(stock.volume)
         except vi.DegenerateSeriesError:
             continue
-        iv = vi.extract_intervals(nu.values, Q)
+        iv = vi.extract_intervals(nu, Q)
         if iv.taus.size:
             items.append((stock.ticker, iv))
     return vi.pool_scaled(items)
@@ -35,9 +35,9 @@ def describe(name, corpus):
     tail = vi.log_bin(pool.values[pool.values >= 1.0], bins_per_decade=8)
     pow_fit = vi.fit_power_tail(pdf, x_min=1.0)
     exp_fit = vi.fit_exponential(tail)
-    better = "power" if pow_fit.r_squared > exp_fit.r_squared else "exponential"
-    print(f"  tail x>=1: power r2={pow_fit.r_squared:.4f} "
-          f"exp r2={exp_fit.r_squared:.4f}  ->  {better} wins")
+    better = "power" if pow_fit.r2 > exp_fit.r2 else "exponential"
+    print(f"  tail x>=1: power r2={pow_fit.r2:.4f} "
+          f"exp r2={exp_fit.r2:.4f}  ->  {better} wins")
     print(f"  gamma = {pow_fit.gamma:.2f} +- {pow_fit.stderr:.2f}")
 
     # exponent stability: refit over a shifted 1.5-decade window; a true

@@ -24,33 +24,35 @@ def build_corpus():
     return corpus
 
 
-def pooled(corpus, q):
+def intervals(corpus, q):
+    """(ticker, IntervalSeries) of every stock with an interval at q."""
     items = []
     for stock in corpus:
         try:
             nu = vi.volatility(stock.volume)
         except vi.DegenerateSeriesError:
             continue
-        iv = vi.extract_intervals(nu.values, q)
+        iv = vi.extract_intervals(nu, q)
         if iv.taus.size:
             items.append((stock.ticker, iv))
-    return vi.pool_scaled(items)
+    return items
 
 
 def main():
     corpus = build_corpus()
     print(f"corpus: {len(corpus)} stocks x {LENGTH} days")
 
-    pools = {q: pooled(corpus, q) for q in THRESHOLDS}
+    items = {q: intervals(corpus, q) for q in THRESHOLDS}
+    pools = {q: vi.pool_scaled(items[q]) for q in THRESHOLDS}
     for q in THRESHOLDS:
         p = pools[q]
-        raw_mean = np.mean([m for m in p.per_stock_means.values()])
+        raw_mean = np.mean([iv.taus.mean() for _, iv in items[q]])
         print(f"q={q}: {p.values.size:6d} intervals, "
               f"mean raw tau per stock ~ {raw_mean:.1f}")
 
     # raw distributions are far apart: a high threshold stretches tau
     lo, hi = THRESHOLDS[0], THRESHOLDS[-1]
-    raw = {q: np.concatenate([iv for iv in _raw_taus(corpus, q)])
+    raw = {q: np.concatenate([iv.taus for _, iv in items[q]])
            for q in (lo, hi)}
     ks_raw = vi.collapse_distance(raw[lo].astype(float), raw[hi].astype(float))
     print(f"\nKS(raw tau, q={lo} vs q={hi}) = {ks_raw:.3f}  (distinct)")
@@ -65,19 +67,8 @@ def main():
 
     pdf = vi.log_bin(pools[2.0].values, bins_per_decade=8)
     fit = vi.fit_exponential(pdf)
-    print(f"\nstretched tail at q=2.0: exponential fit r2 = {fit.r_squared:.3f}"
+    print(f"\nstretched tail at q=2.0: exponential fit r2 = {fit.r2:.3f}"
           f" (long memory bends it away from pure exponential)")
-
-
-def _raw_taus(corpus, q):
-    for stock in corpus:
-        try:
-            nu = vi.volatility(stock.volume)
-        except vi.DegenerateSeriesError:
-            continue
-        iv = vi.extract_intervals(nu.values, q)
-        if iv.taus.size:
-            yield iv.taus
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ def pairs_from(corpus, shuffle_seed=None):
         if shuffle_seed is not None:
             nu = vi.shuffle_control(
                 nu, vi.derive_seed(shuffle_seed, stock.ticker, "shuffle"))
-        iv = vi.extract_intervals(nu.values, Q)
+        iv = vi.extract_intervals(nu, Q)
         if iv.taus.size:
             items.append((stock.ticker, iv))
     return vi.consecutive_pairs(items)

@@ -47,8 +47,7 @@ _EXPORTS = {
               "homogeneous_rule", "iid_exceedance_probability",
               "normal_abs_moment", "synth_corpus", "synth_stock",
               "volume_from_series"),
-    "volatility": ("ReturnSeries", "VolatilitySeries", "log_returns",
-                   "normalize_volatility", "volatility"),
+    "volatility": ("log_returns", "normalize_volatility", "volatility"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

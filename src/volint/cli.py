@@ -49,6 +49,9 @@ EXIT_DATA = 3
 EXIT_EMPTY = 4
 # log_bin's edges and counts grow linearly with --bins-per-decade
 MAX_BINS_PER_DECADE = 1000
+# the pool forks all min(--jobs, stocks) workers at once, so a mistyped
+# --jobs on a paper-size tree (17k files) would ask for 17k processes
+MAX_JOBS = 256
 
 COMMANDS = {"intervals": "interval PDFs, scaling, tail fits",
             "conditional": "conditional PDFs over tau0 octiles",
@@ -91,10 +94,11 @@ def _thresholds(text: str) -> tuple:
 
 
 def _default_jobs() -> int:
-    """The CPUs this process may run on, where the platform tells."""
+    """The CPUs this process may run on, where the platform tells, up to
+    MAX_JOBS."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return min(len(os.sched_getaffinity(0)), MAX_JOBS)
+    return min(os.cpu_count() or 1, MAX_JOBS)
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,8 @@ OPTIONS = (
            echo=True, check=_thresholds),
     Option("seed", int, 0, ALL, echo=True),
     Option("out", commands=ALL, required=ALL),
-    Option("jobs", int, _default_jobs, check=_at_least(1)),
+    Option("jobs", int, _default_jobs,
+           check=_must(lambda x: 1 <= x <= MAX_JOBS, f"from 1 to {MAX_JOBS}")),
     Option("min_lifetime", int, DEFAULT_MIN_LIFETIME, echo=True,
            check=_at_least(0)),
     Option("strict", bool, False, echo=True),
@@ -256,10 +261,9 @@ def _stage(cfg, **stage):
 
 
 def _factor_binnings(fv):
-    """(factor, default binning), capitalization only where it is defined."""
-    have_cap = any(f.mean_capitalization is not None for f in fv)
+    """(factor, default binning) of each factor some stock defines."""
     for factor in FACTORS:
-        if factor != "capitalization" or have_cap:
+        if any(factor_value(f, factor) is not None for f in fv):
             yield factor, bin_stocks(fv, factor, make_edges(fv, factor))
 
 
@@ -307,17 +311,12 @@ def _fit_block(values, pdf, cfg) -> dict:
     """All fits of one pooled scaled sample and its PDF, null where one fails."""
     block = {"n_samples": int(values.size)}
     try:
-        f = fit_power_tail(pdf, cfg.x_min)
-        block["power"] = {"gamma": f.gamma, "stderr": f.stderr,
-                          "r2": f.r_squared, "x_min": f.x_min,
-                          "n_tail": f.n_tail}
+        block["power"] = asdict(fit_power_tail(pdf, cfg.x_min))
     except InsufficientTailError:
         block["power"] = None
     block["power_x_min_grid"] = power_fit_sensitivity(pdf)
     try:
-        e = fit_exponential(pdf)
-        block["exponential"] = {"a": e.a, "stderr": e.stderr,
-                                "r2": e.r_squared}
+        block["exponential"] = asdict(fit_exponential(pdf))
     except (InsufficientTailError, FitShapeError):
         block["exponential"] = None
     try:
@@ -453,12 +452,7 @@ def cmd_factors(cfg) -> None:
     report = {**_header(cfg, summary),
               "factors": {"gamma_by_factor": {}, "unbinned": {}}}
     try:
-        corr = factor_correlations(fv)
-        report["factors"]["correlations"] = {
-            "labels": list(corr.labels),
-            "log": corr.log_matrix, "raw": corr.raw_matrix,
-            "n_stocks": corr.n_stocks,
-            "degenerate": list(corr.degenerate)}
+        report["factors"]["correlations"] = asdict(factor_correlations(fv))
     except InsufficientStatisticsError:
         report["factors"]["correlations"] = None
 
@@ -468,10 +462,7 @@ def cmd_factors(cfg) -> None:
         write_tsv(outdir / f"gamma_by_{factor}.tsv",
                   [(r.lo, r.hi, r.gamma, r.stderr, r.n_stocks, r.n_intervals)
                    for r in rows])
-        report["factors"]["gamma_by_factor"][factor] = [
-            {"lo": r.lo, "hi": r.hi, "gamma": r.gamma, "stderr": r.stderr,
-             "r2": r.r_squared, "n_stocks": r.n_stocks,
-             "n_intervals": r.n_intervals} for r in rows]
+        report["factors"]["gamma_by_factor"][factor] = list(map(asdict, rows))
         report["factors"]["unbinned"][factor] = len(binning.unbinned)
 
     for fa, fb in combinations(FACTORS, 2):

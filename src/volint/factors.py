@@ -52,7 +52,7 @@ class GammaBin:
     hi: float
     gamma: float | None
     stderr: float | None
-    r_squared: float | None
+    r2: float | None
     n_stocks: int
     n_intervals: int
 
@@ -69,8 +69,8 @@ class AlphaBin:
 @dataclass(frozen=True)
 class CorrelationReport:
     labels: tuple[str, ...]
-    log_matrix: np.ndarray      # size factors logged, lifetime raw
-    raw_matrix: np.ndarray
+    log: np.ndarray             # size factors logged, lifetime raw
+    raw: np.ndarray
     n_stocks: int
     degenerate: tuple[str, ...] = ()    # zero-variance factors
 
@@ -185,12 +185,12 @@ def gamma_by_factor(binning: FactorBinning, intervals: dict,
         if len(pooled):
             try:
                 f = fit_power_tail(log_bin(pooled.values, bins_per_decade), x_min)
-                gamma, stderr, r2 = f.gamma, f.stderr, f.r_squared
+                gamma, stderr, r2 = f.gamma, f.stderr, f.r2
             except InsufficientTailError:
                 pass
         rows.append(GammaBin(
             lo=float(binning.edges[b]), hi=float(binning.edges[b + 1]),
-            gamma=gamma, stderr=stderr, r_squared=r2,
+            gamma=gamma, stderr=stderr, r2=r2,
             n_stocks=len(pooled.tickers), n_intervals=len(pooled)))
     return rows
 
@@ -244,6 +244,5 @@ def factor_correlations(factors) -> CorrelationReport:
             c[:, deg_idx] = np.nan
         return c
 
-    return CorrelationReport(labels=FACTORS, log_matrix=corr(logged),
-                             raw_matrix=corr(raw), n_stocks=len(rows),
-                             degenerate=degenerate)
+    return CorrelationReport(labels=FACTORS, log=corr(logged), raw=corr(raw),
+                             n_stocks=len(rows), degenerate=degenerate)

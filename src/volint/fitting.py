@@ -10,7 +10,7 @@ relied on by the calibration tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +54,7 @@ class TailFit:
     x_min: float
     stderr: float
     n_tail: int
-    r_squared: float
+    r2: float
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class ExpFit:
 
     a: float
     stderr: float
-    r_squared: float
+    r2: float
 
 
 class Line(NamedTuple):
@@ -203,7 +203,7 @@ def fit_power_tail(pdf: BinnedPdf, x_min: float = DEFAULT_X_MIN,
     res = linregress(np.log(c[mask]), np.log(pdf.densities[mask]))
     return TailFit(gamma=float(-res.slope), x_min=float(x_min),
                    stderr=float(res.stderr), n_tail=int(mask.sum()),
-                   r_squared=float(res.rvalue ** 2))
+                   r2=float(res.rvalue ** 2))
 
 
 def fit_exponential(pdf: BinnedPdf) -> ExpFit:
@@ -220,8 +220,7 @@ def fit_exponential(pdf: BinnedPdf) -> ExpFit:
     a = float(-res.slope)
     if a <= 0:
         raise FitShapeError(f"fitted rate {a:.4g} is not positive")
-    return ExpFit(a=a, stderr=float(res.stderr),
-                  r_squared=float(res.rvalue ** 2))
+    return ExpFit(a=a, stderr=float(res.stderr), r2=float(res.rvalue ** 2))
 
 
 def collapse_distance(samples_a, samples_b) -> float:
@@ -259,14 +258,12 @@ def hill_gamma(samples, x_min: float = DEFAULT_X_MIN) -> float:
 
 
 def power_fit_sensitivity(pdf: BinnedPdf):
-    """fit_power_tail across DEFAULT_X_MIN_GRID; None gamma where it fails."""
+    """fit_power_tail's fields across DEFAULT_X_MIN_GRID; None where it
+    fails."""
     rows = []
     for xm in DEFAULT_X_MIN_GRID:
         try:
-            f = fit_power_tail(pdf, x_min=xm)
-            rows.append({"x_min": float(xm), "gamma": f.gamma,
-                         "stderr": f.stderr, "r2": f.r_squared,
-                         "n_tail": f.n_tail})
+            rows.append(asdict(fit_power_tail(pdf, x_min=xm)))
         except InsufficientTailError:
             rows.append({"x_min": float(xm), "gamma": None,
                          "stderr": None, "r2": None, "n_tail": 0})

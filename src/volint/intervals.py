@@ -10,12 +10,11 @@ at high q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .volatility import VolatilitySeries
 
 DEFAULT_THRESHOLDS = (2.0, 2.5, 3.0, 3.5, 4.0)
 
@@ -27,16 +26,11 @@ class IntervalSeries:
     q: float
     taus: np.ndarray              # int64, each >= 1, in temporal order
     n_exceedances: int
-    first_index: int | None = None
 
     @property
     def insufficient(self) -> bool:
         """True when fewer than 2 exceedances produced no interval."""
         return self.taus.size == 0
-
-    @property
-    def mean_tau(self) -> float:
-        return float(self.taus.mean()) if self.taus.size else float("nan")
 
 
 @dataclass
@@ -47,10 +41,8 @@ class PooledIntervals:
     schedule-independent.
     """
 
-    q: float
     values: np.ndarray                      # float64 scaled intervals
     tickers: tuple[str, ...]
-    per_stock_means: dict[str, float] = field(default_factory=dict)
     skipped: tuple[str, ...] = ()           # insufficient at this q
 
     def __len__(self):
@@ -62,7 +54,7 @@ def extract_intervals(v, q: float) -> IntervalSeries:
 
     Parameters
     ----------
-    v : VolatilitySeries or array-like
+    v : array-like
         Volatility values (any non-negative series works).
     q : float
         Threshold in units of the volatility standard deviation.
@@ -76,12 +68,9 @@ def extract_intervals(v, q: float) -> IntervalSeries:
     """
     if not q > 0:
         raise ConfigError(f"threshold must be positive, got {q}")
-    vals = v.values if isinstance(v, VolatilitySeries) else np.asarray(v, dtype=np.float64)
-    idx = np.flatnonzero(vals > q)
-    taus = np.diff(idx).astype(np.int64)
-    return IntervalSeries(
-        q=float(q), taus=taus, n_exceedances=int(idx.size),
-        first_index=int(idx[0]) if idx.size else None)
+    idx = np.flatnonzero(np.asarray(v, dtype=np.float64) > q)
+    return IntervalSeries(q=float(q), taus=np.diff(idx).astype(np.int64),
+                          n_exceedances=int(idx.size))
 
 
 def pool_scaled(items) -> PooledIntervals:
@@ -100,29 +89,23 @@ def pool_scaled(items) -> PooledIntervals:
     a per-series scaling law.
     """
     items = sorted(items, key=lambda kv: kv[0])
-    q = None
-    tickers, chunks, means, skipped = [], [], {}, []
+    qs = sorted({iv.q for _, iv in items})
+    if len(qs) > 1:
+        raise ConfigError(f"mixed thresholds in pool: {qs}")
+    tickers, chunks, skipped = [], [], []
     for ticker, iv in items:
-        if q is None:
-            q = iv.q
-        elif iv.q != q:
-            raise ConfigError(f"mixed thresholds in pool: {q} vs {iv.q}")
         if iv.insufficient:
             skipped.append(ticker)
             continue
-        mean = iv.taus.mean()
-        means[ticker] = float(mean)
         tickers.append(ticker)
-        chunks.append(iv.taus / mean)
+        chunks.append(iv.taus / iv.taus.mean())
     values = (np.concatenate(chunks) if chunks
               else np.empty(0, dtype=np.float64))
-    return PooledIntervals(
-        q=float(q) if q is not None else float("nan"),
-        values=values, tickers=tuple(tickers), per_stock_means=means,
-        skipped=tuple(skipped))
+    return PooledIntervals(values=values, tickers=tuple(tickers),
+                           skipped=tuple(skipped))
 
 
-def shuffle_control(v: VolatilitySeries, seed: int) -> VolatilitySeries:
+def shuffle_control(v, seed: int) -> np.ndarray:
     """Uniform random permutation of the volatility values.
 
     Destroys all temporal structure while preserving the value multiset
@@ -130,8 +113,5 @@ def shuffle_control(v: VolatilitySeries, seed: int) -> VolatilitySeries:
     seeds.derive_seed(master, ticker, "shuffle") so parallel order cannot
     change results.
     """
-    rng = np.random.default_rng(seed)
-    vals = v.values if isinstance(v, VolatilitySeries) else np.asarray(v, dtype=np.float64)
-    out = vals[rng.permutation(vals.size)]
-    std = v.norm_std if isinstance(v, VolatilitySeries) else float("nan")
-    return VolatilitySeries(values=out, norm_std=std)
+    v = np.asarray(v, dtype=np.float64)
+    return v[np.random.default_rng(seed).permutation(v.size)]

@@ -76,7 +76,7 @@ def _stock(source, seed: int, series: str = "volume", qs=(), shuffled_qs=(),
     n_dropped = 0
     try:
         r = log_returns(column)
-        n_dropped = r.n_dropped
+        n_dropped = column.size - 1 - r.size
         v = normalize_volatility(r)
     except DegenerateSeriesError:
         return StockResult(ticker, n_dropped, degenerate=True, factors=fv,
@@ -89,7 +89,7 @@ def _stock(source, seed: int, series: str = "volume", qs=(), shuffled_qs=(),
     curve = None
     if order is not None:
         try:
-            curve = dfa((sv if shuffled_dfa else v).values, order=order)
+            curve = dfa(sv if shuffled_dfa else v, order=order)
         except DataError:
             pass
     return StockResult(ticker, n_dropped, False, by_q, shuffled_by_q, curve,

@@ -9,47 +9,26 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateSeriesError
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Log returns of a positive series, zero steps dropped."""
-
-    values: np.ndarray
-    source_len: int
-    n_dropped: int = 0
-
-
-@dataclass(frozen=True)
-class VolatilitySeries:
-    """Normalized absolute returns; norm_std is the divisor used."""
-
-    values: np.ndarray
-    norm_std: float
-
-
-def log_returns(x) -> ReturnSeries:
+def log_returns(x) -> np.ndarray:
     """r[t] = ln(x[t] / x[t-1]) over consecutive defined pairs.
 
     Steps where either endpoint is zero (or negative, which the CSV schema
-    forbids but defensive code tolerates) are undefined for ln and dropped;
-    the drop count is recorded rather than imputed.
+    forbids but defensive code tolerates) are undefined for ln and dropped,
+    not imputed: x.size - 1 - r.size steps were dropped.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise DegenerateSeriesError(f"need at least 2 points, got {x.size}")
     ok = (x[1:] > 0) & (x[:-1] > 0)
-    vals = np.log(x[1:][ok] / x[:-1][ok])
-    return ReturnSeries(values=vals, source_len=int(x.size),
-                        n_dropped=int((~ok).sum()))
+    return np.log(x[1:][ok] / x[:-1][ok])
 
 
-def normalize_volatility(r) -> VolatilitySeries:
+def normalize_volatility(r) -> np.ndarray:
     """nu(t) = |r(t)| / sqrt(mean(|r|^2) - mean(|r|)^2).
 
     Moments are taken over the full defined-return series, population
@@ -57,8 +36,7 @@ def normalize_volatility(r) -> VolatilitySeries:
     variance and no meaningful volatility scale; it raises
     DegenerateSeriesError so the caller can exclude and count the stock.
     """
-    vals = r.values if isinstance(r, ReturnSeries) else np.asarray(r, dtype=np.float64)
-    a = np.abs(vals)
+    a = np.abs(np.asarray(r, dtype=np.float64))
     if a.size < 2:
         raise DegenerateSeriesError(f"need at least 2 returns, got {a.size}")
     m = a.mean()
@@ -67,10 +45,9 @@ def normalize_volatility(r) -> VolatilitySeries:
     # zero variance up to float cancellation noise
     if not np.isfinite(var) or var <= m2 * 1e-13:
         raise DegenerateSeriesError("absolute returns have zero variance")
-    std = float(np.sqrt(var))
-    return VolatilitySeries(values=a / std, norm_std=std)
+    return a / np.sqrt(var)
 
 
-def volatility(x) -> VolatilitySeries:
+def volatility(x) -> np.ndarray:
     """Convenience composition: normalize_volatility(log_returns(x))."""
     return normalize_volatility(log_returns(x))

@@ -56,9 +56,9 @@ def test_iid_control_is_memoryless():
     pdf = vi.log_bin(x[x >= 0.1], 8)
     efit = vi.fit_exponential(pdf)
     dt = time.monotonic() - t0
-    ok = efit.r_squared > 0.99 and ks < 0.02 and dt < 60
+    ok = efit.r2 > 0.99 and ks < 0.02 and dt < 60
     report(ok, "1 (iid control)",
-           f"exp r2={efit.r_squared:.4f}>0.99, KS vs geometric={ks:.4f}<0.02, "
+           f"exp r2={efit.r2:.4f}>0.99, KS vs geometric={ks:.4f}<0.02, "
            f"n={x.size}, {dt:.1f}s<60s")
 
 
@@ -88,8 +88,8 @@ def test_regime_dichotomy_cascade_vs_fgn():
         _, pooled = pooled_intervals(corpus, 2.0)
         vals = pooled.values
         tail = vi.log_bin(vals[vals >= 1.0], 8)
-        r2_pow = vi.fit_power_tail(tail, x_min=1.0).r_squared
-        r2_exp = vi.fit_exponential(tail).r_squared
+        r2_pow = vi.fit_power_tail(tail, x_min=1.0).r2
+        r2_exp = vi.fit_exponential(tail).r2
         pdf = vi.log_bin(vals, 8)
         # same estimator on two staggered 1.5-decade windows: a true
         # power law gives the same slope, a bending tail drifts
@@ -102,12 +102,12 @@ def test_regime_dichotomy_cascade_vs_fgn():
     f_drift = abs(fga.gamma - fgb.gamma)
     dt = time.monotonic() - t0
     cascade_ok = (cr2p > cr2e and np.isfinite(cga.gamma)
-                  and cga.r_squared > 0.97 and c_drift < 0.5)
+                  and cga.r2 > 0.97 and c_drift < 0.5)
     fgn_ok = fr2e > fr2p and f_drift > 0.6
     ok = cascade_ok and fgn_ok and dt < 300
     report(ok, "3 (regime dichotomy)",
            f"cascade tail r2 pow={cr2p:.3f}>exp={cr2e:.3f}, gamma="
-           f"{cga.gamma:.2f} over [1,31.6] r2={cga.r_squared:.3f}, drift="
+           f"{cga.gamma:.2f} over [1,31.6] r2={cga.r2:.3f}, drift="
            f"{c_drift:.2f}<0.5; fgn exp={fr2e:.3f}>pow={fr2p:.3f}, drift="
            f"{f_drift:.2f}>0.6; {dt:.1f}s<300s")
 
@@ -176,7 +176,7 @@ def test_shuffling_destroys_memory(fgn_corpus, fgn_pools):
     for s in corpus.stocks[:100]:
         v = vi.volatility(s.volume)
         sh = vi.shuffle_control(v, vi.derive_seed(909, s.ticker, "shuffle"))
-        alphas.append(vi.dfa(sh.values).alpha)
+        alphas.append(vi.dfa(sh).alpha)
     mean_alpha = float(np.mean(alphas))
 
     # short-term: octile curves order by tau0 only before shuffling

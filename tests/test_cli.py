@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import volint as vi
-from volint.cli import build_parser, main
+from volint.cli import MAX_JOBS, build_parser, main
 
 
 SYNTH = ["--synth-kind", "fgn", "--synth-n-stocks", "12",
@@ -187,6 +187,74 @@ def test_hill_gamma_null_without_warning_when_every_tail_sample_is_x_min(
     assert rc == 0
     for block in read_report(out)["intervals"].values():
         assert block["fits"]["hill_gamma"] is None
+
+
+def write_stock(path, volume, close=None):
+    """A CSV file of consecutive days with these volumes and closes."""
+    close = 10.0 + np.arange(len(volume)) % 7 if close is None else close
+    days = np.datetime64("2001-01-01") + np.arange(len(volume))
+    path.write_text("date,volume,close,shares_outstanding\n" + "".join(
+        f"{d},{v},{c:.2f},100\n" for d, v, c in zip(days, volume, close)))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_n_returns_dropped_counts_every_undefined_step(tmp_path, jobs):
+    # a zero volume leaves both of its steps undefined; a stock with no
+    # nonzero volume is degenerate, and its 399 steps still count
+    data = tmp_path / "data"
+    data.mkdir()
+    volume = np.random.default_rng(3).integers(1000, 5000, 400)
+    write_stock(data / "B.csv", volume)
+    volume[[0, 10, 11, 12, 100]] = 0    # steps: 1 + 4 + 2
+    write_stock(data / "A.csv", volume)
+    write_stock(data / "C.csv", np.zeros(400, dtype=np.int64))
+    out = tmp_path / "out"
+    assert main(["intervals", "--data-dir", str(data), "--thresholds", "2",
+                 "--jobs", jobs, "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["n_returns_dropped"] == 7 + 399
+    assert rep["n_degenerate"] == 1
+
+
+@pytest.mark.parametrize("argv, block, key, prefix", [
+    (["factors"], "factors", "gamma_by_factor", "gamma"),
+    (["dfa", "--series", "price"], "dfa", "by_factor", "dfa_alpha"),
+], ids=["factors", "dfa"])
+def test_factor_no_stock_defines_is_left_out_of_the_tables(
+        tmp_path, argv, block, key, prefix):
+    # volume 0 on every row: no stock defines volume or trading value
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(4)
+    for k in range(4):
+        write_stock(data / f"T{k}.csv", np.zeros(400, dtype=np.int64),
+                    rng.uniform(5.0, 15.0, 400))
+    out = tmp_path / "out"
+    assert main([*argv, "--data-dir", str(data), "--jobs", "1",
+                 "--out", str(out)]) == 0
+    assert sorted(read_report(out)[block][key]) == ["capitalization",
+                                                     "lifetime"]
+    assert sorted(p.name for p in out.glob("*_by_*.tsv")) == [
+        f"{prefix}_by_capitalization.tsv", f"{prefix}_by_lifetime.tsv"]
+
+
+def test_jobs_above_max_jobs_exit_2_before_any_pool(tmp_path, capsys,
+                                                    monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "x"
+    assert main(["intervals", *SYNTH, "--jobs", str(MAX_JOBS + 1),
+                 "--out", str(out)]) == 2
+    assert "--jobs must be from 1 to" in capsys.readouterr().err
+    assert not out.exists()
+    # the default never exceeds the bound, however many CPUs there are
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(MAX_JOBS + 1)), raising=False)
+    assert build_parser().parse_args(["dfa", "--out", "o"]).jobs == MAX_JOBS
 
 
 def test_unreachable_threshold_exit_4(tmp_path):

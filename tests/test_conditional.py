@@ -6,12 +6,10 @@ from volint.conditional import (GEOMETRIC_BOUNDARIES, assign_octiles,
                                 conditional_pdfs, consecutive_pairs,
                                 memory_summary, octile_boundaries)
 from volint.intervals import extract_intervals
-from volint.volatility import VolatilitySeries
 
 
 def vs(values):
-    return VolatilitySeries(values=np.asarray(values, dtype=np.float64),
-                            norm_std=1.0)
+    return np.asarray(values, dtype=np.float64)
 
 
 def items_for(corpus, q=2.0):

@@ -62,9 +62,9 @@ def test_shuffled_volatility_alpha_half():
         "fgn", 16384, {"hurst": 0.85, "vol_scale": 0.5, "noise_df": 3.0}, 65))
     s = corpus.stocks[0]
     v = vi.volatility(s.volume)
-    assert dfa(v.values).alpha > 0.6
+    assert dfa(v).alpha > 0.6
     sh = vi.shuffle_control(v, 66)
-    assert abs(dfa(sh.values).alpha - 0.5) < 0.05
+    assert abs(dfa(sh).alpha - 0.5) < 0.05
 
 
 def test_default_windows_shape():

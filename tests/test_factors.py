@@ -109,11 +109,11 @@ def test_correlations_identity_and_constant_close():
                vol=float(v), tv=float(2.5 * v)) for i, v in enumerate(vol)]
     rep = factor_correlations(rows)
     assert rep.labels == FACTORS
-    assert np.allclose(np.diag(rep.log_matrix), 1.0)
-    assert np.allclose(rep.log_matrix, rep.log_matrix.T)
+    assert np.allclose(np.diag(rep.log), 1.0)
+    assert np.allclose(rep.log, rep.log.T)
     # constant close: log trading value = const + log volume
     iv, itv = FACTORS.index("volume"), FACTORS.index("trading_value")
-    assert rep.log_matrix[iv, itv] == pytest.approx(1.0)
+    assert rep.log[iv, itv] == pytest.approx(1.0)
     assert rep.n_stocks == n
 
 
@@ -127,7 +127,7 @@ def test_correlations_recover_planted_coefficient():
                tv=float(np.exp(rng.normal()))) for i in range(n)]
     rep = factor_correlations(rows)
     ic, iv = FACTORS.index("capitalization"), FACTORS.index("volume")
-    assert abs(rep.log_matrix[ic, iv] - 0.7) < 0.02
+    assert abs(rep.log[ic, iv] - 0.7) < 0.02
 
 
 def test_correlations_flag_zero_variance():
@@ -135,7 +135,7 @@ def test_correlations_flag_zero_variance():
     rep = factor_correlations(rows)
     assert "volume" in rep.degenerate
     iv = FACTORS.index("volume")
-    assert np.isnan(rep.log_matrix[iv, iv])
+    assert np.isnan(rep.log[iv, iv])
 
 
 def test_correlations_need_three_defined_stocks():

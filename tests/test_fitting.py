@@ -70,7 +70,7 @@ def test_power_fit_exact_on_noiseless_bins():
     for g in (2.0, 3.2, 4.2):
         f = fit_power_tail(bin_averaged_power_pdf(g), x_min=1.0)
         assert abs(f.gamma - g) < 1e-6
-        assert f.r_squared > 1.0 - 1e-12
+        assert f.r2 > 1.0 - 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -90,7 +90,7 @@ def test_exponential_fit_exact_on_point_densities():
                     n_total=int(c.size), degenerate=False)
     f = fit_exponential(pdf)
     assert abs(f.a - 1.0) < 1e-12
-    assert f.r_squared > 1.0 - 1e-12
+    assert f.r2 > 1.0 - 1e-12
 
 
 def test_exponential_fit_recovers_rate_on_samples():
@@ -98,7 +98,7 @@ def test_exponential_fit_recovers_rate_on_samples():
     x = rng.exponential(1.0, 200_000)
     f = fit_exponential(log_bin(x[x >= 0.3], 8))
     assert abs(f.a - 1.0) < 0.05
-    assert f.r_squared > 0.99
+    assert f.r2 > 0.99
 
 
 def test_r_squared_ranks_the_right_model():
@@ -107,10 +107,10 @@ def test_r_squared_ranks_the_right_model():
     expo = 1.0 + rng.exponential(1.0, 100_000)
     ppdf = log_bin(pareto[pareto <= 100], 8)
     epdf = log_bin(expo[expo <= 12], 8)
-    assert (fit_power_tail(ppdf, x_min=1.0).r_squared
-            > fit_exponential(ppdf).r_squared)
-    assert (fit_exponential(epdf).r_squared
-            > fit_power_tail(epdf, x_min=1.0).r_squared)
+    assert (fit_power_tail(ppdf, x_min=1.0).r2
+            > fit_exponential(ppdf).r2)
+    assert (fit_exponential(epdf).r2
+            > fit_power_tail(epdf, x_min=1.0).r2)
 
 
 def test_power_fit_scale_invariance():

@@ -4,20 +4,16 @@ from hypothesis import given, strategies as st
 
 import volint as vi
 from volint.intervals import extract_intervals, pool_scaled, shuffle_control
-from volint.volatility import VolatilitySeries
 
 
 def vs(values):
-    return VolatilitySeries(values=np.asarray(values, dtype=np.float64),
-                            norm_std=1.0)
+    return np.asarray(values, dtype=np.float64)
 
 
 def test_interval_extraction_example():
     iv = extract_intervals(vs([0, 3, 0, 0, 3, 3, 0]), 2.0)
     assert list(iv.taus) == [3, 1]
     assert iv.n_exceedances == 3
-    assert iv.first_index == 1
-    assert iv.mean_tau == 2.0
     assert not iv.insufficient
 
 
@@ -44,7 +40,7 @@ def test_interval_sum_bounded_by_length():
     rng = np.random.default_rng(21)
     v = vs(rng.exponential(1.0, 500))
     iv = extract_intervals(v, 2.0)
-    assert iv.first_index + iv.taus.sum() <= 500
+    assert iv.taus.sum() < 500
 
 
 def test_exceedance_count_monotone_in_threshold():
@@ -61,8 +57,6 @@ def test_pool_scaled_example():
     # stocks are ordered by ticker, each divided by its own mean
     assert pooled.tickers == ("A", "B")
     assert np.allclose(pooled.values, [1.5, 0.5, 1.0])
-    assert pooled.per_stock_means == {"A": 2.0, "B": 1.0}
-    assert pooled.q == 2.0
 
 
 def test_pool_scaled_skips_insufficient():
@@ -86,7 +80,7 @@ def test_geometric_interval_law_for_iid_exceedances():
     p = 0.05
     v = vs((rng.random(200_000) < p).astype(np.float64) * 3.0)
     iv = extract_intervals(v, 2.0)
-    assert abs(iv.mean_tau - 1.0 / p) / (1.0 / p) < 0.05
+    assert abs(iv.taus.mean() - 1.0 / p) / (1.0 / p) < 0.05
     k = np.arange(1, 200)
     emp = np.array([(iv.taus == x).mean() for x in k])
     law = (1 - p) ** (k - 1) * p
@@ -99,10 +93,9 @@ def test_shuffle_preserves_values_and_seed_determinism():
     s1 = shuffle_control(v, 42)
     s2 = shuffle_control(v, 42)
     s3 = shuffle_control(v, 43)
-    assert np.array_equal(s1.values, s2.values)
-    assert not np.array_equal(s1.values, s3.values)
-    assert np.array_equal(np.sort(s1.values), np.sort(v.values))
-    assert s1.norm_std == v.norm_std
+    assert np.array_equal(s1, s2)
+    assert not np.array_equal(s1, s3)
+    assert np.array_equal(np.sort(s1), np.sort(v))
 
 
 def test_shuffling_removes_interval_clustering():
@@ -122,7 +115,7 @@ def test_shuffling_removes_interval_clustering():
             iv = extract_intervals(v, 2.0)
             items.append((s.ticker, iv))
             exc += iv.n_exceedances
-            obs += v.values.size
+            obs += v.size
         x = pool_scaled(items).values
         cv[shuffled] = x.std() / x.mean()
         p_hat = exc / obs
@@ -133,12 +126,9 @@ def test_shuffling_removes_interval_clustering():
 
 @given(st.lists(st.floats(0, 10), max_size=300),
        st.floats(0, 10, exclude_min=True))
-def test_first_index_plus_taus_is_the_last_exceedance(values, q):
+def test_taus_are_the_gaps_between_exceedances(values, q):
     iv = extract_intervals(np.array(values, dtype=np.float64), q)
     above = [i for i, x in enumerate(values) if x > q]
     assert iv.n_exceedances == len(above)
-    if above:
-        assert iv.first_index == above[0]
-        assert iv.first_index + int(iv.taus.sum()) == above[-1]
-    else:
-        assert iv.first_index is None and iv.taus.size == 0
+    assert iv.taus.tolist() == np.diff(above).tolist()
+    assert iv.insufficient == (len(above) < 2)

@@ -39,8 +39,7 @@ EAGER_EXPORTS = {
               "homogeneous_rule", "iid_exceedance_probability",
               "normal_abs_moment", "synth_corpus", "synth_stock",
               "volume_from_series"],
-    "volatility": ["ReturnSeries", "VolatilitySeries", "log_returns",
-                   "normalize_volatility", "volatility"],
+    "volatility": ["log_returns", "normalize_volatility", "volatility"],
 }
 # the submodules the eager imports left bound on the package
 MODULES = sorted(set(EAGER_EXPORTS) - {"dfa", "volatility"})
@@ -88,7 +87,7 @@ for touch in (False, True):     # look the names up after every import too
                 check(order)
         check(order)
         vi = sys.modules["volint"]
-        vi.dfa(vi.volatility(x).values)
+        vi.dfa(vi.volatility(x))
         done += 1
 print(json.dumps(done))
 """

@@ -40,7 +40,7 @@ def test_map_stocks_matches_the_library_steps_in_a_pool():
             r.by_q[2.0].taus, vi.extract_intervals(v, 2.0).taus)
         np.testing.assert_array_equal(
             r.shuffled_by_q[2.0].taus, vi.extract_intervals(sv, 2.0).taus)
-        assert r.curve.alpha == vi.dfa(v.values).alpha
+        assert r.curve.alpha == vi.dfa(v).alpha
         np.testing.assert_array_equal(r.by_q[2.0].taus, p.by_q[2.0].taus)
         np.testing.assert_array_equal(r.shuffled_by_q[2.0].taus,
                                       p.shuffled_by_q[2.0].taus)

@@ -235,7 +235,7 @@ def test_synth_corpus_roundtrips_through_pipeline():
     corpus, _ = synth_corpus(1, vi.homogeneous_rule(
         "iid", 400, {"dist": "student_t", "df": 3.0}, 96))
     v = vi.volatility(corpus.stocks[0].volume)
-    assert v.values.size == 399
+    assert v.size == 399
     iv = vi.extract_intervals(v, 2.0)
     assert iv.n_exceedances > 0
 
