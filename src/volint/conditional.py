@@ -69,10 +69,17 @@ def octile_boundaries(tau0, mode: str = "geometric") -> np.ndarray:
     if mode == "geometric":
         return GEOMETRIC_BOUNDARIES.copy()
     if mode == "quantile":
-        tau0 = np.asarray(tau0, dtype=np.float64)
+        tau0 = np.sort(np.asarray(tau0, dtype=np.float64))
         if tau0.size < N_OCTILES:
             raise DataError(f"{tau0.size} pairs cannot fill {N_OCTILES} octiles")
-        qs = np.quantile(tau0, np.arange(1, N_OCTILES) / N_OCTILES)
+        # np.quantile's default "linear" rule, written out because
+        # np.quantile imports numpy.ma on its first call: the sample at
+        # (n - 1) * q, interpolated as numpy's _lerp does, from the nearer end
+        index = (tau0.size - 1) * (np.arange(1, N_OCTILES) / N_OCTILES)
+        below = np.floor(index).astype(np.intp)
+        gamma = index - below
+        lo, hi = tau0[below], tau0[below + 1]
+        qs = np.where(gamma >= 0.5, hi - (hi - lo) * (1 - gamma), lo + (hi - lo) * gamma)
         bounds = np.concatenate([[0.0], qs, [np.inf]])
         if np.any(np.diff(bounds) <= 0):
             raise DataError("tau0 quantiles are not distinct; use geometric mode")

@@ -575,6 +575,17 @@ def test_runtime_imports_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
+def test_quantile_octiles_leave_numpy_ma_unloaded(tmp_path):
+    # np.quantile imports numpy.ma (about 15 ms) on its first call
+    argv = ["conditional", *SYNTH, "--thresholds", "2.0", "--seed", "5",
+            "--out", str(tmp_path / "cond"), "--jobs", "1", "--octiles", "quantile"]
+    code = ("import json, sys; from volint.cli import main; "
+            f"rc = main({argv!r}); "
+            "print(json.dumps([rc, sorted(m for m in sys.modules "
+            "if m == 'numpy.ma' or m.startswith('numpy.ma.'))]))")
+    assert run_python(code) == [0, []]
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                     "OMP_NUM_THREADS")
 

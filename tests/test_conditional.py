@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import volint as vi
 from volint.conditional import (GEOMETRIC_BOUNDARIES, assign_octiles,
@@ -31,6 +32,24 @@ def test_quantile_boundaries_balance_population():
     counts = np.bincount(lab, minlength=9)[1:]
     assert counts.sum() == 8000
     assert counts.max() - counts.min() <= 1
+
+
+SAMPLES = (st.lists(st.floats(0, 1e300), min_size=8, max_size=300)
+           | st.lists(st.integers(1, 60), min_size=8, max_size=300).map(
+               lambda taus: (np.array(taus) / np.mean(taus)).tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SAMPLES)
+def test_quantile_boundaries_equal_np_quantile_bit_for_bit(tau0):
+    want = np.concatenate(
+        [[0.0], np.quantile(tau0, np.arange(1, 8) / 8), [np.inf]])
+    if np.all(np.diff(want) > 0):
+        got = octile_boundaries(tau0, "quantile")
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    else:
+        with pytest.raises(vi.DataError, match="not distinct"):
+            octile_boundaries(tau0, "quantile")
 
 
 def test_quantile_boundaries_need_distinct_values():

@@ -3,6 +3,7 @@ import re
 import tempfile
 import unicodedata
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -238,6 +239,23 @@ def test_write_then_load_round_trips_any_valid_series(stocks):
     assert back.summary.n_rows_skipped == 0
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.floats() | st.sampled_from((0.0, -0.0, 1.5)), min_size=n, max_size=n),
+    st.lists(st.none() | st.sampled_from((1, 7, 2 ** 53)), min_size=n, max_size=n))))
+def test_write_corpus_formats_each_value_as_one_line_at_a_time_would(columns):
+    # the reference writes every line with one format call, closes by repr
+    close, shares = columns
+    s = make_series(n=len(close), volume=range(len(close)), close=close,
+                    shares=[np.nan if x is None else x for x in shares])
+    lines = ["{},{},{!r},{}".format(d, v, c, "" if x is None else x) for d, v, c, x in
+             zip(np.datetime_as_string(s.dates).tolist(), s.volume.tolist(), close, shares)]
+    with tempfile.TemporaryDirectory() as out:
+        write_corpus(vi.Corpus(stocks=[s]), out)
+        data = (Path(out) / "AAA.csv").read_bytes()
+    assert data == "\r\n".join([HEADER, *lines, ""]).encode()
+
+
 @pytest.mark.parametrize("strict", [False, True])
 def test_volume_overflowing_int64_is_a_malformed_row(tmp_path, strict):
     write_csv(tmp_path / "O.csv", ["2001-01-01,5,1.0,",
@@ -330,6 +348,8 @@ ODD = (
     "{d},9223372036854775808,{c},{s}",      # int64 overflow
     "{d},{v},{c},99999999999999999999",
     "{d},{v},{c},9223372036854775808",
+    "{d},1000000000000000000000000000000000000005,{c},{s}",     # 41 digits
+    "{d},{v},{c},0000000000000000000000000000000000000000",
     "{d},1_000,{c},{s}",                    # underscores
     "{d},{v},1_0.5,{s}",
     "{d},{v},{c},0_7",
@@ -413,8 +433,10 @@ def csv_files(draw):
             templates[i] = draw(st.sampled_from(shapes))
     end = draw(st.sampled_from(("\n", "\r\n")))
     lines = [t.format(**row) for t, row in zip(templates, rows)]
-    text = end.join([HEADER, *lines]) + draw(st.sampled_from((end, "")))
-    return text.encode(), clean
+    # a "\r" with no line end after it stays in the last field
+    tail = draw(st.sampled_from((end, "", "\r")))
+    clean &= tail != "\r"
+    return (end.join([HEADER, *lines]) + tail).encode(), clean
 
 
 def load_one(directory, strict: bool):
@@ -472,3 +494,131 @@ def test_long_file_keeps_the_first_of_scattered_duplicate_dates():
     dates = np.datetime_as_string(np.datetime64("2001-01-01") + days)
     lines = [HEADER, *(f"{d},{i},1.0," for i, d in enumerate(dates))]
     check_loader_agrees_with_oracle(("\n".join(lines) + "\n").encode())
+
+
+# ---------------------------------------------------------------------------
+# line ends found in place and closes read on the exact fast path
+
+@pytest.mark.parametrize("data, summary", [
+    # a "\r" ends the header only before "\n"
+    (HEADER.encode() + b"\r", {"n_rejected_error": 1}),
+    (HEADER.encode() + b"\r\n", {"n_rejected_short": 1}),
+    # a "\r" at the end of a file with no final line end stays in the
+    # last field, and that row is malformed
+    (f"{HEADER}\n2001-01-01,1,1.0,\r".encode(),
+     {"n_rejected_short": 1, "n_rows_skipped": 1}),
+    (f"{HEADER}\r\n2001-01-02,2,2.0,\r\n2001-01-01,1,1.0,\r".encode(),
+     {"n_accepted": 1, "n_rows_skipped": 1}),
+    (f"{HEADER}\r\n2001-01-01,1,1.0,7\r".encode(),
+     {"n_rejected_short": 1, "n_rows_skipped": 1}),
+    (f"{HEADER}\r\n2001-01-01,1,1.0,7\r\r\n".encode(),
+     {"n_rejected_short": 1, "n_rows_skipped": 1}),
+    (f"{HEADER}\r\n\r\n2001-01-01,1,1.0,7".encode(),
+     {"n_accepted": 1, "n_rows_skipped": 1}),
+])
+def test_carriage_returns_end_a_line_only_before_a_line_feed(data, summary):
+    check_loader_agrees_with_oracle(data)
+    want = {**dict(n_files=1, n_accepted=0, n_rejected_short=0, n_rejected_error=0,
+                   n_rows_skipped=0, n_duplicate_rows=0), **summary}
+    assert expected_load(data, strict=False)[0] == want
+
+
+def decimal_text(m: int, k: int, zeros: int, point: str) -> str:
+    """m / 10**k written with k fraction digits after `zeros` leading
+    zeros; point "5." keeps a point after a whole number and ".5" drops
+    a lone 0 before the point."""
+    digits = str(m).rjust(k + 1, "0")
+    whole, fraction = "0" * zeros + digits[:len(digits) - k], digits[len(digits) - k:]
+    if k == 0:
+        return whole + "." if point == "5." else whole
+    if point == ".5" and whole.strip("0") == "":
+        whole = ""
+    return f"{whole}.{fraction}"
+
+
+DECIMALS = st.builds(
+    decimal_text,
+    st.integers(1, 2 ** 53 - 1) | st.integers(2 ** 53 - 64, 2 ** 53 + 64)
+    | st.integers(1, 10 ** 25) | st.integers(1, 10 ** 4),
+    st.integers(0, 24) | st.sampled_from((21, 22, 23)),
+    st.integers(0, 3), st.sampled_from(("5.", ".5", "")))
+REPRS = (st.floats(0, exclude_min=True, allow_infinity=False)
+         | st.floats(1e-3, 1e6) | st.floats(0.01, 1000).map(lambda x: round(x, 2))
+         ).map(repr)
+
+
+def is_fast(text: str) -> bool:
+    """Whether Clinger's fast path reads this close: no exponent, a
+    significand below 2**53 and at most 22 fraction digits."""
+    if "e" in text.lower():
+        return False
+    whole, _, fraction = text.partition(".")
+    return int(whole + fraction) < 2 ** 53 and len(fraction) <= 22
+
+
+def read_closes(texts, tmp):
+    """The close column read_stock gives for a file of these closes, in
+    order, and the fields it handed to np.loadtxt."""
+    path = Path(tmp) / "C.csv"
+    dates = np.datetime_as_string(np.datetime64("2001-01-01") + np.arange(len(texts)))
+    write_csv(path, [f"{d},1,{c}," for d, c in zip(dates, texts)])
+    sent, loadtxt = [], np.loadtxt
+
+    def spy(text, **kwargs):
+        sent.extend(text.getvalue().splitlines())
+        return loadtxt(text, **kwargs)
+
+    with mock.patch.object(np, "loadtxt", spy):
+        series, load = read_stock(path, min_lifetime=1, strict=True)
+    assert load == FileLoad("ok")
+    return series.close, sent
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(DECIMALS | REPRS, min_size=1, max_size=40))
+def test_closes_equal_float_bit_for_bit_and_only_slow_ones_reach_loadtxt(texts):
+    with tempfile.TemporaryDirectory() as tmp:
+        close, sent = read_closes(texts, tmp)
+    want = np.array([float(t) for t in texts])
+    assert close.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert sent == [t for t in texts if not is_fast(t)]
+
+
+@pytest.mark.parametrize("text, fast", [
+    ("71.09", True), ("007.50", True), ("5.", True), (".5", True),
+    (f"{2 ** 53 - 1}", True), (f"{2 ** 53}", False),
+    (f"{2 ** 53 - 1}".rjust(40, "0"), True),
+    ("0." + "0" * 21 + "1", True), ("0." + "0" * 22 + "1", False),
+    ("9007199.254740991", True), ("9007199.254740992", False),
+    ("0.30000000000000004", False), ("1e5", False), ("1.5E-3", False),
+    ("1" * 400, False), ("0." + "1" * 400, False), ("1" * 400 + "." + "1" * 400, False),
+])
+def test_close_fast_path_boundaries(tmp_path, text, fast):
+    assert is_fast(text) == fast
+    if float(text) == np.inf:
+        # valid by its spelling, malformed by its value
+        write_csv(tmp_path / "C.csv", [f"2001-01-01,1,{text},"])
+        assert load_corpus(tmp_path, min_lifetime=1).summary.n_rows_skipped == 1
+        return
+    close, sent = read_closes([text], tmp_path)
+    assert close.view(np.int64)[0] == np.float64(float(text)).view(np.int64)
+    assert sent == ([] if fast else [text])
+
+
+def test_clean_file_reads_every_close_on_the_fast_path(tmp_path):
+    # the shape of the benchmark's files: 8192 rows, "\n" line ends and
+    # two-decimal closes
+    rng = np.random.default_rng(5)
+    n = 8192
+    dates = np.datetime_as_string(np.datetime64("1990-01-02") + np.arange(n))
+    volume = rng.integers(0, 10 ** 8, n)
+    closes = [f"{x:.2f}" for x in rng.uniform(0.01, 500.0, n)]
+    shares = rng.integers(1, 10 ** 10, n)
+    write_csv(tmp_path / "B.csv", [f"{d},{v},{c},{s}" for d, v, c, s in
+                                   zip(dates, volume.tolist(), closes, shares.tolist())])
+    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("slow path")):
+        series, load = read_stock(tmp_path / "B.csv", strict=True)
+    assert load == FileLoad("ok") and series.lifetime_days == n
+    assert series.close.tolist() == [float(c) for c in closes]
+    assert series.volume.tolist() == volume.tolist()
+    assert series.shares_outstanding.tolist() == shares.astype(float).tolist()
