@@ -26,13 +26,12 @@ def planted_corpus():
 
 
 def main():
-    corpus = planted_corpus()
-    factors = vi.compute_factors(corpus)
+    # one pass over the stocks: intervals at q=2, the DFA curve and the
+    # factor vector
+    results = vi.map_stocks(planted_corpus(), qs=(2.0,), order=1, factors=True)
+    factors = [r.factors for r in results]
     edges = vi.make_edges(factors, "lifetime", n_bins=len(LIFETIMES))
     binning = vi.bin_stocks(factors, "lifetime", edges)
-
-    # one pass over the stocks: intervals at q=2 and the DFA curve
-    results = vi.map_stocks(corpus, qs=(2.0,), order=1)
     intervals = {r.ticker: r.by_q[2.0] for r in results if not r.degenerate}
     alphas = {r.ticker: r.curve.alpha for r in results if r.curve}
 

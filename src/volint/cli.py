@@ -27,7 +27,7 @@ import numpy as np
 
 from .conditional import (conditional_pdfs, consecutive_pairs,
                           memory_summary, octile_boundaries)
-from .dfa import DEFAULT_ORDER
+from .dfa import DEFAULT_MIN_WINDOW, DEFAULT_ORDER
 from .errors import (ConfigError, DataError, FitShapeError,
                      InsufficientStatisticsError, InsufficientTailError)
 from .factors import (DEFAULT_Q, FACTORS, alpha_by_factor, bin_stocks,
@@ -52,6 +52,8 @@ MAX_BINS_PER_DECADE = 1000
 # the pool forks all min(--jobs, stocks) workers at once, so a mistyped
 # --jobs on a paper-size tree (17k files) would ask for 17k processes
 MAX_JOBS = 256
+# an order-k fit needs windows of k + 2 points; the smallest window is fixed
+MAX_ORDER = DEFAULT_MIN_WINDOW - 2
 
 COMMANDS = {"intervals": "interval PDFs, scaling, tail fits",
             "conditional": "conditional PDFs over tau0 octiles",
@@ -159,7 +161,8 @@ OPTIONS = (
            ("conditional",), echo=True),
     Option("shuffled", bool, False, ("conditional", "dfa"), echo=True,
            help="analyze shuffled volatility instead"),
-    Option("order", int, DEFAULT_ORDER, ("dfa",), check=_at_least(1)),
+    Option("order", int, DEFAULT_ORDER, ("dfa",),
+           check=_must(lambda x: 1 <= x <= MAX_ORDER, f"from 1 to {MAX_ORDER}")),
     Option("dump_fluctuations", bool, False, ("dfa",),
            help="write per-stock n/F(n) curves"),
     Option("q", float, DEFAULT_Q, ("factors",), echo=True, check=_positive,
@@ -456,6 +459,7 @@ def cmd_factors(cfg) -> None:
     except InsufficientStatisticsError:
         report["factors"]["correlations"] = None
 
+    fitted = False
     for factor, binning in _factor_binnings(fv):
         rows = gamma_by_factor(binning, intervals, cfg.x_min,
                                cfg.bins_per_decade)
@@ -464,6 +468,7 @@ def cmd_factors(cfg) -> None:
                    for r in rows])
         report["factors"]["gamma_by_factor"][factor] = list(map(asdict, rows))
         report["factors"]["unbinned"][factor] = len(binning.unbinned)
+        fitted = fitted or any(r.gamma is not None for r in rows)
 
     for fa, fb in combinations(FACTORS, 2):
         rows = [(f.ticker, factor_value(f, fa), factor_value(f, fb))
@@ -472,6 +477,9 @@ def cmd_factors(cfg) -> None:
         if rows:
             write_tsv(outdir / f"scatter_{fa}_vs_{fb}.tsv", rows)
     _write_json(outdir / "report.json", report)
+    if not fitted and report["factors"]["correlations"] is None:
+        raise InsufficientStatisticsError(
+            "no factor bin has a tail exponent and no correlations")
 
 
 def cmd_synth(cfg) -> None:

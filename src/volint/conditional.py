@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .fitting import DEFAULT_BINS_PER_DECADE, BinnedPdf, log_bin, spearman
+from .intervals import pool_scaled
 
 N_OCTILES = 8
 GEOMETRIC_BOUNDARIES = np.array(
@@ -39,6 +40,7 @@ def consecutive_pairs(items):
     Parameters
     ----------
     items : iterable of (ticker, IntervalSeries)
+        One threshold's intervals, scaled and ordered by pool_scaled.
         Pairs never cross stock boundaries; a stock with fewer than two
         intervals contributes nothing.
 
@@ -46,17 +48,11 @@ def consecutive_pairs(items):
     -------
     (tau0, tau) : two aligned float arrays in (ticker, position) order.
     """
-    items = sorted(items, key=lambda kv: kv[0])
-    t0, t1 = [], []
-    for _, iv in items:
-        if iv.taus.size < 2:
-            continue
-        scaled = iv.taus / iv.taus.mean()
-        t0.append(scaled[:-1])
-        t1.append(scaled[1:])
-    if not t0:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(t0), np.concatenate(t1)
+    pooled = pool_scaled(items)
+    # false at the last interval of each stock, which starts no pair
+    first = np.ones(len(pooled), dtype=bool)
+    first[np.cumsum(pooled.sizes, dtype=np.intp) - 1] = False
+    return pooled.values[first], pooled.values[1:][first[:-1]]
 
 
 def octile_boundaries(tau0, mode: str = "geometric") -> np.ndarray:
@@ -121,15 +117,8 @@ def conditional_pdfs(tau0, tau, boundaries,
     for k in range(1, N_OCTILES + 1):
         sel = tau[labels == k]
         n = int(sel.size)
-        if n:
-            pdf = log_bin(sel, edges=edges)
-        else:
-            nbins = len(edges) - 1
-            pdf = BinnedPdf(edges=np.asarray(edges, dtype=np.float64),
-                            densities=np.zeros(nbins),
-                            counts=np.zeros(nbins, dtype=np.int64), n_total=0)
         out.append(ConditionalPdf(
-            octile=k, pdf=pdf, n_pairs=n,
+            octile=k, pdf=log_bin(sel, edges=edges), n_pairs=n,
             mean_scaled_tau=float(sel.mean()) if n else float("nan"),
             low_statistics=n < LOW_STATISTICS_PAIRS))
     return out

@@ -94,11 +94,6 @@ def stock_factors(s) -> FactorVector:
         mean_trading_value=float(np.mean(s.close * vol)))
 
 
-def compute_factors(corpus) -> list[FactorVector]:
-    """One FactorVector per stock (stock_factors), ticker order."""
-    return [stock_factors(s) for s in corpus]
-
-
 def factor_value(fv: FactorVector, factor: str):
     """Numeric factor value or None when undefined for this stock."""
     if factor == "lifetime":

@@ -142,6 +142,7 @@ def log_bin(samples, bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
     Parameters
     ----------
     samples : array-like of finite positive floats
+        May be empty only when edges is given: every count is then zero.
     bins_per_decade : int
         Resolution of the geometric grid (ignored when edges is given).
     edges : array-like, optional
@@ -156,7 +157,7 @@ def log_bin(samples, bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
         sum(densities * widths) == 1 exactly (up to float error).
     """
     x = np.asarray(samples, dtype=np.float64)
-    if x.size == 0:
+    if x.size == 0 and edges is None:
         raise DataError("no samples to bin")
     if not np.all(np.isfinite(x) & (x > 0)):
         raise DataError("samples must all be finite and positive")

@@ -18,7 +18,6 @@ special: consecutive records are treated as successive days.
 
 from __future__ import annotations
 
-import io
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -71,6 +70,8 @@ _DATE_ZERO = np.frombuffer(b"0000-00-00", dtype=np.uint8)
 _DATE_TOP = np.array([[9], [9], [9], [9], [0], [9], [9], [0], [9], [9]], dtype=np.uint8)
 # the days of months 1 to 12 in a common year, 0 for months 0 and 13+
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0], dtype=np.int32)
+# the first and last date a four-digit year can write
+_DATE_SPAN = np.array(["0000-01-01", "9999-12-31"], dtype="datetime64[D]")
 
 
 @dataclass(frozen=True)
@@ -278,7 +279,8 @@ def _closes(b: np.ndarray, start: np.ndarray, stop: np.ndarray):
     there is no exponent, m < 2**53 and p <= 10**22, both are exact
     doubles and m / p is the correctly rounded value (W. D. Clinger, "How
     to read floating point numbers accurately", PLDI 1990); only the
-    other accepted fields are handed to numpy's text parser.
+    other accepted fields are read by float, which the automaton's
+    acceptance keeps from raising (an overflow reads as inf).
     """
     value = np.zeros(len(start))
     ok = np.zeros(len(start), dtype=bool)
@@ -301,13 +303,8 @@ def _closes(b: np.ndarray, start: np.ndarray, stop: np.ndarray):
         ok[rows] = _CLOSE_ACCEPT[state]
         slow[rows] = _CLOSE_ACCEPT[state] & (
             (state == _CLOSE_EXPONENT) | (m >= 2.0 ** 53) | (p > 1e22))
-    if slow.any():
-        # the other accepted fields, each with a line end after it
-        n = stop[slow] - start[slow] + 1
-        end = np.cumsum(n)
-        text = b[np.arange(end[-1]) + np.repeat(start[slow] - end + n, n)]
-        text[end - 1] = ord("\n")
-        value[slow] = np.loadtxt(io.StringIO(text.tobytes().decode()), ndmin=1)
+    for i in np.flatnonzero(slow).tolist():
+        value[i] = float(b[start[i]:stop[i]].tobytes().decode())
     return value, ok & (value > 0) & np.isfinite(value)
 
 
@@ -460,10 +457,15 @@ def write_corpus(corpus: Corpus, out_dir) -> None:
     every file reads back, under strict mode too, to the same arrays.
     Each column is formatted once, and a repeated close or
     shares_outstanding value (a synth stock has one of each) only once.
+    Raises DataError, before its file is opened, for a stock with a date
+    outside the years 0000 to 9999, which the row grammar cannot write.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for s in corpus:
+        if len(s.dates) and not _DATE_SPAN[0] <= s.dates[0] <= s.dates[-1] <= _DATE_SPAN[1]:
+            raise DataError(f"{s.ticker}: dates {s.dates[0]} to {s.dates[-1]} leave "
+                            f"the years 0000 to 9999 that the CSV schema writes")
         columns = (np.datetime_as_string(s.dates).tolist(), map(str, s.volume.tolist()),
                    _texts(s.close, repr),
                    _texts(s.shares_outstanding, lambda x: "" if x != x else str(int(x))))

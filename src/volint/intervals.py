@@ -38,11 +38,12 @@ class PooledIntervals:
     """Per-stock scaled intervals tau/<tau> pooled across stocks.
 
     values are ordered by (ticker, temporal position), so pooling is
-    schedule-independent.
+    schedule-independent; sizes[i] of them belong to tickers[i].
     """
 
     values: np.ndarray                      # float64 scaled intervals
     tickers: tuple[str, ...]
+    sizes: tuple[int, ...]
     skipped: tuple[str, ...] = ()           # insufficient at this q
 
     def __len__(self):
@@ -102,6 +103,7 @@ def pool_scaled(items) -> PooledIntervals:
     values = (np.concatenate(chunks) if chunks
               else np.empty(0, dtype=np.float64))
     return PooledIntervals(values=values, tickers=tuple(tickers),
+                           sizes=tuple(len(c) for c in chunks),
                            skipped=tuple(skipped))
 
 

@@ -8,7 +8,7 @@ fgn      fractional Gaussian noise by circulant embedding of the exact
          output is noise modulated by exp(vol_scale * fgn), a
          stochastic-volatility series with linear long memory in its
          magnitudes.
-cascade  dyadic multiplicative cascade with log-normal weights; signed
+cascade  dyadic multiplicative cascade with log-normal weights; the
          output modulates independent noise by the cascade measure, giving
          the nonlinear (multifractal) correlations regime.
 
@@ -104,7 +104,7 @@ PARAMS = {"iid normal": (("dist",), ()),
           "iid student_t": (("dist", "df"), ("df",)),
           "iid powered_normal": (("dist", "kappa"), ("kappa",)),
           "fgn": (("hurst", "vol_scale", "noise_df"), ("hurst",)),
-          "cascade": (("levels", "sigma", "signed", "noise_df"), ())}
+          "cascade": (("levels", "sigma", "noise_df"), ())}
 # the range of each value; `not ok(x)` also rejects NaN
 RANGES = {"hurst": (lambda x: 0 < x < 1, "in (0, 1)"),
           "df": (lambda x: x > 0, "> 0"),
@@ -163,9 +163,8 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
                      noise_df (heavy-tailed modulated noise; only with
                      vol_scale > 0, Gaussian noise when absent).
     cascade params:  levels (default log2 of length, rounded up), sigma
-                     (default 0.4), signed (default True: noise modulated
-                     by the cascade measure; False: the positive measure
-                     itself), noise_df as above.
+                     (default 0.4), noise_df as above; noise modulated by
+                     the cascade measure.
 
     check_spec states which params each kind takes and their ranges.
     """
@@ -195,11 +194,7 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
         levels = int(p.get("levels", math.ceil(math.log2(n))))
         logw = cascade_log_weights(levels, float(p.get("sigma", 0.4)), rng)
         omega = logw - logw.mean()
-        if p.get("signed", True):
-            out = _noise(rng, 2 ** levels, noise_df) * np.exp(omega)
-        else:
-            out = np.exp(omega)
-        out = out[:n]
+        out = (_noise(rng, 2 ** levels, noise_df) * np.exp(omega))[:n]
     return out
 
 

@@ -241,7 +241,7 @@ def _sweep_corpus(tag, hurst_of_group):
 
 
 def _lifetime_trends(corpus):
-    factors = vi.compute_factors(corpus)
+    factors = [vi.stock_factors(s) for s in corpus]
     edges = vi.make_edges(factors, "lifetime", 5)
     binning = vi.bin_stocks(factors, "lifetime", edges)
     results = vi.map_stocks(corpus, qs=(2.0,), order=1)

@@ -216,12 +216,14 @@ def test_n_returns_dropped_counts_every_undefined_step(tmp_path, jobs):
     assert rep["n_degenerate"] == 1
 
 
-@pytest.mark.parametrize("argv, block, key, prefix", [
-    (["factors"], "factors", "gamma_by_factor", "gamma"),
-    (["dfa", "--series", "price"], "dfa", "by_factor", "dfa_alpha"),
+@pytest.mark.parametrize("argv, block, key, prefix, rc", [
+    # every stock is degenerate and no stock defines all four factors:
+    # no gamma and no correlations, so factors reports no statistics
+    (["factors"], "factors", "gamma_by_factor", "gamma", 4),
+    (["dfa", "--series", "price"], "dfa", "by_factor", "dfa_alpha", 0),
 ], ids=["factors", "dfa"])
 def test_factor_no_stock_defines_is_left_out_of_the_tables(
-        tmp_path, argv, block, key, prefix):
+        tmp_path, argv, block, key, prefix, rc):
     # volume 0 on every row: no stock defines volume or trading value
     data = tmp_path / "data"
     data.mkdir()
@@ -231,7 +233,7 @@ def test_factor_no_stock_defines_is_left_out_of_the_tables(
                     rng.uniform(5.0, 15.0, 400))
     out = tmp_path / "out"
     assert main([*argv, "--data-dir", str(data), "--jobs", "1",
-                 "--out", str(out)]) == 0
+                 "--out", str(out)]) == rc
     assert sorted(read_report(out)[block][key]) == ["capitalization",
                                                      "lifetime"]
     assert sorted(p.name for p in out.glob("*_by_*.tsv")) == [
@@ -331,6 +333,7 @@ def test_colliding_threshold_tags_exit_2(tmp_path, capsys, thresholds):
     ("intervals", ["--bins-per-decade", "0"]),
     ("intervals", ["--bins-per-decade", "1001"]),
     ("intervals", ["--synth-hurst", "0.7"]),     # a generator flag, no kind
+    ("dfa", ["--order", "7"]),      # above the smallest window's fit
 ])
 def test_bad_numeric_flags_exit_2_before_loading(tmp_path, capsys, command,
                                                   flags):
@@ -341,6 +344,20 @@ def test_bad_numeric_flags_exit_2_before_loading(tmp_path, capsys, command,
                "--out", str(out), "--jobs", "1"])
     assert rc == 2
     assert flags[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dfa_order_above_smallest_window_exit_2_before_generating(
+        tmp_path, capsys, monkeypatch):
+    def no_stock(*args):
+        raise AssertionError("a stock was generated")
+
+    monkeypatch.setattr("volint.stage.synth_stock", no_stock)
+    out = tmp_path / "x"
+    assert main(["dfa", "--synth-kind", "iid", "--synth-n-stocks", "3",
+                 "--synth-length", "2000", "--order", "7", "--jobs", "1",
+                 "--out", str(out)]) == 2
+    assert "--order must be from 1 to 6" in capsys.readouterr().err
     assert not out.exists()
 
 

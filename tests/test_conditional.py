@@ -6,7 +6,7 @@ import volint as vi
 from volint.conditional import (GEOMETRIC_BOUNDARIES, assign_octiles,
                                 conditional_pdfs, consecutive_pairs,
                                 memory_summary, octile_boundaries)
-from volint.intervals import extract_intervals
+from volint.intervals import IntervalSeries, extract_intervals
 
 
 def vs(values):
@@ -79,6 +79,44 @@ def test_pairs_do_not_cross_stocks_and_count_identity():
     t0, t1 = consecutive_pairs(items)
     expected = sum(iv.taus.size - 1 for _, iv in items if iv.taus.size >= 2)
     assert t0.size == t1.size == expected
+
+
+def reference_pairs(items):
+    """consecutive_pairs as a loop over the stocks in ticker order, each
+    scaled by its own mean interval."""
+    t0, t1 = [], []
+    for _, iv in sorted(items, key=lambda kv: kv[0]):
+        if iv.taus.size < 2:
+            continue
+        scaled = iv.taus / iv.taus.mean()
+        t0.append(scaled[:-1])
+        t1.append(scaled[1:])
+    if not t0:
+        return np.empty(0), np.empty(0)
+    return np.concatenate(t0), np.concatenate(t1)
+
+
+STOCK_TAUS = st.lists(st.integers(1, 10 ** 6), max_size=12)   # 0, 1, 2+
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text("ABC-", min_size=1, max_size=3), STOCK_TAUS,
+                       max_size=8), st.randoms(use_true_random=False))
+def test_consecutive_pairs_equal_per_stock_loop_bit_for_bit(taus, rnd):
+    items = [(t, IntervalSeries(2.0, np.array(v, dtype=np.int64), len(v) + 1))
+             for t, v in taus.items()]
+    rnd.shuffle(items)                      # tickers given out of order
+    got = consecutive_pairs(items)
+    for g, w in zip(got, reference_pairs(items)):
+        assert g.dtype == w.dtype == np.float64
+        assert g.view(np.int64).tolist() == w.view(np.int64).tolist()
+
+
+def test_consecutive_pairs_reject_mixed_thresholds():
+    a = extract_intervals(vs([3, 0, 3, 3]), 2.0)
+    b = extract_intervals(vs([3, 0, 3, 3]), 2.5)
+    with pytest.raises(vi.ConfigError, match="mixed thresholds"):
+        consecutive_pairs([("A", a), ("B", b)])
 
 
 def test_single_interval_stock_contributes_nothing():

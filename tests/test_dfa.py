@@ -107,9 +107,10 @@ def test_fit_range_restricts_slope_estimate():
 def test_alpha_by_factor_flat_for_iid():
     corpus, _ = vi.synth_corpus(40, vi.homogeneous_rule(
         "iid", 2500, {"dist": "student_t", "df": 3.0}, 69))
-    fvs = vi.compute_factors(corpus)
+    results = vi.map_stocks(corpus, order=1, factors=True)
+    fvs = [r.factors for r in results]
     binning = vi.bin_stocks(fvs, "volume", vi.make_edges(fvs, "volume", 4))
-    alphas = {r.ticker: r.curve.alpha for r in vi.map_stocks(corpus, order=1)}
+    alphas = {r.ticker: r.curve.alpha for r in results}
     bins = vi.alpha_by_factor(binning, alphas)
     assert len(bins) == 4
     assert sum(b.count for b in bins) == 40

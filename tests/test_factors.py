@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import volint as vi
-from volint.factors import (FACTORS, FactorVector, bin_stocks, compute_factors,
+from volint.factors import (FACTORS, FactorVector, bin_stocks,
                             factor_correlations, factor_value, gamma_by_factor,
-                            make_edges)
+                            make_edges, stock_factors)
 
 
 def fv(ticker="T", lifetime=500, cap=1.0e6, vol=1.0e5, tv=2.0e6):
@@ -19,10 +19,15 @@ def intervals_at(corpus, q):
             if not r.degenerate}
 
 
-def test_compute_factors_matches_lifetime_averages():
+def stage_factors(corpus):
+    """The stage's FactorVector of every stock, ticker order."""
+    return [r.factors for r in vi.map_stocks(corpus, factors=True)]
+
+
+def test_stage_factors_match_lifetime_averages():
     corpus, _ = vi.synth_corpus(4, vi.homogeneous_rule(
         "iid", 600, {"dist": "normal"}, 71))
-    for s, f in zip(corpus, compute_factors(corpus)):
+    for s, f in zip(corpus, stage_factors(corpus)):
         assert f.ticker == s.ticker
         assert f.lifetime == len(s.dates)
         assert f.mean_volume == np.mean(s.volume.astype(float))
@@ -30,13 +35,13 @@ def test_compute_factors_matches_lifetime_averages():
         assert f.mean_capitalization == np.mean(s.close * s.shares_outstanding)
 
 
-def test_compute_factors_examples():
+def test_stock_factors_examples():
     dates = np.datetime64("2001-01-01", "D") + np.arange(2)
     s = vi.DailySeries(ticker="A", dates=dates,
                        volume=np.array([1, 3], dtype=np.int64),
                        close=np.array([2.0, 2.0]),
                        shares_outstanding=np.full(2, np.nan))
-    [f] = compute_factors([s])
+    f = stock_factors(s)
     assert f.mean_volume == 2.0
     assert f.mean_trading_value == (2.0 * 1 + 2.0 * 3) / 2
     assert f.mean_capitalization is None
@@ -45,7 +50,7 @@ def test_compute_factors_examples():
                         volume=np.array([1, 1], dtype=np.int64),
                         close=np.array([2.0, 4.0]),
                         shares_outstanding=np.array([np.nan, 5.0]))
-    [f2] = compute_factors([s2])
+    f2 = stock_factors(s2)
     # capitalization averages only the rows where shares are present
     assert f2.mean_capitalization == 4.0 * 5.0
     assert f2.lifetime == 2
@@ -147,7 +152,7 @@ def test_correlations_need_three_defined_stocks():
 def test_gamma_by_factor_homogeneous_bins_agree():
     corpus, _ = vi.synth_corpus(80, vi.homogeneous_rule(
         "fgn", 4096, {"hurst": 0.8, "vol_scale": 0.5, "noise_df": 2.5}, 75))
-    fvs = compute_factors(corpus)
+    fvs = stage_factors(corpus)
     edges = make_edges(fvs, "volume", 2)
     binning = bin_stocks(fvs, "volume", edges)
     bins = gamma_by_factor(binning, intervals_at(corpus, 2.0))
@@ -163,7 +168,7 @@ def test_gamma_by_factor_homogeneous_bins_agree():
 def test_gamma_by_factor_empty_bin_emitted():
     corpus, _ = vi.synth_corpus(6, vi.homogeneous_rule(
         "fgn", 2048, {"hurst": 0.8, "vol_scale": 0.5, "noise_df": 2.5}, 76))
-    fvs = compute_factors(corpus)
+    fvs = stage_factors(corpus)
     lifetimes = [f.lifetime for f in fvs]
     assert len(set(lifetimes)) == 1
     # second bin cannot contain any stock

@@ -59,6 +59,19 @@ def test_log_bin_single_value_degenerate():
     assert pdf.counts.sum() == 10
 
 
+def test_log_bin_empty_sample_needs_edges():
+    edges = geometric_edges(1.0, 10.0, 2)
+    for empty in ([], np.empty(0)):
+        pdf = log_bin(empty, edges=edges)
+        assert pdf.edges.tolist() == edges.tolist()
+        assert pdf.n_total == 0 and not pdf.degenerate
+        assert pdf.counts.dtype == np.int64 and pdf.densities.dtype == np.float64
+        assert pdf.counts.tolist() == [0] * (edges.size - 1)
+        assert pdf.densities.tolist() == [0.0] * (edges.size - 1)
+        with pytest.raises(vi.DataError, match="no samples"):
+            log_bin(empty)
+
+
 def test_log_bin_explicit_edges_drop_out_of_range():
     edges = geometric_edges(1.0, 10.0, 1)
     pdf = log_bin(np.array([0.5, 1.5, 20.0]), edges=edges)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import volint as vi
 from csv_oracle import expected_load
+from volint import ingest
 from volint.ingest import (CSV_HEADER, DailySeries, FileLoad, load_corpus,
                            read_stock, write_corpus)
 
@@ -254,6 +255,29 @@ def test_write_corpus_formats_each_value_as_one_line_at_a_time_would(columns):
         write_corpus(vi.Corpus(stocks=[s]), out)
         data = (Path(out) / "AAA.csv").read_bytes()
     assert data == "\r\n".join([HEADER, *lines, ""]).encode()
+
+
+def dated(ticker, *dates):
+    s = make_series(ticker=ticker, n=len(dates))
+    return dataclasses.replace(s, dates=np.array(dates, dtype="datetime64[D]"))
+
+
+@pytest.mark.parametrize("dates", [
+    ("-001-06-01", "0001-01-01", "10000-01-01"),
+    ("-001-12-31", "0000-01-01"),
+    ("9999-12-31", "10000-01-01"),
+])
+def test_write_corpus_rejects_dates_the_grammar_cannot_write(tmp_path, dates):
+    with pytest.raises(vi.DataError, match="^BAD: dates"):
+        write_corpus([dated("BAD", *dates)], tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_corpus_writes_the_first_and_last_four_digit_years(tmp_path):
+    s = dated("EDGE", "0000-01-01", "0000-02-29", "9999-12-31")
+    write_corpus([s], tmp_path)
+    back = load_corpus(tmp_path, min_lifetime=1, strict=True)
+    assert back.summary.n_rows_skipped == 0 and back.get("EDGE") == s
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -558,17 +582,17 @@ def is_fast(text: str) -> bool:
 
 def read_closes(texts, tmp):
     """The close column read_stock gives for a file of these closes, in
-    order, and the fields it handed to np.loadtxt."""
+    order, and the fields it handed to float."""
     path = Path(tmp) / "C.csv"
     dates = np.datetime_as_string(np.datetime64("2001-01-01") + np.arange(len(texts)))
     write_csv(path, [f"{d},1,{c}," for d, c in zip(dates, texts)])
-    sent, loadtxt = [], np.loadtxt
+    sent = []
 
-    def spy(text, **kwargs):
-        sent.extend(text.getvalue().splitlines())
-        return loadtxt(text, **kwargs)
+    def spy(text):
+        sent.append(text)
+        return float(text)
 
-    with mock.patch.object(np, "loadtxt", spy):
+    with mock.patch.object(ingest, "float", spy, create=True):
         series, load = read_stock(path, min_lifetime=1, strict=True)
     assert load == FileLoad("ok")
     return series.close, sent
@@ -576,7 +600,7 @@ def read_closes(texts, tmp):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(DECIMALS | REPRS, min_size=1, max_size=40))
-def test_closes_equal_float_bit_for_bit_and_only_slow_ones_reach_loadtxt(texts):
+def test_closes_equal_float_bit_for_bit_and_only_slow_ones_reach_float(texts):
     with tempfile.TemporaryDirectory() as tmp:
         close, sent = read_closes(texts, tmp)
     want = np.array([float(t) for t in texts])
@@ -616,7 +640,8 @@ def test_clean_file_reads_every_close_on_the_fast_path(tmp_path):
     shares = rng.integers(1, 10 ** 10, n)
     write_csv(tmp_path / "B.csv", [f"{d},{v},{c},{s}" for d, v, c, s in
                                    zip(dates, volume.tolist(), closes, shares.tolist())])
-    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("slow path")):
+    with mock.patch.object(ingest, "float", side_effect=AssertionError("slow path"),
+                           create=True):
         series, load = read_stock(tmp_path / "B.csv", strict=True)
     assert load == FileLoad("ok") and series.lifetime_days == n
     assert series.close.tolist() == [float(c) for c in closes]

@@ -23,7 +23,7 @@ EAGER_EXPORTS = {
     "factors": ["DEFAULT_BIN_COUNTS", "FACTORS", "AlphaBin",
                 "CorrelationReport", "FactorBinning", "FactorVector",
                 "GammaBin", "alpha_by_factor", "bin_stocks",
-                "compute_factors", "factor_correlations", "factor_value",
+                "factor_correlations", "factor_value",
                 "gamma_by_factor", "make_edges", "stock_factors"],
     "fitting": ["BinnedPdf", "ExpFit", "TailFit", "collapse_distance",
                 "fit_exponential", "fit_power_tail", "geometric_edges",

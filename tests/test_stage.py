@@ -104,9 +104,8 @@ def _plain(x):
 
 
 def _library(corpus, **stage):
-    """map_stocks over an in-memory corpus, with compute_factors' vectors."""
-    return [dataclasses.replace(r, factors=f) for r, f in zip(
-        vi.map_stocks(corpus, seed=5, **stage), vi.compute_factors(corpus))]
+    """map_stocks over an in-memory corpus, with factor vectors."""
+    return vi.map_stocks(corpus, seed=5, factors=True, **stage)
 
 
 def _stage(root, jobs, *flags):
