@@ -341,7 +341,7 @@ def cmd_intervals(cfg) -> None:
               "n_degenerate": len(results) - len(ok),
               "n_returns_dropped": sum(r.n_dropped for r in results),
               "intervals": {}}
-    dump_rows = []
+    dump = []
     for q in cfg.thresholds:
         tag = _qtag(q)
         items = [(r.ticker, r.by_q[q]) for r in ok]
@@ -369,10 +369,13 @@ def cmd_intervals(cfg) -> None:
                                          pdfs["pdf_shuffled"], cfg)
                               if len(shuffled) else None)}
         if cfg.dump_intervals:
-            dump_rows += [(t, tag, tau) for t, iv in items for tau in iv.taus]
+            # each stock's rows, ticker <TAB> q <TAB> interval, as one string
+            dump += [f"{t}\t{tag}\t" + f"\n{t}\t{tag}\t".join(map(str, iv.taus.tolist()))
+                     + "\n" for t, iv in items if iv.taus.size]
     produced = any(not b["empty"] for b in report["intervals"].values())
     if cfg.dump_intervals and produced:
-        write_tsv(outdir / "intervals.tsv", dump_rows)
+        with open(outdir / "intervals.tsv", "w") as fh:
+            fh.writelines(dump)
     _write_json(outdir / "report.json", report)
     if not produced:
         raise InsufficientStatisticsError("no threshold produced any interval")

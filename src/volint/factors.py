@@ -11,6 +11,7 @@ and raw. Raw-space coefficients are emitted alongside for comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,31 +81,38 @@ def stock_factors(s) -> FactorVector:
 
     Trading value is close * volume per day, averaged; capitalization is
     close * shares_outstanding averaged over the rows where shares are
-    present, None when no row has them.
+    present, None when no row has them. A mean that overflows is inf,
+    which factor_value reads as undefined.
     """
     if s.lifetime_days == 0:
         raise DataError(f"{s.ticker}: empty series")
     vol = s.volume.astype(np.float64)
     mask = np.isfinite(s.shares_outstanding)
-    cap = (float(np.mean(s.close[mask] * s.shares_outstanding[mask]))
-           if mask.any() else None)
+    with np.errstate(over="ignore"):
+        cap = (float(np.mean(s.close[mask] * s.shares_outstanding[mask]))
+               if mask.any() else None)
+        trading_value = float(np.mean(s.close * vol))
     return FactorVector(
         ticker=s.ticker, lifetime=s.lifetime_days,
         mean_capitalization=cap, mean_volume=float(vol.mean()),
-        mean_trading_value=float(np.mean(s.close * vol)))
+        mean_trading_value=trading_value)
 
 
 def factor_value(fv: FactorVector, factor: str):
-    """Numeric factor value or None when undefined for this stock."""
+    """Numeric factor value or None when undefined for this stock: a
+    capitalization without shares, a zero volume or trading value, or a
+    value that is not finite."""
     if factor == "lifetime":
-        return float(fv.lifetime)
-    if factor == "capitalization":
-        return fv.mean_capitalization
-    if factor == "volume":
-        return fv.mean_volume if fv.mean_volume > 0 else None
-    if factor == "trading_value":
-        return fv.mean_trading_value if fv.mean_trading_value > 0 else None
-    raise ConfigError(f"unknown factor {factor!r}; choose from {FACTORS}")
+        value = float(fv.lifetime)
+    elif factor == "capitalization":
+        value = fv.mean_capitalization
+    elif factor == "volume":
+        value = fv.mean_volume if fv.mean_volume > 0 else None
+    elif factor == "trading_value":
+        value = fv.mean_trading_value if fv.mean_trading_value > 0 else None
+    else:
+        raise ConfigError(f"unknown factor {factor!r}; choose from {FACTORS}")
+    return value if value is not None and math.isfinite(value) else None
 
 
 def make_edges(factors, factor: str, n_bins: int | None = None) -> np.ndarray:

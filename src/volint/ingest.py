@@ -18,6 +18,7 @@ special: consecutive records are treated as successive days.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -48,22 +49,27 @@ _BYTE_CLASS[list(b"0123456789")] = 0
 _BYTE_CLASS[list(b".")] = 1
 _BYTE_CLASS[list(b"eE")] = 2
 _BYTE_CLASS[list(b"+-")] = 3
-_CLOSE_DEAD = 8
 _CLOSE_EXPONENT = 7
 _CLOSE_STEP = np.array([list(map(int, row)) for row in (
     "13888", "12588", "48588", "48888", "48588", "78868", "78888", "78888", "88888")],
     dtype=np.intp)
 _CLOSE_ACCEPT = np.isin(np.arange(9), (1, 2, 4, 7))
-# The automaton indexed by 256 * state + byte, with the significand m and
+# The automaton indexed by 257 * state + byte, with the significand m and
 # divisor p that each step makes: a digit read into state 1 gives m * 10 +
-# digit, one read into state 4 also p * 10. _CLOSE_NEXT holds 256 * state.
-_next = _CLOSE_STEP[:, _BYTE_CLASS]
-_significant = np.isin(_next, (1, 4)) & (_BYTE_CLASS == 0)
-_CLOSE_NEXT = (256 * _next).ravel()
+# digit, one read into state 4 also p * 10. Byte 256 stands for the bytes
+# before a field and leaves state, m and p as they were. _CLOSE_NEXT holds
+# 257 * state.
+_next = np.c_[_CLOSE_STEP[:, _BYTE_CLASS], np.arange(9)]
+_significant = np.isin(_next, (1, 4)) & np.append(_BYTE_CLASS == 0, False)
+_CLOSE_NEXT = (257 * _next).ravel()
 _CLOSE_M_SCALE = np.where(_significant, 10.0, 1.0).ravel()
-_CLOSE_M_DIGIT = np.where(_significant, np.arange(256) - ord("0"), 0.0).ravel()
+_CLOSE_M_DIGIT = np.where(_significant, np.arange(257) - ord("0"), 0.0).ravel()
 _CLOSE_P_SCALE = np.where(_significant & (_next == 4), 10.0, 1.0).ravel()
 del _next, _significant
+# the widest close m / p reads exactly, "0." and 22 fraction digits (the
+# repr of a positive double is at most 23 bytes), and the grammar for wider
+_CLOSE_WIDTH = 24
+_CLOSE_TEXT = re.compile(rb"[0-9]+(\.[0-9]*)?([eE][+-]?[0-9]+)?|\.[0-9]+([eE][+-]?[0-9]+)?")
 _ZERO = np.uint8(ord("0"))
 # a date field less "0000-00-00", bytewise: each byte at most its _DATE_TOP
 _DATE_ZERO = np.frombuffer(b"0000-00-00", dtype=np.uint8)
@@ -196,15 +202,6 @@ def _matrix(b: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
     return strings[start].view(np.uint8).reshape(-1, width)
 
 
-def _by_width(b: np.ndarray, start: np.ndarray, stop: np.ndarray):
-    """For each width w > 0 of the fields b[start:stop], the indices of
-    the fields that wide and their (len(rows), w) byte matrix."""
-    width = stop - start
-    for w in np.flatnonzero(np.bincount(np.maximum(width, 0))[1:]) + 1:
-        rows = np.flatnonzero(width == w)
-        yield rows, _matrix(b, start[rows], w)
-
-
 def _uints(b: np.ndarray, start: np.ndarray, stop: np.ndarray):
     """(int64 values, ok) of the fields b[start:stop]: ok where a field is
     one or more ASCII digits with a value of at most 2**63 - 1. The values
@@ -224,16 +221,10 @@ def _uints(b: np.ndarray, start: np.ndarray, stop: np.ndarray):
     for place in digits:
         value = value * 10 + place
     ok &= value <= _INT64_MAX
-    # a longer field must be padded with "0": its earlier bytes are
-    # checked 19 at a time, back from its last 19
+    # a longer field must be padded with "0" before its last 19 bytes
     rows = np.flatnonzero(width > 19)
-    end = stop[rows] - 19
-    while len(rows):
-        before = np.arange(19) < 19 - (end - start[rows])[:, None]   # the field's start
-        ok[rows] &= ((_matrix(b, end - 19, 19) == ord("0")) | before).all(axis=1)
-        end -= 19
-        rest = end > start[rows]
-        rows, end = rows[rest], end[rest]
+    ok[rows] &= np.array([not b[i:j].tobytes().strip(b"0") for i, j in
+                          zip(start[rows].tolist(), (stop[rows] - 19).tolist())], dtype=bool)
     return value.view(np.int64), ok
 
 
@@ -275,34 +266,41 @@ def _closes(b: np.ndarray, start: np.ndarray, stop: np.ndarray):
     matches the close grammar and its value is finite and positive.
 
     The grammar is checked by a table automaton, which also reads the
-    decimal significand m and the power of ten p that divides it. Where
-    there is no exponent, m < 2**53 and p <= 10**22, both are exact
-    doubles and m / p is the correctly rounded value (W. D. Clinger, "How
-    to read floating point numbers accurately", PLDI 1990); only the
-    other accepted fields are read by float, which the automaton's
-    acceptance keeps from raising (an overflow reads as inf).
+    decimal significand m and the power of ten p that divides it, on one
+    right-aligned byte matrix _CLOSE_WIDTH wide; a wider field is read
+    from its last leading zero, and one still wider is checked by
+    _CLOSE_TEXT. Where there is no exponent, m < 2**53 and p <= 10**22,
+    both are exact doubles and m / p is the correctly rounded value (W.
+    D. Clinger, "How to read floating point numbers accurately", PLDI
+    1990); only the other accepted fields are read by float, which the
+    grammar keeps from raising (an overflow reads as inf).
     """
-    value = np.zeros(len(start))
-    ok = np.zeros(len(start), dtype=bool)
-    slow = np.zeros(len(start), dtype=bool)
-    for rows, field in _by_width(b, start, stop):
-        state = np.zeros(len(rows), dtype=np.intp)      # 256 * state
-        m = np.zeros(len(rows))
-        p = np.ones(len(rows))
-        # m or p may overflow, and m / p be nan, where the slow path reads
-        with np.errstate(over="ignore", invalid="ignore"):
-            for byte in field.T:
-                at = state + byte
-                state = _CLOSE_NEXT[at]
-                m = m * _CLOSE_M_SCALE[at] + _CLOSE_M_DIGIT[at]
-                p *= _CLOSE_P_SCALE[at]
-                if (state == 256 * _CLOSE_DEAD).all():
-                    break
-            value[rows] = m / p
-        state //= 256
-        ok[rows] = _CLOSE_ACCEPT[state]
-        slow[rows] = _CLOSE_ACCEPT[state] & (
-            (state == _CLOSE_EXPONENT) | (m >= 2.0 ** 53) | (p > 1e22))
+    width = stop - start
+    wide = np.flatnonzero(width > _CLOSE_WIDTH)
+    texts = [b[i:j].tobytes() for i, j in zip(start[wide].tolist(), stop[wide].tolist())]
+    # leading zeros change nothing after the first
+    width[wide] = [min(len(text.lstrip(b"0")) + 1, len(text)) for text in texts]
+    w = int(np.clip(width.max(initial=1), 1, _CLOSE_WIDTH))
+    # one row per byte place
+    byte = _matrix(b, stop - w, w).T.astype(np.intp, order="C")
+    byte[np.arange(w)[:, None] < w - width] = 256       # the bytes before a field
+    n = len(start)
+    state, m, p = np.zeros(n, dtype=np.intp), np.zeros(n), np.ones(n)   # 257 * state
+    # m or p may overflow, and m / p be nan, where the slow path reads
+    with np.errstate(over="ignore", invalid="ignore"):
+        for place in byte:
+            at = state + place
+            state = _CLOSE_NEXT[at]
+            m = m * _CLOSE_M_SCALE[at] + _CLOSE_M_DIGIT[at]
+            p *= _CLOSE_P_SCALE[at]
+        value = m / p
+    state //= 257
+    ok = _CLOSE_ACCEPT[state]
+    slow = ok & ((state == _CLOSE_EXPONENT) | (m >= 2.0 ** 53) | (p > 1e22))
+    # wider still: checked by the grammar's regular expression, read by float
+    wider = width[wide] > _CLOSE_WIDTH
+    ok[wide[wider]] = slow[wide[wider]] = [
+        _CLOSE_TEXT.fullmatch(text) is not None for text, w in zip(texts, wider) if w]
     for i in np.flatnonzero(slow).tolist():
         value[i] = float(b[start[i]:stop[i]].tobytes().decode())
     return value, ok & (value > 0) & np.isfinite(value)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -238,6 +239,34 @@ def test_factor_no_stock_defines_is_left_out_of_the_tables(
                                                      "lifetime"]
     assert sorted(p.name for p in out.glob("*_by_*.tsv")) == [
         f"{prefix}_by_capitalization.tsv", f"{prefix}_by_lifetime.tsv"]
+
+
+@pytest.mark.parametrize("argv, block, key", [
+    (["factors"], "factors", "gamma_by_factor"),
+    (["dfa"], "dfa", "by_factor"),
+], ids=["factors", "dfa"])
+def test_factor_that_overflows_is_undefined_not_a_warning(tmp_path, argv, block, key):
+    # a close of 1e300 is valid, but its mean capitalization and trading
+    # value overflow: that stock leaves both undefined, as a zero volume
+    # does, and no bin edge or coefficient is inf or NaN
+    corpus, _ = vi.synth_corpus(6, vi.homogeneous_rule(
+        "fgn", 600, {"hurst": 0.8, "vol_scale": 0.5, "noise_df": 2.5}, 7))
+    s = corpus.stocks[0]
+    corpus.stocks[0] = dataclasses.replace(s, close=np.full(len(s.dates), 1e300))
+    vi.write_corpus(corpus, tmp_path / "data")
+    out = tmp_path / "out"
+    assert main([*argv, "--data-dir", str(tmp_path / "data"), "--min-lifetime", "100",
+                 "--jobs", "1", "--out", str(out)]) == 0
+    report = read_report(out)
+    rows = [r for bins in report[block][key].values() for r in bins]
+    assert len(report[block][key]) == 4
+    assert all(r["lo"] is not None and r["hi"] is not None for r in rows)
+    assert not any("inf" in p.read_text() for p in out.glob("*_by_*.tsv"))
+    if block == "factors":
+        correlations = report["factors"]["correlations"]
+        assert correlations["n_stocks"] == 5
+        assert correlations["degenerate"] == ["lifetime"]
+        assert all(c is not None for row in correlations["log"][1:] for c in row[1:])
 
 
 def test_jobs_above_max_jobs_exit_2_before_any_pool(tmp_path, capsys,

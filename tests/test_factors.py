@@ -63,6 +63,9 @@ def test_factor_value_undefined_cases():
     assert factor_value(f, "lifetime") == 500.0
     with pytest.raises(vi.ConfigError):
         factor_value(f, "sector")
+    # an overflowing mean is undefined, not an inf that binning spreads
+    f = fv(cap=np.inf, vol=np.inf, tv=np.inf)
+    assert [factor_value(f, name) for name in FACTORS] == [500.0, None, None, None]
 
 
 def test_make_edges_lifetime_linear_and_covering():

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import re
+import sys
 import tempfile
 import unicodedata
 from pathlib import Path
@@ -647,3 +649,99 @@ def test_clean_file_reads_every_close_on_the_fast_path(tmp_path):
     assert series.close.tolist() == [float(c) for c in closes]
     assert series.volume.tolist() == volume.tolist()
     assert series.shares_outstanding.tolist() == shares.astype(float).tolist()
+
+
+# ---------------------------------------------------------------------------
+# one byte matrix per field kind: the work grows with the bytes of a file,
+# not with its rows times the widths of its fields
+
+@contextlib.contextmanager
+def int_of_any_length():
+    """Let int() read a string of any length, as the oracle needs for a
+    field of a million digits (Python caps it at 4300 from 3.11 on)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def rows_file(fields) -> bytes:
+    """A file of one row per (volume, close, shares) on consecutive days."""
+    dates = np.datetime_as_string(np.datetime64("2001-01-01") + np.arange(len(fields)))
+    return "".join([HEADER + "\n", *(f"{d},{v},{c},{s}\n" for d, (v, c, s)
+                                      in zip(dates.tolist(), fields))]).encode()
+
+
+# a thousand rows, each close as wide as its row number and more
+WIDTHS_FILE = rows_file([(i, "0" * i + f"{i % 97 + 1}.{i % 13}", "") for i in range(1000)])
+MEGA = 10 ** 6
+MEGABYTE_FIELDS = [
+    ("7", "1" * MEGA, ""),                          # valid spelling, overflows
+    ("7", "1." + "0" * MEGA, ""),
+    ("7", "0" * MEGA + "1.5", ""),
+    ("7", "0" * MEGA, ""),                          # zero
+    ("0" * MEGA + "7", "2.5", "0" * MEGA + "42"),
+    ("0" * MEGA, "2.5", "0" * MEGA),                # zero shares are malformed
+    ("0" * MEGA + "9223372036854775807", "2.5", "0" * MEGA + "9223372036854775808"),
+    ("0" * MEGA + "1" + "0" * 19, "2.5", ""),
+    ("0" * MEGA + "x7", "2.5", ""),
+    ("7", "2.5", "1" + "0" * 4000 + "1"),          # int() of a million digits is slow
+]
+# closes of widths 24 and 25, bare and after leading zeros: a field is
+# read from its last leading zero, and one wider than 24 after that by
+# float, which it then must reach
+WIDTH_24_25 = [
+    "0." + "0" * 21 + "1", "0." + "0" * 22 + "1", "00." + "0" * 21 + "1",
+    "0" * 10 + "." + "0" * 13 + "1", ".5" + "0" * 22, ".5" + "0" * 23,
+    "1" * 24, "1" * 25, "0" + "1" * 24, "0" * 9 + "1" * 16,
+    "9" * 16 + "." + "9" * 7, "0" * 8 + "9" * 15 + "." + "9", "0" * 8 + "9" * 16 + ".",
+    "1e" + "0" * 21 + "5", "1e" + "0" * 22 + "5", "0" * 22 + "1e5", "0" * 24 + "1.",
+]
+# wide fields outside the grammar, or in it with a value that is not
+BROKEN_WIDE = ["0" * 30 + "1.5.5", "0" * 30 + "e5", "1" * 30 + "x", "0" * 30 + "1x",
+               "+" + "0" * 30 + "1", "0" * 30 + "1e5.5", "." + "1" * 30 + "e",
+               "0" * 30 + ".", "0" * 30 + ".e1", "0" * 30 + "-1", "1" * 30 + "e+",
+               "0" * 30 + "1e-400", "1" * 30 + "e999", "0" * 30 + "1,5"]
+
+
+def test_many_close_widths_load_as_the_oracle_reads():
+    check_loader_agrees_with_oracle(WIDTHS_FILE)
+
+
+@pytest.mark.parametrize("fields", MEGABYTE_FIELDS, ids=range(len(MEGABYTE_FIELDS)))
+def test_megabyte_fields_load_as_the_oracle_reads(fields):
+    with int_of_any_length():
+        check_loader_agrees_with_oracle(rows_file([("1", "2.5", ""), fields, ("3", "4.5", "")]))
+
+
+def test_closes_24_and_25_bytes_wide_load_as_the_oracle_reads(tmp_path):
+    check_loader_agrees_with_oracle(rows_file([(1, c, "") for c in WIDTH_24_25]))
+    close, sent = read_closes(WIDTH_24_25, tmp_path)
+    assert close.tolist() == [float(c) for c in WIDTH_24_25]
+    assert sent == [t for t in WIDTH_24_25 if not is_fast(t)]
+
+
+@pytest.mark.parametrize("close", BROKEN_WIDE)
+def test_wide_closes_outside_the_grammar_load_as_the_oracle_reads(close):
+    data = rows_file([(1, "2.5", ""), (1, close, ""), (1, "4.5", "")])
+    check_loader_agrees_with_oracle(data)
+    assert expected_load(data, strict=False)[0]["n_rows_skipped"] == 1
+
+
+def test_byte_matrices_per_file_do_not_depend_on_field_widths(tmp_path):
+    files = {"regular": rows_file([(i, "1.5", 7) for i in range(1000)]),
+             "widths": WIDTHS_FILE,
+             "wide": rows_file([(1, c, "") for c in WIDTH_24_25 + BROKEN_WIDE]),
+             "megabyte": rows_file(MEGABYTE_FIELDS[:5])}
+    calls = {}
+    for name, data in files.items():
+        (tmp_path / f"{name}.csv").write_bytes(data)
+        with mock.patch.object(ingest, "_matrix", wraps=ingest._matrix) as spy:
+            series, load = read_stock(tmp_path / f"{name}.csv", min_lifetime=1)
+        assert load.disposition == "ok"
+        calls[name] = spy.call_count
+    assert set(calls.values()) == {calls["regular"]}, calls
