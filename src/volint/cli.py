@@ -27,7 +27,7 @@ import numpy as np
 
 from .conditional import (conditional_pdfs, consecutive_pairs,
                           memory_summary, octile_boundaries)
-from .dfa import DEFAULT_MIN_WINDOW, DEFAULT_ORDER
+from .dfa import DEFAULT_ORDER, MAX_ORDER
 from .errors import (ConfigError, DataError, FitShapeError,
                      InsufficientStatisticsError, InsufficientTailError)
 from .factors import (DEFAULT_Q, FACTORS, alpha_by_factor, bin_stocks,
@@ -52,8 +52,6 @@ MAX_BINS_PER_DECADE = 1000
 # the pool forks all min(--jobs, stocks) workers at once, so a mistyped
 # --jobs on a paper-size tree (17k files) would ask for 17k processes
 MAX_JOBS = 256
-# an order-k fit needs windows of k + 2 points; the smallest window is fixed
-MAX_ORDER = DEFAULT_MIN_WINDOW - 2
 
 COMMANDS = {"intervals": "interval PDFs, scaling, tail fits",
             "conditional": "conditional PDFs over tau0 octiles",
@@ -138,7 +136,7 @@ OPTIONS = (
     Option("n_stocks", int, 100, ALL, SYNTH, check=_at_least(1), gen="corpus"),
     Option("length", int, 5000, ALL, SYNTH, check=_at_least(2), gen="corpus"),
     *(Option(name, type_, None, ALL, gen="param") for name, type_ in (
-        ("hurst", float), ("levels", int), ("sigma", float),
+        ("hurst", float), ("sigma", float),
         ("vol_scale", float), ("df", float), ("kappa", float),
         ("dist", DISTS))),
     Option("series", ("volume", "price"), "volume", echo=True),

@@ -28,6 +28,8 @@ from .fitting import linregress
 DEFAULT_ORDER = 1
 DEFAULT_N_WINDOWS = 20
 DEFAULT_MIN_WINDOW = 8
+# an order-k fit needs windows of k + 2 points, and the smallest is fixed
+MAX_ORDER = DEFAULT_MIN_WINDOW - 2
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,6 @@ class DfaCurve:
     window_sizes: np.ndarray
     fluctuations: np.ndarray
     alpha: float
-    fit_range: tuple[int, int]
     stderr: float
     alpha_flagged: bool = False     # alpha > 1, nonstationary scaling
 
@@ -75,23 +76,13 @@ def _detrend_basis(w: int, order: int) -> np.ndarray:
     return q
 
 
-def dfa(series, order: int = DEFAULT_ORDER, windows=None, fit_range=None,
-        integrate: bool = True) -> DfaCurve:
+def dfa(series, order: int = DEFAULT_ORDER) -> DfaCurve:
     """Detrended fluctuation analysis of a one-dimensional series.
 
-    Parameters
-    ----------
-    series : array-like
-    order : int
-        Detrending polynomial order per box (1 = linear).
-    windows : array-like of int, optional
-        Box sizes; defaults to ~20 geometric sizes in [8, N/4].
-    fit_range : (n_min, n_max), optional
-        Window range for the alpha fit; defaults to all windows.
-    integrate : bool
-        Work on the cumulative-sum profile (standard). With False the
-        detrending applies to the series itself, which is the mode where a
-        polynomial trend of degree <= order is annihilated exactly.
+    The profile is detrended by a polynomial of the given order (1 =
+    linear, at most MAX_ORDER) in each box of default_windows(len(series)),
+    and alpha is fitted over every window whose F(n) is above the noise
+    floor.
 
     Returns
     -------
@@ -100,34 +91,15 @@ def dfa(series, order: int = DEFAULT_ORDER, windows=None, fit_range=None,
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
         raise ConfigError("series must be one-dimensional")
-    if order < 1:
-        raise ConfigError(f"order must be >= 1, got {order}")
+    if not 1 <= order <= MAX_ORDER:
+        raise ConfigError(f"order must be from 1 to {MAX_ORDER}, got {order}")
     n = x.size
-    if windows is None:
-        windows = default_windows(n)
-    windows = np.asarray(windows)
-    if windows.size == 0:
-        raise ConfigError("no window sizes given")
-    if not np.issubdtype(windows.dtype, np.integer):
-        raise ConfigError(f"window sizes must be integers, got {windows}")
-    windows = _distinct(windows.astype(np.int64).ravel())
-    if int(windows[0]) < order + 2:
-        raise ConfigError(
-            f"smallest window {windows[0]} cannot fit an order-{order} "
-            f"polynomial, need >= {order + 2}")
-    if fit_range is not None and not fit_range[0] < fit_range[1]:
-        raise ConfigError(
-            f"fit range {tuple(fit_range)} must run from a smaller window "
-            f"to a larger one")
+    windows = default_windows(n)
     n_bad = int(np.count_nonzero(~np.isfinite(x)))
     if n_bad:
         raise DataError(f"series has {n_bad} non-finite values of {n}")
-    if n < 4 * int(windows[-1]):
-        raise DataError(
-            f"series of length {n} too short for window {windows[-1]}; "
-            f"feasible windows are {order + 2}..{n // 4}")
 
-    y = np.cumsum(x - x.mean()) if integrate else x - x.mean()
+    y = np.cumsum(x - x.mean())
     fluct = np.empty(windows.size, dtype=np.float64)
     for i, w in enumerate(windows):
         w = int(w)
@@ -140,17 +112,14 @@ def dfa(series, order: int = DEFAULT_ORDER, windows=None, fit_range=None,
         resid = segs - (segs @ q) @ q.T
         fluct[i] = np.sqrt(np.mean(resid * resid))
 
-    if fit_range is None:
-        fit_range = (int(windows[0]), int(windows[-1]))
     # residuals below numerical noise (exactly detrendable input) carry
     # no slope information; the threshold scales with the profile itself
     floor = 1e-10 * (np.abs(y).max() + np.finfo(np.float64).tiny)
-    sel = (windows >= fit_range[0]) & (windows <= fit_range[1]) & (fluct > floor)
+    sel = fluct > floor
     if int(sel.sum()) < 2:
         alpha, stderr = float("nan"), float("nan")
     else:
         res = linregress(np.log(windows[sel]), np.log(fluct[sel]))
         alpha, stderr = float(res.slope), float(res.stderr)
     return DfaCurve(window_sizes=windows, fluctuations=fluct, alpha=alpha,
-                    fit_range=(int(fit_range[0]), int(fit_range[1])),
                     stderr=stderr, alpha_flagged=bool(alpha > 1.0))

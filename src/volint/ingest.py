@@ -306,18 +306,24 @@ def _closes(b: np.ndarray, start: np.ndarray, stop: np.ndarray):
     return value, ok & (value > 0) & np.isfinite(value)
 
 
+def ticker_of(path) -> str:
+    """The ticker a CSV file names: its file name without ``.csv`` (for
+    which ``Path.stem`` would keep the name ``.csv`` whole)."""
+    return Path(path).name.removesuffix(".csv")
+
+
 def _read_series(path: Path, strict: bool):
     """One file's (series | None, n_skipped, n_dup).
 
     Every line after the header is checked against the row grammar at
     once; a line that breaks it is skipped, and the valid rows are sorted
     by date with the first of duplicate dates kept. The series is None
-    for duplicate dates under strict. Raises DataError for a file stem
-    that is empty or holds a control character (it becomes the ticker),
-    an unreadable file or a bad header, and under strict at the first
-    malformed line.
+    for duplicate dates under strict. Raises DataError for a ticker
+    (ticker_of) that is empty or holds a control character, an unreadable
+    file or a bad header, and under strict at the first malformed line.
     """
-    if not path.stem or not _CONTROL.isdisjoint(path.stem):
+    ticker = ticker_of(path)
+    if not ticker or not _CONTROL.isdisjoint(ticker):
         raise DataError(f"{str(path)!r}: the file name gives no ticker or "
                         f"one with a control character")
     try:
@@ -370,7 +376,7 @@ def _read_series(path: Path, strict: bool):
         return None, n_skipped, n_dup
     rows = rows[~dup]
     return DailySeries(
-        ticker=path.stem, dates=days[rows].astype("datetime64[D]"), volume=volume[rows],
+        ticker=ticker, dates=days[rows].astype("datetime64[D]"), volume=volume[rows],
         close=close[rows], shares_outstanding=np.where(
             has_shares[rows], shares[rows], np.nan),
     ), n_skipped, n_dup
@@ -391,7 +397,7 @@ def read_stock(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
                strict: bool = False) -> tuple[DailySeries | None, FileLoad]:
     """One CSV file's series, None unless accepted, and its FileLoad.
 
-    A file whose stem (the ticker) is empty or holds a control character,
+    A file whose ticker (ticker_of) is empty or holds a control character,
     that has a bad header or that cannot be read is an "error", and so is
     one with duplicate dates under strict; a series shorter than
     min_lifetime (or empty) is "short". Under strict, a bad ticker, a bad

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
 
 from .dfa import DfaCurve, dfa
 from .errors import DataError, DegenerateSeriesError
 from .factors import FactorVector, stock_factors
-from .ingest import DEFAULT_MIN_LIFETIME, DailySeries, FileLoad, read_stock
+from .ingest import (DEFAULT_MIN_LIFETIME, DailySeries, FileLoad, read_stock,
+                     ticker_of)
 from .intervals import extract_intervals, shuffle_control
 from .seeds import derive_seed
 from .synth import synth_stock
@@ -55,7 +55,7 @@ def _open(source, min_lifetime: int, strict: bool):
         stock, _ = synth_stock(*source)
         return stock.ticker, stock, FileLoad()
     stock, load = read_stock(source, min_lifetime, strict)
-    return Path(source).stem, stock, load
+    return ticker_of(source), stock, load
 
 
 def _stock(source, seed: int, series: str = "volume", qs=(), shuffled_qs=(),

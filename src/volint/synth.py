@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .ingest import Corpus, DailySeries, LoadSummary
 from .seeds import derive_seed
 
@@ -104,15 +104,14 @@ PARAMS = {"iid normal": (("dist",), ()),
           "iid student_t": (("dist", "df"), ("df",)),
           "iid powered_normal": (("dist", "kappa"), ("kappa",)),
           "fgn": (("hurst", "vol_scale", "noise_df"), ("hurst",)),
-          "cascade": (("levels", "sigma", "noise_df"), ())}
-# the range of each value; `not ok(x)` also rejects NaN
+          "cascade": (("sigma", "noise_df"), ())}
+# the range of each value, which check_spec also asks to be finite
 RANGES = {"hurst": (lambda x: 0 < x < 1, "in (0, 1)"),
           "df": (lambda x: x > 0, "> 0"),
           "kappa": (lambda x: x > 0, "> 0"),
           "noise_df": (lambda x: x > 0, "> 0"),
           "vol_scale": (lambda x: x >= 0, ">= 0"),
-          "sigma": (lambda x: x >= 0, ">= 0"),
-          "levels": (lambda x: x >= 1, ">= 1")}
+          "sigma": (lambda x: x >= 0, ">= 0")}
 
 
 def check_spec(spec: GeneratorSpec) -> None:
@@ -120,9 +119,8 @@ def check_spec(spec: GeneratorSpec) -> None:
 
     The kind is known, the length at least 2, every parameter one that the
     kind (for iid: its dist) takes, every required one given, every value
-    in range, a cascade's levels enough for the length and at most
-    ceil(log2(length)) (more only multiplies the memory), and an fgn
-    noise_df only with vol_scale > 0 (plain fGn has no noise to shape).
+    finite and in range, and an fgn noise_df only with vol_scale > 0
+    (plain fGn has no noise to shape).
     """
     if spec.kind not in KINDS:
         raise ConfigError(f"unknown generator kind {spec.kind!r}")
@@ -139,16 +137,9 @@ def check_spec(spec: GeneratorSpec) -> None:
         if keys:
             raise ConfigError(f"{name} {what} {', '.join(sorted(keys))}")
     for key, (ok, text) in RANGES.items():
-        if key in p and not ok(p[key]):
-            raise ConfigError(f"{name} {key} must be {text}, got {p[key]}")
-    if "levels" in p:
-        most = max(1, math.ceil(math.log2(spec.length)))
-        if p["levels"] > most:
-            raise ConfigError(f"{name} levels must be <= {most} for length "
-                              f"{spec.length}, got {p['levels']}")
-        if spec.length > 2 ** p["levels"]:
-            raise ConfigError(f"length {spec.length} exceeds cascade "
-                              f"capacity 2**{p['levels']}")
+        if key in p and not (math.isfinite(p[key]) and ok(p[key])):
+            raise ConfigError(f"{name} {key} must be finite and {text}, "
+                              f"got {p[key]}")
     if spec.kind == "fgn" and "noise_df" in p and not p.get("vol_scale", 0) > 0:
         raise ConfigError("fgn noise_df needs vol_scale > 0")
 
@@ -162,9 +153,10 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
     fgn params:      hurst (required); vol_scale (default 0 = plain fGn);
                      noise_df (heavy-tailed modulated noise; only with
                      vol_scale > 0, Gaussian noise when absent).
-    cascade params:  levels (default log2 of length, rounded up), sigma
-                     (default 0.4), noise_df as above; noise modulated by
-                     the cascade measure.
+    cascade params:  sigma (default 0.4), noise_df as above; noise
+                     modulated by the measure of a cascade of
+                     ceil(log2(length)) levels, the fewest whose 2**levels
+                     values cover the series.
 
     check_spec states which params each kind takes and their ranges.
     """
@@ -191,7 +183,7 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
                else _noise(rng, n, noise_df) * np.exp(vol_scale * g))
 
     else:   # cascade
-        levels = int(p.get("levels", math.ceil(math.log2(n))))
+        levels = math.ceil(math.log2(n))
         logw = cascade_log_weights(levels, float(p.get("sigma", 0.4)), rng)
         omega = logw - logw.mean()
         out = (_noise(rng, 2 ** levels, noise_df) * np.exp(omega))[:n]
@@ -241,10 +233,14 @@ def volume_from_series(x) -> np.ndarray:
     spans [log 1e4, log 1e7], exponentiated, and rounded to whole shares.
     Positivity makes every log return defined; the affine map is a
     per-stock constant scale, to which normalized volatility is invariant
-    up to rounding noise.
+    up to rounding noise. Raises DataError when the integrated series has
+    no finite span (a non-finite value, or an overflow).
     """
     y = np.cumsum(np.asarray(x, dtype=np.float64))
     ymin, ymax = float(y.min()), float(y.max())
+    if not math.isfinite(ymax - ymin):
+        raise DataError(f"the series overflows: its running sum spans "
+                        f"{ymin} to {ymax}")
     z = np.full(y.size, 0.5) if ymax == ymin else (y - ymin) / (ymax - ymin)
     lo, hi = math.log(1e4), math.log(1e7)
     logv = lo + z * (hi - lo)
@@ -267,8 +263,13 @@ def synth_stock(spec: GeneratorSpec, index: int):
     -------
     (DailySeries, dict)
         The stock and its generator parameters and size attributes.
+
+    Raises DataError when parameters that check_spec accepts are extreme
+    enough (say a kappa of 1e300) to overflow the series.
     """
-    vol = volume_from_series(generate(spec))
+    # the overflow is reported by volume_from_series, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        vol = volume_from_series(generate(spec))
     n = vol.size
     attrs = np.random.default_rng(derive_seed(spec.seed, "attrs"))
     close = round(float(attrs.lognormal(math.log(20.0), 1.0)), 2)

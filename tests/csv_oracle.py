@@ -25,6 +25,16 @@ def is_date(text: str) -> bool:
     return 1 <= month <= 12 and 1 <= day <= month_days[month - 1]
 
 
+def uint(text: str):
+    """The value of a field of digits, or None when it is above INT64_MAX;
+    one with more than 19 digits after its leading zeros is, and is judged
+    so before int(), which refuses a string of over 4300 digits."""
+    digits = text.lstrip("0") or "0"
+    if len(digits) > 19 or int(digits) > INT64_MAX:
+        return None
+    return int(digits)
+
+
 def parse_row(line: str):
     """(date, volume, close, shares) of one valid line, shares None when
     empty; for a malformed line, the name of the first field that breaks
@@ -35,13 +45,16 @@ def parse_row(line: str):
     date, volume, close, shares = fields
     if not is_date(date):
         return "date"
-    if not (DIGITS.fullmatch(volume) and int(volume) <= INT64_MAX):
+    volume = uint(volume) if DIGITS.fullmatch(volume) else None
+    if volume is None:
         return "volume"
     if not (CLOSE.fullmatch(close) and 0 < float(close) < math.inf):
         return "close"
-    if shares and not (DIGITS.fullmatch(shares) and 0 < int(shares) <= INT64_MAX):
-        return "shares_outstanding"
-    return date, int(volume), float(close), float(int(shares)) if shares else None
+    if shares:
+        shares = uint(shares) if DIGITS.fullmatch(shares) else None
+        if not shares:
+            return "shares_outstanding"
+    return date, volume, float(close), float(shares) if shares else None
 
 
 def expected_load(data: bytes, strict: bool):

@@ -1,16 +1,20 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import volint as vi
 from volint.cli import MAX_JOBS, build_parser, main
+from volint.synth import check_spec
 
 
 SYNTH = ["--synth-kind", "fgn", "--synth-n-stocks", "12",
@@ -398,8 +402,6 @@ GENERATOR_CASES = [
     (["--synth-kind", "iid", "--synth-df", "3"], "df"),
     (["--synth-kind", "iid", "--synth-dist", "student_t", "--synth-df", "3",
       "--synth-kappa", "2"], "kappa"),
-    (["--synth-kind", "fgn", "--synth-hurst", "0.7", "--synth-levels", "3"],
-     "levels"),
     (["--synth-kind", "cascade", "--synth-hurst", "0.7"], "hurst"),
     (["--synth-kind", "fgn", "--synth-hurst", "0.7", "--synth-dist",
       "normal"], "dist"),
@@ -412,8 +414,6 @@ GENERATOR_CASES = [
     (["--synth-kind", "fgn", "--synth-hurst", "0.7", "--synth-vol-scale", "1",
       "--synth-df", "0"], "noise_df"),
     (["--synth-kind", "cascade", "--synth-df", "0"], "noise_df"),
-    (["--synth-kind", "cascade", "--synth-levels", "0"], "levels"),
-    (["--synth-kind", "cascade", "--synth-levels", "70"], "levels"),
     (["--synth-kind", "fgn", "--synth-hurst", "0.7", "--synth-df", "3"],
      "noise_df"),
     (["--synth-kind", "fgn", "--synth-vol-scale", "0.3"], "hurst"),
@@ -443,6 +443,83 @@ def test_bad_generator_flags_exit_2_before_generating(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [("intervals", "--synth-levels"),
+                                           ("synth", "--levels")])
+def test_cascade_levels_are_no_flag_and_no_spec_param(tmp_path, capsys,
+                                                      command, flag):
+    # a cascade's levels follow from --length: the flag is unknown to the
+    # parser, and the library rejects the param
+    out = tmp_path / "x"
+    source = (["--kind", "cascade", "--n-stocks", "1", "--length", "100"]
+              if command == "synth" else ["--synth-kind", "cascade"])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, flag, "7", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+    assert not out.exists()
+    spec = vi.GeneratorSpec("cascade", 100, {"levels": 7})
+    for check in (check_spec, vi.generate):
+        with pytest.raises(vi.ConfigError, match="cascade takes no levels"):
+            check(spec)
+
+
+# each kind's own generator flags, then any one flag at all
+OWN_FLAGS = {"iid": ("dist", "df", "kappa"), "fgn": ("hurst", "vol_scale", "df"),
+             "cascade": ("sigma", "df")}
+ANY_FLAG = ("hurst", "sigma", "vol_scale", "df", "kappa", "dist")
+
+
+@st.composite
+def synth_flags(draw):
+    """(kind, length, {flag name: value}), in range and out of it."""
+    kind = draw(st.sampled_from(vi.synth.KINDS))
+    names = draw(st.sets(st.sampled_from(OWN_FLAGS[kind])))
+    names |= draw(st.sets(st.sampled_from(ANY_FLAG), max_size=1))
+    # in every range, in some, not finite, or any float at all
+    values = st.one_of(st.integers(1, 9).map(lambda i: i / 10),
+                       st.integers(-20, 20).map(lambda i: i / 10),
+                       st.sampled_from([math.inf, -math.inf, math.nan]),
+                       st.floats())
+    flags = {n: draw(st.sampled_from(vi.synth.DISTS) if n == "dist" else values)
+             for n in sorted(names)}
+    return kind, draw(st.integers(0, 300)), flags
+
+
+@settings(max_examples=200, deadline=None)
+@given(synth_flags())
+def test_synth_cli_rejects_what_check_spec_rejects(case):
+    # the command line and the library run the one set of generator
+    # rules: exit 2 exactly when check_spec rejects the flags' params,
+    # else the stock is written with those params, or, when they are
+    # extreme enough to overflow the series, the run exits 3
+    kind, length, flags = case
+    params = dict(flags)
+    if kind == "iid":
+        params.setdefault("dist", "normal")
+    elif "df" in params:
+        params["noise_df"] = params.pop("df")
+    argv = [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "corpus"
+        rc = main(["synth", "--kind", kind, "--n-stocks", "1", "--length",
+                   str(length), "--seed", "7", "--out", str(out), *argv])
+        try:
+            check_spec(vi.GeneratorSpec(kind, length, params))
+        except vi.ConfigError:
+            assert rc == 2 and not out.exists()
+            event("exit 2")
+            return
+        event(f"exit {rc}")
+        if rc == 3:
+            rule = vi.homogeneous_rule(kind, length, params, 7)
+            with pytest.raises(vi.DataError, match="overflows"):
+                vi.synth_stock(rule(0), 0)
+            return
+        assert rc == 0
+        with open(out / "planted.json") as fh:
+            assert json.load(fh)["S00000"]["params"] == params
+
+
 @pytest.mark.parametrize("flags, params", [
     (["--kind", "iid"], {"dist": "normal"}),
     (["--kind", "iid", "--dist", "student_t", "--df", "3"],
@@ -451,8 +528,8 @@ def test_bad_generator_flags_exit_2_before_generating(tmp_path, capsys,
      {"dist": "powered_normal", "kappa": 2.0}),
     (["--kind", "fgn", "--hurst", "0.7", "--vol-scale", "0.3", "--df", "3"],
      {"hurst": 0.7, "vol_scale": 0.3, "noise_df": 3.0}),
-    (["--kind", "cascade", "--levels", "7", "--sigma", "0.2", "--df", "3"],
-     {"levels": 7, "sigma": 0.2, "noise_df": 3.0}),
+    (["--kind", "cascade", "--sigma", "0.2", "--df", "3"],
+     {"sigma": 0.2, "noise_df": 3.0}),
 ])
 def test_generator_flags_map_onto_spec_params(tmp_path, flags, params):
     # --df is iid student_t's df but the noise_df of fgn and cascade
@@ -546,6 +623,31 @@ def test_control_character_ticker_rejected_when_lenient_exit_3_when_strict(
     assert summary["n_rejected_error"] == 1
     assert summary["n_accepted"] == 3
     assert all(stem not in p.read_text() for p in out.glob("*.tsv"))
+    capsys.readouterr()
+    strict = tmp_path / "strict"
+    assert main([*args, "--strict", "--out", str(strict)]) == 3
+    assert repr(str(bad)) in capsys.readouterr().err
+    assert not strict.exists()
+
+
+def test_file_named_dot_csv_rejected_when_lenient_exit_3_when_strict(
+        tmp_path, capsys):
+    # the ticker is the file name without ".csv", so ".csv" names none
+    # (Path.stem would keep ".csv" whole)
+    src = tmp_path / "src"
+    main(["synth", "--kind", "iid", "--n-stocks", "2", "--length", "400",
+          "--seed", "11", "--out", str(src)])
+    bad = src / ".csv"
+    bad.write_bytes((src / "S00000.csv").read_bytes())
+    args = ["dfa", "--data-dir", str(src), "--min-lifetime", "400",
+            "--dump-fluctuations", "--jobs", "1"]
+    out = tmp_path / "res"
+    assert main([*args, "--out", str(out)]) == 0
+    summary = read_report(out)["load_summary"]
+    assert summary["n_rejected_error"] == 1
+    assert summary["n_accepted"] == 2
+    assert sorted(p.name for p in out.glob("dfa_fluct_*")) == [
+        "dfa_fluct_S00000.tsv", "dfa_fluct_S00001.tsv"]
     capsys.readouterr()
     strict = tmp_path / "strict"
     assert main([*args, "--strict", "--out", str(strict)]) == 3
@@ -723,9 +825,9 @@ def test_blas_thread_count_changes_no_byte(tmp_path):
 
 ANALYSIS_DEFAULTS = {
     "--data-dir": None, "--synth-kind": None, "--synth-n-stocks": 100,
-    "--synth-length": 5000, "--synth-hurst": None, "--synth-levels": None,
-    "--synth-sigma": None, "--synth-vol-scale": None, "--synth-df": None,
-    "--synth-kappa": None, "--synth-dist": None, "--series": "volume",
+    "--synth-length": 5000, "--synth-hurst": None, "--synth-sigma": None,
+    "--synth-vol-scale": None, "--synth-df": None, "--synth-kappa": None,
+    "--synth-dist": None, "--series": "volume",
     "--thresholds": "2.0,2.5,3.0,3.5,4.0", "--seed": 0, "--out": "o",
     "--min-lifetime": 350, "--strict": False, "--bins-per-decade": 8,
     "--x-min": 1.0}
@@ -737,9 +839,9 @@ SURFACE = {
             "--dump-fluctuations": False},
     "factors": {**ANALYSIS_DEFAULTS, "--q": 2.0},
     "synth": {"--kind": "iid", "--n-stocks": 1, "--length": 2, "--seed": 0,
-              "--out": "o", "--hurst": None, "--levels": None,
-              "--sigma": None, "--vol-scale": None, "--df": None,
-              "--kappa": None, "--dist": None},
+              "--out": "o", "--hurst": None, "--sigma": None,
+              "--vol-scale": None, "--df": None, "--kappa": None,
+              "--dist": None},
 }
 REQUIRED = {"synth": ["--kind", "--length", "--n-stocks", "--out"]}
 CHOICES = {"--synth-kind": ["iid", "fgn", "cascade"],

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import volint as vi
 from dfa_reference import reference_dfa
-from volint.dfa import default_windows, dfa
+from volint.dfa import DEFAULT_MIN_WINDOW, MAX_ORDER, default_windows, dfa
 
 
 def test_white_noise_alpha_half():
@@ -33,20 +33,28 @@ def test_random_walk_increment_vs_profile():
     assert c.alpha_flagged
 
 
-def test_linear_trend_is_annihilated():
-    # a pure ramp has zero residual under linear detrending, so every
-    # fluctuation is ~0 and no slope is defined
-    c = dfa(np.linspace(0.0, 5.0, 4096), integrate=False)
-    assert np.all(c.fluctuations < 1e-8)
-    assert np.isnan(c.alpha)
+def test_linear_trend_is_annihilated_by_order_two():
+    # a ramp's profile is quadratic: order 2 leaves zero residual, so every
+    # fluctuation is ~0 and no slope is defined, while order 1 does not
+    ramp = np.linspace(0.0, 5.0, 4096)
+    c1 = dfa(ramp, order=1)
+    c2 = dfa(ramp, order=2)
+    assert np.all(c2.fluctuations < 1e-8 * c1.fluctuations.max())
+    assert np.isnan(c2.alpha)
+    assert c1.fluctuations.min() > 1e-6
+    assert np.isfinite(c1.alpha)
 
 
-def test_quadratic_profile_annihilated_by_order_two():
-    t = np.linspace(0.0, 1.0, 4096)
-    c1 = dfa(t * t, order=1, integrate=False)
-    c2 = dfa(t * t, order=2, integrate=False)
-    assert np.all(c2.fluctuations < 1e-10)
-    assert c1.fluctuations.max() > 1e-6
+def test_quadratic_trend_is_annihilated_by_order_three():
+    # the profile of t * t is cubic: order 3 leaves only rounding noise,
+    # below the floor, while order 2 does not
+    x = np.linspace(0.0, 1.0, 4096) ** 2
+    c2 = dfa(x, order=2)
+    c3 = dfa(x, order=3)
+    assert np.all(c3.fluctuations < 1e-10 * np.abs(np.cumsum(x - x.mean())).max())
+    assert np.isnan(c3.alpha)
+    assert c2.fluctuations.max() > 1e-6
+    assert np.isfinite(c2.alpha)
 
 
 def test_fluctuations_grow_with_window():
@@ -81,27 +89,13 @@ def test_too_short_series_rejected():
         dfa(np.ones(16))
 
 
-def test_bad_order_and_windows_rejected():
+def test_order_outside_1_to_6_rejected():
     rng = np.random.default_rng(67)
     x = rng.standard_normal(1024)
-    with pytest.raises(vi.ConfigError):
-        dfa(x, order=0)
-    with pytest.raises(vi.ConfigError):
-        dfa(x, order=3, windows=[4, 8, 16])   # 4 < order + 2
-    with pytest.raises(vi.ConfigError, match="integers"):
-        dfa(x, windows=[8.7, 16.2, 40])
-    with pytest.raises(vi.ConfigError, match="fit range"):
-        dfa(x, fit_range=(100, 10))
-
-
-def test_fit_range_restricts_slope_estimate():
-    rng = np.random.default_rng(68)
-    x = rng.standard_normal(8192)
-    full = dfa(x)
-    sub = dfa(x, fit_range=(16, 256))
-    assert sub.fit_range == (16, 256)
-    assert abs(sub.alpha - 0.5) < 0.07
-    assert sub.alpha != full.alpha
+    for order in (0, 7):
+        with pytest.raises(vi.ConfigError, match="from 1 to 6"):
+            dfa(x, order=order)
+    assert np.isfinite(dfa(x, order=6).alpha)
 
 
 def test_alpha_by_factor_flat_for_iid():
@@ -132,11 +126,13 @@ def test_non_finite_series_rejected(bad):
 
 def test_first_dfa_call_imports_no_numpy_module():
     # every pool worker makes a first call; numpy.polynomial (polyfit) and
-    # numpy.ma (np.unique under numpy 2) each cost milliseconds to import
+    # numpy.ma (np.unique under numpy 2) each cost milliseconds to import;
+    # at n = 128 the 20 geometric sizes from 8 to 32 collide, so the first
+    # call removes duplicates
+    assert default_windows(128).size < 20
     code = ("import sys, numpy as np, volint; "
             "x = np.random.default_rng(0).standard_normal(4096); "
-            "before = set(sys.modules); volint.dfa(x, windows=[16, 8, 16, 64]); "
-            "volint.dfa(x); "
+            "before = set(sys.modules); volint.dfa(x[:128]); volint.dfa(x); "
             "print(sorted(m for m in set(sys.modules) - before "
             "if m.startswith('numpy')))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -148,28 +144,21 @@ def test_first_dfa_call_imports_no_numpy_module():
 
 @st.composite
 def dfa_case(draw):
-    """(order, integrate, n, windows or None) over every legal shape,
-    down to the smallest window order + 2 and up to n == 4 * max(window)."""
-    order = draw(st.integers(1, 3))
-    integrate = draw(st.booleans())
-    n = draw(st.integers(4 * (order + 2), 5000))
-    if n >= 32 and draw(st.booleans()):
-        return order, integrate, n, None
-    sizes = st.integers(order + 2, n // 4)
-    windows = draw(st.lists(sizes, min_size=1, max_size=6))
-    windows += draw(st.sampled_from([[], [order + 2], [n // 4],
-                                     [order + 2, n // 4]]))
-    return order, integrate, n, windows
+    """(order, n) over every legal shape: orders 1 to MAX_ORDER, and n
+    from the shortest series with windows (32, a single window of 8) up."""
+    order = draw(st.integers(1, MAX_ORDER))
+    n = draw(st.integers(4 * DEFAULT_MIN_WINDOW, 5000))
+    return order, n
 
 
 @settings(max_examples=150, deadline=None)
 @given(dfa_case(), st.integers(0, 2 ** 32 - 1),
        st.floats(1e-3, 1e6), st.floats(-1e6, 1e6))
 def test_projection_matches_polyfit_reference(case, seed, scale, offset):
-    order, integrate, n, windows = case
+    order, n = case
     x = offset + scale * np.random.default_rng(seed).standard_normal(n)
-    got = dfa(x, order=order, windows=windows, integrate=integrate)
-    w, f, alpha, _ = reference_dfa(x, order, windows, integrate=integrate)
+    got = dfa(x, order=order)
+    w, f, alpha, _ = reference_dfa(x, order)
     assert np.array_equal(got.window_sizes, w)
     np.testing.assert_allclose(got.fluctuations, f, rtol=1e-12, atol=0)
     if np.isnan(alpha):
@@ -179,16 +168,16 @@ def test_projection_matches_polyfit_reference(case, seed, scale, offset):
 
 
 @settings(max_examples=60, deadline=None)
-@given(dfa_case(), st.lists(st.floats(-10, 10), min_size=4, max_size=4))
+@given(dfa_case(), st.lists(st.floats(-10, 10), min_size=MAX_ORDER,
+                            max_size=MAX_ORDER))
 def test_detrendable_input_agrees_with_reference(case, coefs):
-    # input of degree <= order whose profile is a polynomial of degree
+    # input of degree < order, whose profile is a polynomial of degree
     # <= order: every F(n) is rounding noise, which the floor rule drops
-    order, integrate, n, windows = case
-    degree = order - int(integrate)
+    order, n = case
     x = np.polynomial.polynomial.polyval(np.arange(n, dtype=np.float64),
-                                         coefs[:degree + 1])
-    got = dfa(x, order=order, windows=windows, integrate=integrate)
-    _, f, alpha, floor = reference_dfa(x, order, windows, integrate=integrate)
+                                         coefs[:order])
+    got = dfa(x, order=order)
+    _, f, alpha, floor = reference_dfa(x, order)
     kept, ref_kept = got.fluctuations > floor, f > floor
     if not ref_kept.any():
         assert not kept.any()

@@ -1,7 +1,5 @@
-import contextlib
 import dataclasses
 import re
-import sys
 import tempfile
 import unicodedata
 from pathlib import Path
@@ -12,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import volint as vi
+import csv_oracle
 from csv_oracle import expected_load
 from volint import ingest
 from volint.ingest import (CSV_HEADER, DailySeries, FileLoad, load_corpus,
@@ -109,11 +108,12 @@ def test_unreadable_file_rejected_when_lenient_fatal_when_strict(tmp_path):
 
 
 def test_ticker_without_control_characters_or_error(tmp_path):
-    # checked before the file is opened, so no file needs to exist; of
-    # paths, "." has an empty stem
+    # checked before the file is opened, so no file needs to exist; the
+    # names "." and ".csv" without ".csv" are empty
     control = [c for c in map(chr, range(0x110000))
                if unicodedata.category(c) == "Cc"]
-    for path in [tmp_path / f"x{c}y.csv" for c in control] + [Path(".")]:
+    for path in [tmp_path / f"x{c}y.csv" for c in control] + [
+            Path("."), tmp_path / ".csv"]:
         assert read_stock(path, min_lifetime=1) == (None, FileLoad("error"))
         with pytest.raises(vi.DataError, match="no ticker") as err:
             read_stock(path, min_lifetime=1, strict=True)
@@ -655,20 +655,6 @@ def test_clean_file_reads_every_close_on_the_fast_path(tmp_path):
 # one byte matrix per field kind: the work grows with the bytes of a file,
 # not with its rows times the widths of its fields
 
-@contextlib.contextmanager
-def int_of_any_length():
-    """Let int() read a string of any length, as the oracle needs for a
-    field of a million digits (Python caps it at 4300 from 3.11 on)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-
-
 def rows_file(fields) -> bytes:
     """A file of one row per (volume, close, shares) on consecutive days."""
     dates = np.datetime_as_string(np.datetime64("2001-01-01") + np.arange(len(fields)))
@@ -714,8 +700,30 @@ def test_many_close_widths_load_as_the_oracle_reads():
 
 @pytest.mark.parametrize("fields", MEGABYTE_FIELDS, ids=range(len(MEGABYTE_FIELDS)))
 def test_megabyte_fields_load_as_the_oracle_reads(fields):
-    with int_of_any_length():
-        check_loader_agrees_with_oracle(rows_file([("1", "2.5", ""), fields, ("3", "4.5", "")]))
+    check_loader_agrees_with_oracle(rows_file([("1", "2.5", ""), fields, ("3", "4.5", "")]))
+
+
+# digit fields around the int64 bound, after up to 40 bytes of leading zeros
+DIGIT_FIELDS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=40),
+    st.builds(lambda zeros, x: "0" * zeros + str(x), st.integers(0, 20),
+              st.integers(0, 2 ** 64) | st.integers(2 ** 63 - 3, 2 ** 63 + 3)),
+).filter(lambda text: len(text) <= 40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DIGIT_FIELDS, DIGIT_FIELDS)
+def test_oracle_reads_digit_fields_as_int_does(volume, shares):
+    # the oracle judges a field of over 19 digits after its leading zeros
+    # out of range without int(), which would reject over 4300 digits; up
+    # to 40 bytes int() can read every field, so the verdicts must agree
+    row = csv_oracle.parse_row(f"2001-01-01,{volume},2.5,{shares}")
+    if int(volume) > csv_oracle.INT64_MAX:
+        assert row == "volume"
+    elif not 0 < int(shares) <= csv_oracle.INT64_MAX:
+        assert row == "shares_outstanding"
+    else:
+        assert row == ("2001-01-01", int(volume), 2.5, float(int(shares)))
 
 
 def test_closes_24_and_25_bytes_wide_load_as_the_oracle_reads(tmp_path):

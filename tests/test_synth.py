@@ -108,14 +108,14 @@ def test_cascade_log_weights_structure():
 
 
 def test_cascade_modulates_signed_noise():
-    x = generate(GeneratorSpec("cascade", 1024, {"levels": 10, "sigma": 0.4,
+    x = generate(GeneratorSpec("cascade", 1024, {"sigma": 0.4,
                                                  "noise_df": 3.0}, 89))
     assert (x < 0).any() and (x > 0).any()
 
 
 def test_cascade_magnitudes_cluster_but_signs_do_not():
     x = generate(GeneratorSpec("cascade", 8192,
-                               {"levels": 13, "sigma": 0.4, "noise_df": 3.0}, 90))
+                               {"sigma": 0.4, "noise_df": 3.0}, 90))
     a_sign = vi.dfa(x).alpha
     a_abs = vi.dfa(np.abs(x)).alpha
     assert abs(a_sign - 0.5) < 0.07
@@ -176,10 +176,17 @@ def test_fgn_eigenvalue_cache_is_read_only_and_keyed_by_n_and_hurst():
         assert not _circulant_eigenvalues(n, hurst).flags.writeable
 
 
-def test_cascade_length_bounded_by_levels():
-    with pytest.raises(vi.ConfigError):
-        generate(GeneratorSpec("cascade", 1025,
-                               {"levels": 10, "sigma": 0.4}, 92))
+def test_cascade_levels_follow_from_length():
+    # the fewest levels whose 2**levels values cover the series: noise
+    # modulated by a cascade of that depth, cut to the length
+    for n in (2, 3, 64, 65, 1024, 1025):
+        levels = (n - 1).bit_length()
+        assert 2 ** (levels - 1) < n <= 2 ** levels
+        rng = np.random.default_rng(92)
+        logw = cascade_log_weights(levels, 0.4, rng)
+        want = (rng.standard_normal(2 ** levels) * np.exp(logw - logw.mean()))[:n]
+        got = generate(GeneratorSpec("cascade", n, {"sigma": 0.4}, 92))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_invalid_specs_rejected():
@@ -259,21 +266,40 @@ def test_synth_corpus_roundtrips_through_pipeline():
     (GeneratorSpec("fgn", 100, {"hurst": float("nan")}, 0), "hurst"),
     (GeneratorSpec("iid", 100, {"dist": "student_t",
                                 "df": float("nan")}, 0), "df"),
-    (GeneratorSpec("cascade", 100, {"levels": 0}, 0), "levels"),
-    # more levels than the length needs: 2**levels values per stock
-    (GeneratorSpec("cascade", 64, {"levels": 7}, 0), "levels"),
-    (GeneratorSpec("cascade", 64, {"levels": 70}, 0), "levels"),
+    # infinite values, which the command line rejects as not finite
+    (GeneratorSpec("cascade", 100, {"sigma": float("inf")}, 0), "sigma"),
+    (GeneratorSpec("iid", 100, {"dist": "powered_normal",
+                                "kappa": float("inf")}, 0), "kappa"),
+    (GeneratorSpec("fgn", 100, {"hurst": 0.7, "vol_scale": float("inf")}, 0),
+     "vol_scale"),
+    # a cascade's levels follow from its length
+    (GeneratorSpec("cascade", 100, {"levels": 7}, 0), "levels"),
     # noise_df shapes the noise that only vol_scale > 0 draws
     (GeneratorSpec("fgn", 64, {"hurst": 0.7, "vol_scale": 0.0,
                                "noise_df": 3.0}, 0), "noise_df"),
     (GeneratorSpec("fgn", 64, {"hurst": 0.7, "noise_df": 3.0}, 0), "noise_df"),
     # the cascade output is always noise modulated by the measure
-    (GeneratorSpec("cascade", 64, {"levels": 6, "signed": False}, 0), "signed"),
+    (GeneratorSpec("cascade", 64, {"signed": False}, 0), "signed"),
 ])
 def test_check_spec_names_the_bad_parameter(spec, name):
     for check in (check_spec, generate):
         with pytest.raises(vi.ConfigError, match=name):
             check(spec)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("iid", {"dist": "powered_normal", "kappa": 1e300}),
+    ("iid", {"dist": "student_t", "df": 1e-300}),
+    ("fgn", {"hurst": 0.5, "vol_scale": 1e300}),
+    ("cascade", {"sigma": 1e300}),
+])
+def test_overflowing_parameters_raise_data_error_not_garbage(kind, params):
+    # finite and in range, but the series overflows: no volume of
+    # -2**63 is written, and no RuntimeWarning escapes
+    spec = vi.homogeneous_rule(kind, 300, params, 0)(0)
+    check_spec(spec)
+    with pytest.raises(vi.DataError, match="overflows"):
+        vi.synth_stock(spec, 0)
 
 
 def test_check_spec_accepts_what_generate_realizes():
@@ -282,7 +308,7 @@ def test_check_spec_accepts_what_generate_realizes():
                  GeneratorSpec("fgn", 64, {"hurst": 0.7, "vol_scale": 0.0}, 0),
                  GeneratorSpec("fgn", 64, {"hurst": 0.7, "vol_scale": 0.5,
                                            "noise_df": 3.0}, 0),
-                 GeneratorSpec("cascade", 64, {"levels": 6, "sigma": 0.0}, 0)):
+                 GeneratorSpec("cascade", 64, {"sigma": 0.0}, 0)):
         check_spec(spec)
         x = generate(spec)
         assert x.size == 64 and np.isfinite(x).all()
