@@ -31,7 +31,8 @@ def main():
             items.append((stock.ticker, iv))
     pool = vi.pool_scaled(items)
 
-    taus = np.concatenate([iv.taus for _, iv in items])
+    # taus are narrow unsigned integers: take float64 before arithmetic
+    taus = np.concatenate([iv.taus for _, iv in items]).astype(np.float64)
     print(f"observed mean interval: {taus.mean():.1f} "
           f"({taus.size} intervals)")
 
@@ -42,8 +43,9 @@ def main():
     for _, iv in items:
         if iv.taus.size < 30:
             continue
-        m = iv.taus.mean()
-        ratios.append(iv.taus.std() / m / np.sqrt(1 - 1 / m))
+        t = iv.taus.astype(np.float64)
+        m = t.mean()
+        ratios.append(t.std() / m / np.sqrt(1 - 1 / m))
     print(f"per-stock CV / geometric prediction: "
           f"{np.mean(ratios):.3f} +- {np.std(ratios):.3f}  (1 = memoryless)")
 

@@ -308,8 +308,11 @@ def _header(cfg, summary) -> dict:
             "load_summary": asdict(summary), "n_stocks": summary.n_accepted}
 
 
-def _fit_block(values, pdf, cfg) -> dict:
-    """All fits of one pooled scaled sample and its PDF, null where one fails."""
+def _fit_block(values, path: Path, cfg) -> dict:
+    """Write the PDF of one pooled scaled sample to path; all fits of the
+    sample and its PDF, null where one fails."""
+    pdf = log_bin(values, cfg.bins_per_decade)
+    write_pdf_tsv(pdf, path)
     block = {"n_samples": int(values.size)}
     try:
         block["power"] = asdict(fit_power_tail(pdf, cfg.x_min))
@@ -343,29 +346,31 @@ def cmd_intervals(cfg) -> None:
     for q in cfg.thresholds:
         tag = _qtag(q)
         items = [(r.ticker, r.by_q[q]) for r in ok]
-        pooled = pool_scaled(items)
-        if len(pooled) == 0:
+        raw = [iv.taus for _, iv in items if iv.taus.size]
+        if not raw:
             report["intervals"][tag] = {"empty": True}
             continue
-        raw = np.concatenate([iv.taus for _, iv in items if iv.taus.size])
-        shuffled = pool_scaled([(r.ticker, r.shuffled_by_q[q]) for r in ok])
-        pdfs = {}
-        for name, values in (("pdf", raw.astype(np.float64)),
-                             ("pdf_scaled", pooled.values),
-                             ("pdf_shuffled", shuffled.values)):
-            if values.size:
-                pdfs[name] = log_bin(values, cfg.bins_per_decade)
-                write_pdf_tsv(pdfs[name], outdir / f"{name}_q{tag}.tsv")
-        report["intervals"][tag] = {
-            "empty": False,
-            "n_stocks_used": len(pooled.tickers),
-            "n_insufficient": len(pooled.skipped),
-            "n_intervals": len(pooled),
-            "mean_tau": float(raw.mean()),
-            "fits": _fit_block(pooled.values, pdfs["pdf_scaled"], cfg),
-            "shuffled_fits": (_fit_block(shuffled.values,
-                                         pdfs["pdf_shuffled"], cfg)
-                              if len(shuffled) else None)}
+        # one sample at a time, each freed before the next is built: the
+        # raw intervals (log_bin takes its own float64 copy of the narrow
+        # taus), then the scaled pool, then the shuffled one
+        raw = np.concatenate(raw)
+        mean_tau = float(raw.mean())
+        write_pdf_tsv(log_bin(raw, cfg.bins_per_decade), outdir / f"pdf_q{tag}.tsv")
+        del raw
+        pooled = pool_scaled(items)
+        block = {"empty": False,
+                 "n_stocks_used": len(pooled.tickers),
+                 "n_insufficient": len(pooled.skipped),
+                 "n_intervals": len(pooled),
+                 "mean_tau": mean_tau,
+                 "fits": _fit_block(pooled.values,
+                                    outdir / f"pdf_scaled_q{tag}.tsv", cfg)}
+        del pooled
+        shuffled = pool_scaled([(r.ticker, r.shuffled_by_q[q]) for r in ok]).values
+        block["shuffled_fits"] = (
+            _fit_block(shuffled, outdir / f"pdf_shuffled_q{tag}.tsv", cfg)
+            if shuffled.size else None)
+        report["intervals"][tag] = block
         if cfg.dump_intervals:
             # each stock's rows, ticker <TAB> q <TAB> interval, as one string
             dump += [f"{t}\t{tag}\t" + f"\n{t}\t{tag}\t".join(map(str, iv.taus.tolist()))
@@ -484,12 +489,23 @@ def cmd_factors(cfg) -> None:
 
 
 def cmd_synth(cfg) -> None:
+    # the directories this run creates, deepest first
+    made = [d for d in (Path(cfg.out), *Path(cfg.out).parents) if not d.exists()]
     out = _outdir(cfg)
-    planted = {}
-    for source in _sources(cfg):        # one stock in memory at a time
-        stock, truth = synth_stock(*source)
-        planted[stock.ticker] = truth
-        write_corpus([stock], out)
+    planted, written = {}, []
+    try:
+        for source in _sources(cfg):        # one stock in memory at a time
+            stock, truth = synth_stock(*source)
+            planted[stock.ticker] = truth
+            write_corpus([stock], out)
+            written.append(out / f"{stock.ticker}.csv")
+    except DataError:
+        # leave no partial corpus behind, nor a directory made for it
+        for path in written:
+            path.unlink()
+        for d in made:
+            d.rmdir()
+        raise
     _write_json(out / "planted.json", planted)
     print(f"wrote {len(planted)} stocks to {out}")
 

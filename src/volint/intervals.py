@@ -24,7 +24,10 @@ class IntervalSeries:
     """Ordered return intervals of one series at one threshold."""
 
     q: float
-    taus: np.ndarray              # int64, each >= 1, in temporal order
+    # each >= 1, in temporal order, in the narrowest unsigned dtype that
+    # holds the series length (uint16 up to 65,535 days); take float64
+    # before any arithmetic on them
+    taus: np.ndarray
     n_exceedances: int
 
     @property
@@ -63,14 +66,18 @@ def extract_intervals(v, q: float) -> IntervalSeries:
     Returns
     -------
     IntervalSeries
-        taus are successive differences of exceedance positions. With
-        fewer than 2 exceedances the result is empty and flagged
-        insufficient; callers skip and count such stocks.
+        taus are successive differences of exceedance positions, held in
+        the narrowest unsigned dtype that holds len(v): every interval is
+        shorter than the series, so none can wrap. With fewer than 2
+        exceedances the result is empty and flagged insufficient; callers
+        skip and count such stocks.
     """
     if not q > 0:
         raise ConfigError(f"threshold must be positive, got {q}")
-    idx = np.flatnonzero(np.asarray(v, dtype=np.float64) > q)
-    return IntervalSeries(q=float(q), taus=np.diff(idx).astype(np.int64),
+    v = np.asarray(v, dtype=np.float64)
+    idx = np.flatnonzero(v > q)
+    return IntervalSeries(q=float(q),
+                          taus=np.diff(idx).astype(np.min_scalar_type(v.size)),
                           n_exceedances=int(idx.size))
 
 
@@ -87,24 +94,25 @@ def pool_scaled(items) -> PooledIntervals:
     -----
     Scaling is per stock, by that stock's own mean interval; pooling raw
     intervals and scaling by a global mean is a different (wrong) rule for
-    a per-series scaling law.
+    a per-series scaling law. The values are one float64 array, sized from
+    the members up front and filled stock by stock: the mean of integer
+    taus is taken in float64, and each tau is cast to float64 before it is
+    divided, so the dtype of taus never changes a value.
     """
     items = sorted(items, key=lambda kv: kv[0])
     qs = sorted({iv.q for _, iv in items})
     if len(qs) > 1:
         raise ConfigError(f"mixed thresholds in pool: {qs}")
-    tickers, chunks, skipped = [], [], []
-    for ticker, iv in items:
-        if iv.insufficient:
-            skipped.append(ticker)
-            continue
-        tickers.append(ticker)
-        chunks.append(iv.taus / iv.taus.mean())
-    values = (np.concatenate(chunks) if chunks
-              else np.empty(0, dtype=np.float64))
-    return PooledIntervals(values=values, tickers=tuple(tickers),
-                           sizes=tuple(len(c) for c in chunks),
-                           skipped=tuple(skipped))
+    used = [(t, iv.taus) for t, iv in items if not iv.insufficient]
+    sizes = tuple(taus.size for _, taus in used)
+    values = np.empty(sum(sizes), dtype=np.float64)
+    end = 0
+    for (_, taus), size in zip(used, sizes):
+        np.divide(taus, taus.mean(), out=values[end:end + size])
+        end += size
+    return PooledIntervals(values=values, tickers=tuple(t for t, _ in used),
+                           sizes=sizes,
+                           skipped=tuple(t for t, iv in items if iv.insufficient))
 
 
 def shuffle_control(v, seed: int) -> np.ndarray:
@@ -115,5 +123,5 @@ def shuffle_control(v, seed: int) -> np.ndarray:
     seeds.derive_seed(master, ticker, "shuffle") so parallel order cannot
     change results.
     """
-    v = np.asarray(v, dtype=np.float64)
-    return v[np.random.default_rng(seed).permutation(v.size)]
+    # permutation shuffles a copy of v in place; v itself is left as it was
+    return np.random.default_rng(seed).permutation(np.asarray(v, dtype=np.float64))

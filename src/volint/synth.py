@@ -52,15 +52,16 @@ def fgn(n: int, hurst: float, rng) -> np.ndarray:
     """
     if not 0 < hurst < 1:
         raise ConfigError(f"hurst must be in (0, 1), got {hurst}")
-    lam = _circulant_eigenvalues(int(n), float(hurst))
-    m = 2 * n
+    amp = _amplitudes(int(n), float(hurst))
     a = rng.standard_normal(n + 1)
     b = rng.standard_normal(n + 1)
-    w = np.empty(m, dtype=complex)
-    w[0] = np.sqrt(lam[0] / m) * a[0]
-    w[1:n] = np.sqrt(lam[1:n] / (2 * m)) * (a[1:n] + 1j * b[1:n])
-    w[n] = np.sqrt(lam[n] / m) * a[n]
-    w[n + 1:] = np.conj(w[n - 1:0:-1])
+    # w[k] = amp[k] * (a[k] + i b[k]) for 0 < k < n, real at 0 and n, and
+    # Hermitian beyond n, so that its FFT is real
+    w = np.empty(2 * n, dtype=complex)
+    np.multiply(amp, a, out=w.real[:n + 1])
+    np.multiply(amp[1:n], b[1:n], out=w.imag[1:n])
+    w.imag[0] = w.imag[n] = 0.0
+    np.conjugate(w[n - 1:0:-1], out=w[n + 1:])
     return np.fft.fft(w)[:n].real
 
 
@@ -76,6 +77,19 @@ def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
     lam = np.clip(np.fft.fft(row).real, 0.0, None)
     lam.flags.writeable = False
     return lam
+
+
+@functools.lru_cache(maxsize=4)
+def _amplitudes(n: int, hurst: float) -> np.ndarray:
+    """The n + 1 scales of fgn's normal draws, sqrt(lam / m) at 0 and n and
+    sqrt(lam / 2m) between, for the eigenvalues lam of the circulant of
+    size m = 2n; read-only and shared, like the eigenvalues."""
+    lam = _circulant_eigenvalues(n, hurst)
+    m = 2 * n
+    amp = np.sqrt(lam[:n + 1] / (2 * m))
+    amp[[0, n]] = np.sqrt(lam[[0, n]] / m)
+    amp.flags.writeable = False
+    return amp
 
 
 def cascade_log_weights(levels: int, sigma: float, rng) -> np.ndarray:
@@ -264,12 +278,16 @@ def synth_stock(spec: GeneratorSpec, index: int):
     (DailySeries, dict)
         The stock and its generator parameters and size attributes.
 
-    Raises DataError when parameters that check_spec accepts are extreme
-    enough (say a kappa of 1e300) to overflow the series.
+    Raises DataError, naming the stock's ticker and kind, when parameters
+    that check_spec accepts are extreme enough (say a kappa of 1e300) to
+    overflow the series.
     """
     # the overflow is reported by volume_from_series, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        vol = volume_from_series(generate(spec))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            vol = volume_from_series(generate(spec))
+    except DataError as exc:
+        raise DataError(f"{_ticker(index)} ({spec.kind}): {exc}") from None
     n = vol.size
     attrs = np.random.default_rng(derive_seed(spec.seed, "attrs"))
     close = round(float(attrs.lognormal(math.log(20.0), 1.0)), 2)

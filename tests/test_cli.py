@@ -115,6 +115,31 @@ def test_synth_roundtrip(tmp_path, capsys):
     assert len(corpus) == 3
 
 
+def test_synth_data_error_leaves_no_output_directory(tmp_path, capsys):
+    # every stock overflows; the run made out and its parent, and removes both
+    out = tmp_path / "new" / "corpus"
+    rc = main(["synth", "--kind", "iid", "--dist", "powered_normal",
+               "--kappa", "1e300", "--n-stocks", "2", "--length", "300",
+               "--out", str(out)])
+    assert rc == 3
+    assert "S00000 (iid): the series overflows" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_data_error_removes_only_the_files_it_wrote(tmp_path, capsys):
+    # at kappa 600 and seed 0, S00000 is written and S00001 overflows
+    out = tmp_path / "corpus"
+    out.mkdir()
+    (out / "OTHER.csv").write_text("kept\n")
+    rc = main(["synth", "--kind", "iid", "--dist", "powered_normal",
+               "--kappa", "600", "--n-stocks", "4", "--length", "300",
+               "--seed", "0", "--out", str(out)])
+    assert rc == 3
+    assert "S00001 (iid): the series overflows" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["OTHER.csv"]
+    assert (out / "OTHER.csv").read_text() == "kept\n"
+
+
 def test_conflicting_sources_exit_2(tmp_path, capsys):
     rc = main(["intervals", *SYNTH, "--data-dir", str(tmp_path),
                "--out", str(tmp_path / "x"), "--jobs", "1"])
@@ -511,6 +536,7 @@ def test_synth_cli_rejects_what_check_spec_rejects(case):
             return
         event(f"exit {rc}")
         if rc == 3:
+            assert not out.exists()
             rule = vi.homogeneous_rule(kind, length, params, 7)
             with pytest.raises(vi.DataError, match="overflows"):
                 vi.synth_stock(rule(0), 0)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import volint as vi
+from volint.fitting import log_bin
 from volint.intervals import extract_intervals, pool_scaled, shuffle_control
 
 
@@ -132,3 +133,121 @@ def test_taus_are_the_gaps_between_exceedances(values, q):
     assert iv.n_exceedances == len(above)
     assert iv.taus.tolist() == np.diff(above).tolist()
     assert iv.insufficient == (len(above) < 2)
+
+
+# ---------------------------------------------------------------------------
+# the fast paths against the expressions they replaced, bit for bit
+
+def _taus_int64(v, q):
+    """extract_intervals' taus as they were before they were held narrow."""
+    return np.diff(np.flatnonzero(np.asarray(v, dtype=np.float64) > q)).astype(np.int64)
+
+
+def _pool_concatenate(items):
+    """pool_scaled as it was before it filled one preallocated array:
+    (values, tickers, sizes, skipped) of (ticker, int64 taus) items."""
+    tickers, chunks, skipped = [], [], []
+    for ticker, taus in sorted(items, key=lambda kv: kv[0]):
+        if taus.size == 0:
+            skipped.append(ticker)
+            continue
+        tickers.append(ticker)
+        chunks.append(taus / taus.mean())
+    values = (np.concatenate(chunks) if chunks
+              else np.empty(0, dtype=np.float64))
+    return values, tuple(tickers), tuple(len(c) for c in chunks), tuple(skipped)
+
+
+def _shuffle_gather(v, seed):
+    """shuffle_control as it was: a gather through permutation(v.size)."""
+    v = np.asarray(v, dtype=np.float64)
+    return v[np.random.default_rng(seed).permutation(v.size)]
+
+
+def _dump(ticker, tag, taus):
+    """One stock's --dump-intervals rows, as cmd_intervals writes them."""
+    return (f"{ticker}\t{tag}\t" + f"\n{ticker}\t{tag}\t".join(map(str, taus.tolist()))
+            + "\n")
+
+
+# series lengths on both sides of the uint8/uint16 and uint16/uint32 edges
+LENGTHS = st.one_of(st.integers(2, 600),
+                    st.sampled_from([255, 256, 257, 65535, 65536, 65537]),
+                    st.integers(2, 70_000))
+# q = 6 on exponential values leaves intervals of about 400 days
+QS = st.sampled_from([0.5, 2.0, 4.0, 6.0, 8.0])
+
+
+def _volatility(length, seed):
+    return np.random.default_rng(seed).exponential(1.0, length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(LENGTHS, st.integers(0, 2**32), QS)
+def test_narrow_taus_equal_the_int64_differences(length, seed, q):
+    v = _volatility(length, seed)
+    taus = extract_intervals(v, q).taus
+    assert taus.dtype == np.min_scalar_type(length)
+    assert taus.dtype.kind == "u"
+    assert taus.astype(np.int64).tobytes() == _taus_int64(v, q).tobytes()
+
+
+@pytest.mark.parametrize("length, dtype", [
+    (2, np.uint8), (255, np.uint8), (256, np.uint16), (65535, np.uint16),
+    (65536, np.uint32)])
+def test_the_longest_interval_fits_its_dtype(length, dtype):
+    # exceedances at the first and last day only: the one interval is
+    # length - 1, the largest a series of this length can have
+    v = np.zeros(length)
+    v[[0, -1]] = 3.0
+    taus = extract_intervals(v, 2.0).taus
+    assert taus.dtype == dtype
+    assert taus.tolist() == [length - 1]
+
+
+def test_an_8192_day_stock_holds_uint16_taus():
+    stock, _ = vi.synth_stock(vi.homogeneous_rule(
+        "fgn", 8192, {"hurst": 0.8, "vol_scale": 0.4, "noise_df": 3.0}, 3)(0), 0)
+    iv = extract_intervals(vi.volatility(stock.volume), 2.0)
+    assert iv.taus.size > 0
+    assert iv.taus.dtype == np.uint16
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(LENGTHS, st.integers(0, 2**32)), min_size=1,
+                max_size=5),
+       QS)
+def test_pool_mean_pdf_and_dump_of_narrow_taus_equal_int64(stocks, q):
+    narrow, wide = [], []
+    for i, (length, seed) in enumerate(stocks):
+        v = _volatility(length, seed)
+        ticker = f"S{len(stocks) - i:02d}"     # not in ticker order
+        narrow.append((ticker, extract_intervals(v, q)))
+        wide.append((ticker, _taus_int64(v, q)))
+    pooled = pool_scaled(narrow)
+    values, tickers, sizes, skipped = _pool_concatenate(wide)
+    assert pooled.values.dtype == np.float64
+    assert pooled.values.tobytes() == values.tobytes()
+    assert (pooled.tickers, pooled.sizes, pooled.skipped) == (tickers, sizes,
+                                                             skipped)
+    # cmd_intervals' raw pool, its mean, its PDF and its dump rows
+    if not pooled.tickers:
+        return
+    raw = np.concatenate([iv.taus for _, iv in narrow if iv.taus.size])
+    raw64 = np.concatenate([taus for _, taus in wide if taus.size])
+    assert raw.dtype.kind == "u"
+    assert np.float64(raw.mean()).tobytes() == np.float64(raw64.mean()).tobytes()
+    got, want = log_bin(raw), log_bin(raw64.astype(np.float64))
+    for field in ("edges", "densities", "counts"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert ([_dump(t, "2", iv.taus) for t, iv in narrow if iv.taus.size]
+            == [_dump(t, "2", taus) for t, taus in wide if taus.size])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5000), st.integers(0, 2**64 - 1))
+def test_shuffle_control_equals_the_gather(length, seed):
+    v = _volatility(length, seed % 1000)
+    before = v.copy()
+    assert shuffle_control(v, seed).tobytes() == _shuffle_gather(v, seed).tobytes()
+    assert v.tobytes() == before.tobytes()      # the input is not shuffled

@@ -132,7 +132,9 @@ def test_fgn_magnitudes_forget_weak_linear_memory():
 
 
 def _fgn_uncached(n, hurst, rng):
-    """fgn as it was before its eigenvalues were cached: the reference."""
+    """fgn as it was before its eigenvalues and amplitudes were cached and
+    before w was written part by part: the complex construction, the
+    reference."""
     k = np.arange(n + 1)
     rho = 0.5 * (np.abs(k - 1) ** (2 * hurst) - 2 * np.abs(k) ** (2 * hurst)
                  + np.abs(k + 1) ** (2 * hurst))
@@ -158,8 +160,16 @@ def test_fgn_matches_the_uncached_formula_bit_for_bit(n, hurst):
         assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5000), st.floats(0.01, 0.99), st.integers(0, 2**32))
+def test_fgn_equals_the_complex_construction(n, hurst, seed):
+    got = fgn(n, hurst, np.random.default_rng(seed))
+    want = _fgn_uncached(n, hurst, np.random.default_rng(seed))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_fgn_eigenvalue_cache_is_read_only_and_keyed_by_n_and_hurst():
-    from volint.synth import _circulant_eigenvalues
+    from volint.synth import _amplitudes, _circulant_eigenvalues
     lam = _circulant_eigenvalues(256, 0.8)
     assert not lam.flags.writeable
     with pytest.raises(ValueError):
@@ -174,6 +184,7 @@ def test_fgn_eigenvalue_cache_is_read_only_and_keyed_by_n_and_hurst():
         assert got.tobytes() == want.tobytes()
     for n, hurst in shapes:
         assert not _circulant_eigenvalues(n, hurst).flags.writeable
+        assert not _amplitudes(n, hurst).flags.writeable
 
 
 def test_cascade_levels_follow_from_length():
