@@ -6,8 +6,6 @@ stock, derived from the master seed and the ticker string by hashing, so
 the execution schedule can never change a result.
 """
 
-import hashlib
-
 
 def derive_seed(master, *labels):
     """Fold string labels into a master seed.
@@ -25,6 +23,9 @@ def derive_seed(master, *labels):
     int
         64-bit integer suitable for numpy.random.default_rng.
     """
+    # imported here: hashlib loads OpenSSL, which a run that draws nothing
+    # (a CSV conditional or dfa run, factors) need not carry
+    import hashlib
     h = hashlib.sha256(str(int(master)).encode("ascii"))
     for lab in labels:
         h.update(b"\x1f")

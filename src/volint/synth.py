@@ -13,7 +13,9 @@ cascade  dyadic multiplicative cascade with log-normal weights; the
          the nonlinear (multifractal) correlations regime.
 
 All randomness comes from numpy's PCG64 via default_rng(seed); identical
-(spec, seed) gives bit-identical output on any platform.
+(spec, seed) gives bit-identical draws on any platform. numpy's power and
+exp loops round differently on CPUs with and without AVX-512, so a series
+built from them can differ there in its last bits.
 """
 
 from __future__ import annotations
@@ -46,47 +48,44 @@ def fgn(n: int, hurst: float, rng) -> np.ndarray:
     """Fractional Gaussian noise, unit variance, exact autocovariance.
 
     Circulant (Davies-Harte type) embedding: the target autocovariance
-    row is extended to a circulant whose eigenvalues are non-negative for
-    the fGn covariance, complex normal amplitudes are shaped by the
-    eigenvalue square roots, and one FFT returns n correlated samples.
+    row is extended to a circulant of size 2n whose eigenvalues are
+    non-negative for the fGn covariance, complex normal amplitudes are
+    shaped by the eigenvalue square roots, and one real inverse FFT of
+    the n + 1 point half spectrum returns n correlated samples.
     """
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
     if not 0 < hurst < 1:
         raise ConfigError(f"hurst must be in (0, 1), got {hurst}")
     amp = _amplitudes(int(n), float(hurst))
     a = rng.standard_normal(n + 1)
     b = rng.standard_normal(n + 1)
-    # w[k] = amp[k] * (a[k] + i b[k]) for 0 < k < n, real at 0 and n, and
-    # Hermitian beyond n, so that its FFT is real
-    w = np.empty(2 * n, dtype=complex)
-    np.multiply(amp, a, out=w.real[:n + 1])
-    np.multiply(amp[1:n], b[1:n], out=w.imag[1:n])
+    # the half spectrum w[k] = amp[k] * (a[k] - i b[k]), real at 0 and n:
+    # the unscaled inverse FFT of its Hermitian extension is the forward
+    # FFT of the Hermitian extension of amp * (a + i b), which is real
+    w = np.empty(n + 1, dtype=complex)
+    np.multiply(amp, a, out=w.real)
+    np.multiply(amp, b, out=w.imag)
+    np.negative(w.imag, out=w.imag)
     w.imag[0] = w.imag[n] = 0.0
-    np.conjugate(w[n - 1:0:-1], out=w[n + 1:])
-    return np.fft.fft(w)[:n].real
-
-
-@functools.lru_cache(maxsize=4)
-def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
-    """The eigenvalues, clipped at 0, of the circulant embedding of the fGn
-    autocovariance of n samples; read-only, since every stock of a
-    corpus with this (n, hurst) shares the one array."""
-    k = np.arange(n + 1)
-    rho = 0.5 * (np.abs(k - 1) ** (2 * hurst) - 2 * np.abs(k) ** (2 * hurst)
-                 + np.abs(k + 1) ** (2 * hurst))
-    row = np.concatenate([rho, rho[-2:0:-1]])
-    lam = np.clip(np.fft.fft(row).real, 0.0, None)
-    lam.flags.writeable = False
-    return lam
+    return np.fft.irfft(w, 2 * n, norm="forward")[:n]
 
 
 @functools.lru_cache(maxsize=4)
 def _amplitudes(n: int, hurst: float) -> np.ndarray:
     """The n + 1 scales of fgn's normal draws, sqrt(lam / m) at 0 and n and
-    sqrt(lam / 2m) between, for the eigenvalues lam of the circulant of
-    size m = 2n; read-only and shared, like the eigenvalues."""
-    lam = _circulant_eigenvalues(n, hurst)
+    sqrt(lam / 2m) between, for the eigenvalues lam, clipped at 0, of the
+    circulant embedding of size m = 2n of the fGn autocovariance of n
+    samples; read-only, since every stock of a corpus with this
+    (n, hurst) shares the one array."""
+    k = np.arange(n + 1)
+    rho = 0.5 * (np.abs(k - 1) ** (2 * hurst) - 2 * np.abs(k) ** (2 * hurst)
+                 + np.abs(k + 1) ** (2 * hurst))
     m = 2 * n
-    amp = np.sqrt(lam[:n + 1] / (2 * m))
+    # the circulant's first row is rho and its mirror, real and symmetric,
+    # so its eigenvalues are the real inverse FFT of rho as a half spectrum
+    lam = np.clip(np.fft.irfft(rho, m, norm="forward")[:n + 1], 0.0, None)
+    amp = np.sqrt(lam / (2 * m))
     amp[[0, n]] = np.sqrt(lam[[0, n]] / m)
     amp.flags.writeable = False
     return amp

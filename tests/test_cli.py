@@ -760,6 +760,26 @@ def test_quantile_octiles_leave_numpy_ma_unloaded(tmp_path):
     assert run_python(code) == [0, []]
 
 
+def test_runs_that_draw_nothing_leave_hashlib_unloaded(tmp_path):
+    # hashlib loads OpenSSL; only derive_seed needs it, so a CSV run that
+    # derives no seed does not load it, and one that shuffles does
+    data = tmp_path / "data"
+    assert main(["synth", "--kind", "iid", "--n-stocks", "3", "--length",
+                 "600", "--seed", "5", "--out", str(data)]) == 0
+    runs = [["conditional", "--octiles", "quantile"], ["dfa"], ["factors"],
+            ["dfa", "--shuffled"]]
+    code = ("import json, sys; from volint.cli import main; loaded = []\n"
+            f"for i, run in enumerate({runs!r}):\n"
+            f"    rc = main(run + ['--data-dir', {str(data)!r}, '--jobs', '1',"
+            f" '--out', {str(tmp_path)!r} + f'/o{{i}}'])\n"
+            "    loaded.append([rc, sorted({'hashlib', '_hashlib'} "
+            "& set(sys.modules))])\n"
+            "print(json.dumps(loaded))")
+    *drew_nothing, shuffled = run_python(code)
+    assert drew_nothing == [[0, []]] * 3
+    assert shuffled[0] == 0 and "hashlib" in shuffled[1]
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                     "OMP_NUM_THREADS")
 
