@@ -27,11 +27,13 @@ def planted_corpus():
 
 def main():
     # one pass over the stocks: intervals at q=2, the DFA curve and the
-    # factor vector
+    # factor row; the rows stack into one table, a column per factor
     results = vi.map_stocks(planted_corpus(), qs=(2.0,), order=1, factors=True)
-    factors = [r.factors for r in results]
-    edges = vi.make_edges(factors, "lifetime", n_bins=len(LIFETIMES))
-    binning = vi.bin_stocks(factors, "lifetime", edges)
+    tickers = [r.ticker for r in results]
+    table = np.array([r.factors for r in results])
+    lifetimes = table[:, vi.FACTORS.index("lifetime")]
+    edges = vi.make_edges(lifetimes, "lifetime", n_bins=len(LIFETIMES))
+    binning = vi.bin_stocks(tickers, lifetimes, "lifetime", edges)
     intervals = {r.ticker: r.by_q[2.0] for r in results if not r.degenerate}
     alphas = {r.ticker: r.curve.alpha for r in results if r.curve}
 
@@ -58,7 +60,7 @@ def main():
     print("more persistent stocks: heavier interval tails (smaller gamma),"
           "\nlarger DFA exponents")
 
-    rep = vi.factor_correlations(factors)
+    rep = vi.factor_correlations(table)
     iv, it = vi.FACTORS.index("volume"), vi.FACTORS.index("trading_value")
     print(f"\nlog-log corr(volume, trading value) = "
           f"{rep.log[iv, it]:.2f} over {rep.n_stocks} stocks")

@@ -29,9 +29,8 @@ _EXPORTS = {
                "FitShapeError", "InsufficientStatisticsError",
                "InsufficientTailError", "VolintError"),
     "factors": ("DEFAULT_BIN_COUNTS", "FACTORS", "AlphaBin",
-                "CorrelationReport", "FactorBinning", "FactorVector",
-                "GammaBin", "alpha_by_factor", "bin_stocks",
-                "factor_correlations", "factor_value",
+                "CorrelationReport", "FactorBinning", "GammaBin",
+                "alpha_by_factor", "bin_stocks", "factor_correlations",
                 "gamma_by_factor", "make_edges", "stock_factors"),
     "fitting": ("BinnedPdf", "ExpFit", "TailFit", "collapse_distance",
                 "fit_exponential", "fit_power_tail", "geometric_edges",

@@ -31,8 +31,7 @@ from .dfa import DEFAULT_ORDER, MAX_ORDER
 from .errors import (ConfigError, DataError, FitShapeError,
                      InsufficientStatisticsError, InsufficientTailError)
 from .factors import (DEFAULT_Q, FACTORS, alpha_by_factor, bin_stocks,
-                      factor_correlations, factor_value, gamma_by_factor,
-                      make_edges)
+                      factor_correlations, gamma_by_factor, make_edges)
 from .fitting import (DEFAULT_BINS_PER_DECADE, DEFAULT_X_MIN, fit_exponential,
                       fit_power_tail, hill_gamma, log_bin,
                       power_fit_sensitivity, write_pdf_tsv, write_tsv)
@@ -261,11 +260,17 @@ def _stage(cfg, **stage):
     return accepted, summary, _outdir(cfg)
 
 
-def _factor_binnings(fv):
+def _factor_table(results):
+    """(tickers, table) of the results: one factor row per stock."""
+    return [r.ticker for r in results], np.array([r.factors for r in results])
+
+
+def _factor_binnings(tickers, table):
     """(factor, default binning) of each factor some stock defines."""
-    for factor in FACTORS:
-        if any(factor_value(f, factor) is not None for f in fv):
-            yield factor, bin_stocks(fv, factor, make_edges(fv, factor))
+    for factor, values in zip(FACTORS, table.T):
+        if not np.isnan(values).all():
+            yield factor, bin_stocks(tickers, values, factor,
+                                     make_edges(values, factor))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +451,7 @@ def cmd_dfa(cfg) -> None:
                      "n_skipped": int(len(results) - good.size),
                      "n_flagged_above_1": sum(c.alpha_flagged for _, c in curves),
                      "by_factor": {}}
-    for factor, binning in _factor_binnings([r.factors for r in results]):
+    for factor, binning in _factor_binnings(*_factor_table(results)):
         rows = alpha_by_factor(binning, alphas)
         write_tsv(outdir / f"dfa_alpha_by_{factor}.tsv", map(astuple, rows))
         report["dfa"]["by_factor"][factor] = list(map(asdict, rows))
@@ -455,18 +460,18 @@ def cmd_dfa(cfg) -> None:
 
 def cmd_factors(cfg) -> None:
     results, summary, outdir = _stage(cfg, qs=(cfg.q,), factors=True)
-    fv = [r.factors for r in results]
+    tickers, table = _factor_table(results)
     intervals = {r.ticker: r.by_q[cfg.q] for r in results if not r.degenerate}
 
     report = {**_header(cfg, summary),
               "factors": {"gamma_by_factor": {}, "unbinned": {}}}
     try:
-        report["factors"]["correlations"] = asdict(factor_correlations(fv))
+        report["factors"]["correlations"] = asdict(factor_correlations(table))
     except InsufficientStatisticsError:
         report["factors"]["correlations"] = None
 
     fitted = False
-    for factor, binning in _factor_binnings(fv):
+    for factor, binning in _factor_binnings(tickers, table):
         rows = gamma_by_factor(binning, intervals, cfg.x_min,
                                cfg.bins_per_decade)
         write_tsv(outdir / f"gamma_by_{factor}.tsv",
@@ -476,12 +481,11 @@ def cmd_factors(cfg) -> None:
         report["factors"]["unbinned"][factor] = len(binning.unbinned)
         fitted = fitted or any(r.gamma is not None for r in rows)
 
-    for fa, fb in combinations(FACTORS, 2):
-        rows = [(f.ticker, factor_value(f, fa), factor_value(f, fb))
-                for f in fv]
-        rows = [(t, a, b) for t, a, b in rows if a is not None and b is not None]
-        if rows:
-            write_tsv(outdir / f"scatter_{fa}_vs_{fb}.tsv", rows)
+    for (ia, fa), (ib, fb) in combinations(enumerate(FACTORS), 2):
+        both = np.flatnonzero(~np.isnan(table[:, [ia, ib]]).any(axis=1))
+        if both.size:
+            write_tsv(outdir / f"scatter_{fa}_vs_{fb}.tsv",
+                      [(tickers[k], table[k, ia], table[k, ib]) for k in both])
     _write_json(outdir / "report.json", report)
     if not fitted and report["factors"]["correlations"] is None:
         raise InsufficientStatisticsError(

@@ -3,37 +3,35 @@ correlations.
 
 The four factors are lifetime (record count), mean capitalization
 (close * shares_outstanding averaged; absent when shares are missing),
-mean volume, and mean trading value (close * volume averaged). Size
-factors span decades, so their default bin edges are geometric and their
-headline Pearson coefficients are computed on logs; lifetime stays linear
-and raw. Raw-space coefficients are emitted alongside for comparison.
+mean volume, and mean trading value (close * volume averaged). A stock's
+factors are one float64 row in FACTORS order, NaN where undefined; the
+rows of a run stack into one table, whose columns are binned and whose
+complete rows are correlated. stock_factors alone decides what is
+undefined. Size factors span decades, so their default bin edges are
+geometric and their headline Pearson coefficients are computed on logs;
+lifetime stays linear and raw. Raw-space coefficients are emitted
+alongside for comparison.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientStatisticsError
 from .fitting import (DEFAULT_BINS_PER_DECADE, DEFAULT_X_MIN,
-                      InsufficientTailError, fit_power_tail, log_bin)
+                      InsufficientTailError, fit_power_tail, increasing_edges,
+                      log_bin)
 from .intervals import pool_scaled
 
 FACTORS = ("lifetime", "capitalization", "volume", "trading_value")
 DEFAULT_BIN_COUNTS = {"lifetime": 10, "capitalization": 8,
                       "volume": 11, "trading_value": 9}
 DEFAULT_Q = 2.0
-
-
-@dataclass(frozen=True)
-class FactorVector:
-    ticker: str
-    lifetime: int
-    mean_capitalization: float | None
-    mean_volume: float
-    mean_trading_value: float
+# the largest defined factor: past it, the top bin edge nudged above it,
+# or a geometric edge below that, may overflow to inf
+MAX_FACTOR = np.finfo(np.float64).max / 2
 
 
 @dataclass
@@ -76,55 +74,48 @@ class CorrelationReport:
     degenerate: tuple[str, ...] = ()    # zero-variance factors
 
 
-def stock_factors(s) -> FactorVector:
-    """The FactorVector of one DailySeries.
+def stock_factors(s) -> np.ndarray:
+    """The factor row of one DailySeries: FACTORS' four values, float64.
 
     Trading value is close * volume per day, averaged; capitalization is
     close * shares_outstanding averaged over the rows where shares are
-    present, None when no row has them. A mean that overflows is inf,
-    which factor_value reads as undefined.
+    present. A factor is defined where it is finite, > 0 and at most
+    MAX_FACTOR, and NaN elsewhere: a capitalization without shares, a
+    zero volume or trading value, or a mean that overflows or is too
+    large for its bin edges to stay finite. This is the one place that
+    decides it.
     """
     if s.lifetime_days == 0:
         raise DataError(f"{s.ticker}: empty series")
     vol = s.volume.astype(np.float64)
     mask = np.isfinite(s.shares_outstanding)
     with np.errstate(over="ignore"):
-        cap = (float(np.mean(s.close[mask] * s.shares_outstanding[mask]))
-               if mask.any() else None)
-        trading_value = float(np.mean(s.close * vol))
-    return FactorVector(
-        ticker=s.ticker, lifetime=s.lifetime_days,
-        mean_capitalization=cap, mean_volume=float(vol.mean()),
-        mean_trading_value=trading_value)
+        cap = (np.mean(s.close[mask] * s.shares_outstanding[mask])
+               if mask.any() else np.nan)
+        row = np.array([s.lifetime_days, cap, vol.mean(),
+                        np.mean(s.close * vol)], dtype=np.float64)
+    row[~((row > 0) & (row <= MAX_FACTOR))] = np.nan
+    return row
 
 
-def factor_value(fv: FactorVector, factor: str):
-    """Numeric factor value or None when undefined for this stock: a
-    capitalization without shares, a zero volume or trading value, or a
-    value that is not finite."""
-    if factor == "lifetime":
-        value = float(fv.lifetime)
-    elif factor == "capitalization":
-        value = fv.mean_capitalization
-    elif factor == "volume":
-        value = fv.mean_volume if fv.mean_volume > 0 else None
-    elif factor == "trading_value":
-        value = fv.mean_trading_value if fv.mean_trading_value > 0 else None
-    else:
+def _check_factor(factor: str) -> None:
+    if factor not in FACTORS:
         raise ConfigError(f"unknown factor {factor!r}; choose from {FACTORS}")
-    return value if value is not None and math.isfinite(value) else None
 
 
-def make_edges(factors, factor: str, n_bins: int | None = None) -> np.ndarray:
-    """Default edges: linear for lifetime, geometric for size factors.
+def make_edges(values, factor: str, n_bins: int | None = None) -> np.ndarray:
+    """Default edges of one factor column: linear for lifetime, geometric
+    for size factors.
 
-    Edges cover the observed value range; the top edge is nudged past the
-    maximum so the largest stock lands in the last half-open bin.
+    Edges cover the range of the defined (non-NaN) values; the top edge is
+    nudged past the maximum so the largest stock lands in the last
+    half-open bin.
     """
+    _check_factor(factor)
     if n_bins is None:
         n_bins = DEFAULT_BIN_COUNTS[factor]
-    vals = np.array([v for v in (factor_value(f, factor) for f in factors)
-                     if v is not None], dtype=np.float64)
+    vals = np.asarray(values, dtype=np.float64)
+    vals = vals[~np.isnan(vals)]
     if vals.size == 0:
         raise InsufficientStatisticsError(f"no stock defines factor {factor}")
     lo, hi = float(vals.min()), float(vals.max())
@@ -135,30 +126,27 @@ def make_edges(factors, factor: str, n_bins: int | None = None) -> np.ndarray:
     return np.geomspace(lo, hi * (1 + 1e-9), n_bins + 1)
 
 
-def bin_stocks(factors, factor: str, edges) -> FactorBinning:
-    """Partition stocks into half-open factor bins.
+def bin_stocks(tickers, values, factor: str, edges) -> FactorBinning:
+    """Partition stocks into half-open bins of one factor column.
 
-    Stocks whose value falls outside [edges[0], edges[-1]) are reported as
+    values[i] is the factor of tickers[i], NaN where undefined. Stocks
+    whose value falls outside [edges[0], edges[-1]) are reported as
     unbinned; stocks without a defined value as undefined. Together with
     the members this is a partition of the input.
     """
-    edges = np.asarray(edges, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ConfigError("edges must be strictly increasing, length >= 2")
-    members: dict = {}
-    unbinned, undefined = [], []
-    for fv in factors:
-        v = factor_value(fv, factor)
-        if v is None:
-            undefined.append(fv.ticker)
-            continue
-        k = int(np.searchsorted(edges, v, side="right")) - 1
-        if k < 0 or k >= edges.size - 1:
-            unbinned.append(fv.ticker)
-            continue
-        members.setdefault(k, []).append(fv.ticker)
+    _check_factor(factor)
+    edges = increasing_edges(edges)
+    values = np.asarray(values, dtype=np.float64)
+    tickers = np.asarray(tickers, dtype=object)
+    undefined = np.isnan(values)
+    k = np.searchsorted(edges, values, side="right") - 1
+    inside = ~undefined & (k >= 0) & (k < edges.size - 1)
+    # a set, not np.unique, which imports numpy.ma (about 1 MB of RSS)
+    members = {b: tickers[inside & (k == b)].tolist()
+               for b in sorted(set(k[inside].tolist()))}
     return FactorBinning(factor=factor, edges=edges, members=members,
-                         unbinned=tuple(unbinned), undefined=tuple(undefined))
+                         unbinned=tuple(tickers[~undefined & ~inside]),
+                         undefined=tuple(tickers[undefined]))
 
 
 def gamma_by_factor(binning: FactorBinning, intervals: dict,
@@ -217,21 +205,20 @@ def alpha_by_factor(binning: FactorBinning, alphas: dict) -> list[AlphaBin]:
     return rows
 
 
-def factor_correlations(factors) -> CorrelationReport:
+def factor_correlations(table) -> CorrelationReport:
     """Pairwise Pearson coefficients across the four factors.
 
-    Only stocks with every factor defined enter. The log matrix applies
-    log to the three size factors and leaves lifetime raw; the raw matrix
-    transforms nothing. Zero-variance factors yield NaN coefficients and
-    are listed in degenerate.
+    table holds one factor row per stock (columns in FACTORS order, NaN
+    where undefined); only rows with every factor defined enter. The log
+    matrix applies log to the three size factors and leaves lifetime raw;
+    the raw matrix transforms nothing. Zero-variance factors yield NaN
+    coefficients and are listed in degenerate.
     """
-    rows = [f for f in factors
-            if all(factor_value(f, name) is not None for name in FACTORS)]
-    if len(rows) < 3:
+    table = np.asarray(table, dtype=np.float64)
+    raw = table[~np.isnan(table).any(axis=1)]
+    if len(raw) < 3:
         raise InsufficientStatisticsError(
-            f"{len(rows)} stocks with all factors defined, need 3")
-    raw = np.array([[factor_value(f, name) for name in FACTORS]
-                    for f in rows], dtype=np.float64)
+            f"{len(raw)} stocks with all factors defined, need 3")
     logged = raw.copy()
     logged[:, 1:] = np.log(logged[:, 1:])   # size factors span decades
     deg_idx = [i for i in range(len(FACTORS)) if np.std(raw[:, i]) == 0]
@@ -248,4 +235,4 @@ def factor_correlations(factors) -> CorrelationReport:
         return c
 
     return CorrelationReport(labels=FACTORS, log=corr(logged), raw=corr(raw),
-                             n_stocks=len(rows), degenerate=degenerate)
+                             n_stocks=len(raw), degenerate=degenerate)

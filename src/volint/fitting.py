@@ -135,6 +135,15 @@ def geometric_edges(lo: float, hi: float, bins_per_decade: int) -> np.ndarray:
     return lo * ratio ** np.arange(k + 1)
 
 
+def increasing_edges(edges) -> np.ndarray:
+    """edges as a float64 array; ConfigError unless it has at least two
+    values and each is larger than the one before (so none is NaN)."""
+    edges = np.asarray(edges, dtype=np.float64)
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
+        raise ConfigError("edges must be strictly increasing, length >= 2")
+    return edges
+
+
 def log_bin(samples, bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
             edges=None) -> BinnedPdf:
     """Log-binned probability density of positive samples.
@@ -162,9 +171,7 @@ def log_bin(samples, bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
     if not np.all(np.isfinite(x) & (x > 0)):
         raise DataError("samples must all be finite and positive")
     if edges is not None:
-        edges = np.asarray(edges, dtype=np.float64)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ConfigError("edges must be strictly increasing, length >= 2")
+        edges = increasing_edges(edges)
     else:
         if bins_per_decade < 1:
             raise ConfigError(f"bins_per_decade must be >= 1, got {bins_per_decade}")

@@ -178,7 +178,6 @@ class Corpus:
 
     def __post_init__(self):
         self.stocks = sorted(self.stocks, key=lambda s: s.ticker)
-        self._by_ticker = {s.ticker: s for s in self.stocks}
 
     def __len__(self):
         return len(self.stocks)
@@ -189,9 +188,6 @@ class Corpus:
     @property
     def tickers(self) -> list[str]:
         return [s.ticker for s in self.stocks]
-
-    def get(self, ticker: str) -> DailySeries:
-        return self._by_ticker[ticker]
 
 
 def _matrix(b: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:

@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
+import numpy as np
+
 from .dfa import DfaCurve, dfa
 from .errors import DataError, DegenerateSeriesError
-from .factors import FactorVector, stock_factors
+from .factors import stock_factors
 from .ingest import (DEFAULT_MIN_LIFETIME, DailySeries, FileLoad, read_stock,
                      ticker_of)
 from .intervals import extract_intervals, shuffle_control
@@ -30,7 +32,8 @@ class StockResult:
 
     by_q and shuffled_by_q map a threshold to the IntervalSeries of the
     volatility and of its shuffle control; curve is the DFA of one of
-    them, factors the stock's FactorVector when asked for. A degenerate
+    them, factors the stock's factor row when asked for (FACTORS' four
+    values, NaN where undefined, from factors.stock_factors). A degenerate
     stock has no volatility and carries no intervals or curve. load is how
     the stock's file loaded; a file that was not accepted carries nothing
     else.
@@ -42,7 +45,7 @@ class StockResult:
     by_q: dict = field(default_factory=dict)
     shuffled_by_q: dict = field(default_factory=dict)
     curve: DfaCurve | None = None
-    factors: FactorVector | None = None
+    factors: np.ndarray | None = None
     load: FileLoad = FileLoad()
 
 
@@ -66,7 +69,7 @@ def _stock(source, seed: int, series: str = "volume", qs=(), shuffled_qs=(),
     qs and shuffled_qs are the thresholds to extract intervals at from the
     volatility and from its shuffle control; order, when given, runs DFA
     on the volatility, or on the control with shuffled_dfa; factors adds
-    the stock's FactorVector. A series too short for DFA gets no curve.
+    the stock's factor row. A series too short for DFA gets no curve.
     """
     ticker, stock, load = _open(source, min_lifetime, strict)
     if stock is None:

@@ -241,9 +241,10 @@ def _sweep_corpus(tag, hurst_of_group):
 
 
 def _lifetime_trends(corpus):
-    factors = [vi.stock_factors(s) for s in corpus]
-    edges = vi.make_edges(factors, "lifetime", 5)
-    binning = vi.bin_stocks(factors, "lifetime", edges)
+    lifetimes = [vi.stock_factors(s)[vi.FACTORS.index("lifetime")]
+                 for s in corpus]
+    edges = vi.make_edges(lifetimes, "lifetime", 5)
+    binning = vi.bin_stocks(corpus.tickers, lifetimes, "lifetime", edges)
     results = vi.map_stocks(corpus, qs=(2.0,), order=1)
     gbins = vi.gamma_by_factor(
         binning, {r.ticker: r.by_q[2.0] for r in results if not r.degenerate})

@@ -298,6 +298,31 @@ def test_factor_that_overflows_is_undefined_not_a_warning(tmp_path, argv, block,
         assert all(c is not None for row in correlations["log"][1:] for c in row[1:])
 
 
+@pytest.mark.parametrize("argv, block, key", [
+    (["factors"], "factors", "gamma_by_factor"),
+    (["dfa"], "dfa", "by_factor"),
+], ids=["factors", "dfa"])
+def test_factor_too_large_for_its_edges_is_undefined(tmp_path, argv, block, key):
+    # a one-day stock whose trading value is the largest double: finite,
+    # but the top edge nudged past it would be inf and so would every
+    # geometric edge after the first; that value is undefined instead
+    corpus, _ = vi.synth_corpus(6, vi.homogeneous_rule(
+        "fgn", 600, {"hurst": 0.8, "vol_scale": 0.5, "noise_df": 2.5}, 7))
+    data = tmp_path / "data"
+    vi.write_corpus(corpus, data)
+    (data / "BIG.csv").write_text("date,volume,close,shares_outstanding\n"
+                                  "1990-01-02,1,1.7976931348623157e308,\n")
+    out = tmp_path / "out"
+    assert main([*argv, "--data-dir", str(data), "--min-lifetime", "1",
+                 "--jobs", "1", "--out", str(out)]) == 0
+    report = read_report(out)
+    assert report["load_summary"]["n_accepted"] == 7
+    rows = [r for bins in report[block][key].values() for r in bins]
+    assert len(report[block][key]) == 4
+    assert all(r["lo"] is not None and r["hi"] is not None for r in rows)
+    assert not any("inf" in p.read_text() for p in out.glob("*_by_*.tsv"))
+
+
 def test_jobs_above_max_jobs_exit_2_before_any_pool(tmp_path, capsys,
                                                     monkeypatch):
     import concurrent.futures
@@ -750,14 +775,17 @@ def test_runtime_imports_no_scipy():
 
 
 def test_quantile_octiles_leave_numpy_ma_unloaded(tmp_path):
-    # np.quantile imports numpy.ma (about 15 ms) on its first call
-    argv = ["conditional", *SYNTH, "--thresholds", "2.0", "--seed", "5",
-            "--out", str(tmp_path / "cond"), "--jobs", "1", "--octiles", "quantile"]
+    # np.quantile imports numpy.ma (about 15 ms) on its first call, and
+    # np.unique, which the factor tables could bin with, does too
+    runs = [["conditional", "--thresholds", "2.0", "--octiles", "quantile"],
+            ["dfa"], ["factors"]]
+    argvs = [[*run, *SYNTH, "--seed", "5", "--out", str(tmp_path / run[0]),
+              "--jobs", "1"] for run in runs]
     code = ("import json, sys; from volint.cli import main; "
-            f"rc = main({argv!r}); "
-            "print(json.dumps([rc, sorted(m for m in sys.modules "
+            f"rcs = [main(argv) for argv in {argvs!r}]; "
+            "print(json.dumps([rcs, sorted(m for m in sys.modules "
             "if m == 'numpy.ma' or m.startswith('numpy.ma.'))]))")
-    assert run_python(code) == [0, []]
+    assert run_python(code) == [[0, 0, 0], []]
 
 
 def test_runs_that_draw_nothing_leave_hashlib_unloaded(tmp_path):

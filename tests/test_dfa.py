@@ -102,8 +102,9 @@ def test_alpha_by_factor_flat_for_iid():
     corpus, _ = vi.synth_corpus(40, vi.homogeneous_rule(
         "iid", 2500, {"dist": "student_t", "df": 3.0}, 69))
     results = vi.map_stocks(corpus, order=1, factors=True)
-    fvs = [r.factors for r in results]
-    binning = vi.bin_stocks(fvs, "volume", vi.make_edges(fvs, "volume", 4))
+    volume = np.array([r.factors[vi.FACTORS.index("volume")] for r in results])
+    binning = vi.bin_stocks([r.ticker for r in results], volume, "volume",
+                            vi.make_edges(volume, "volume", 4))
     alphas = {r.ticker: r.curve.alpha for r in results}
     bins = vi.alpha_by_factor(binning, alphas)
     assert len(bins) == 4

@@ -79,6 +79,14 @@ def test_log_bin_explicit_edges_drop_out_of_range():
     assert pdf.counts.tolist() == [1, 1]
 
 
+@pytest.mark.parametrize("edges", [[1.0, np.nan, 4.0], [np.nan, 4.0],
+                                   [1.0, 4.0, 4.0], [4.0, 1.0], [1.0]])
+def test_log_bin_rejects_edges_not_strictly_increasing(edges):
+    # NaN compares false both ways, so only diff > 0 rejects it
+    with pytest.raises(vi.ConfigError, match="strictly increasing"):
+        log_bin([1.5, 2.5, 3.5], edges=edges)
+
+
 def test_power_fit_exact_on_noiseless_bins():
     for g in (2.0, 3.2, 4.2):
         f = fit_power_tail(bin_averaged_power_pdf(g), x_min=1.0)

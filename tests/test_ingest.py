@@ -30,6 +30,12 @@ def make_series(ticker="AAA", n=4, volume=None, close=None, shares=None):
                        close=close, shares_outstanding=np.asarray(shares, dtype=np.float64))
 
 
+def stock(corpus, ticker):
+    """The one stock of corpus with this ticker."""
+    (s,) = [s for s in corpus if s.ticker == ticker]
+    return s
+
+
 def write_csv(path, lines):
     path.write_text("\n".join([HEADER] + lines) + "\n")
 
@@ -130,14 +136,6 @@ def test_ticker_next_to_the_control_characters_is_kept(tmp_path):
     assert load_corpus(tmp_path, min_lifetime=1, strict=True).tickers == sorted(names)
 
 
-def test_corpus_get_unknown_ticker_raises_key_error(tmp_path):
-    write_csv(tmp_path / "A.csv", ["2001-01-01,1,1.0,"])
-    corpus = load_corpus(tmp_path, min_lifetime=1)
-    assert corpus.get("A").ticker == "A"
-    with pytest.raises(KeyError):
-        corpus.get("B")
-
-
 def test_malformed_rows_skipped_and_counted(tmp_path):
     rows = ["2001-01-01,5,1.0,",
             "2001-01-02,-3,1.0,",      # negative volume
@@ -147,7 +145,7 @@ def test_malformed_rows_skipped_and_counted(tmp_path):
     write_csv(tmp_path / "M.csv", rows)
     corpus = load_corpus(tmp_path, min_lifetime=1)
     assert corpus.summary.n_rows_skipped == 3
-    assert corpus.get("M").lifetime_days == 2
+    assert stock(corpus, "M").lifetime_days == 2
 
 
 def test_strict_promotes_malformed_row(tmp_path):
@@ -162,7 +160,7 @@ def test_duplicate_dates_keep_first(tmp_path):
             "2001-01-02,9,9.0,"]   # later file row, same date: dropped
     write_csv(tmp_path / "D.csv", rows)
     corpus = load_corpus(tmp_path, min_lifetime=1)
-    s = corpus.get("D")
+    s = stock(corpus, "D")
     assert corpus.summary.n_duplicate_rows == 1
     assert s.lifetime_days == 2
     assert list(s.volume) == [1, 2]
@@ -179,14 +177,14 @@ def test_duplicate_dates_reject_ticker_under_strict(tmp_path):
 def test_zero_volume_rows_are_valid(tmp_path):
     write_csv(tmp_path / "Z.csv", ["2001-01-01,0,1.0,", "2001-01-02,3,1.0,"])
     corpus = load_corpus(tmp_path, min_lifetime=1)
-    assert list(corpus.get("Z").volume) == [0, 3]
+    assert list(stock(corpus, "Z").volume) == [0, 3]
 
 
 def test_unsorted_input_dates_sorted_on_load(tmp_path):
     write_csv(tmp_path / "U.csv", ["2001-01-03,3,1.0,",
                                    "2001-01-01,1,1.0,",
                                    "2001-01-02,2,1.0,"])
-    s = load_corpus(tmp_path, min_lifetime=1).get("U")
+    s = stock(load_corpus(tmp_path, min_lifetime=1), "U")
     assert list(s.volume) == [1, 2, 3]
     assert np.all(s.dates[1:] > s.dates[:-1])
 
@@ -279,7 +277,7 @@ def test_write_corpus_writes_the_first_and_last_four_digit_years(tmp_path):
     s = dated("EDGE", "0000-01-01", "0000-02-29", "9999-12-31")
     write_corpus([s], tmp_path)
     back = load_corpus(tmp_path, min_lifetime=1, strict=True)
-    assert back.summary.n_rows_skipped == 0 and back.get("EDGE") == s
+    assert back.summary.n_rows_skipped == 0 and stock(back, "EDGE") == s
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -293,7 +291,7 @@ def test_volume_overflowing_int64_is_a_malformed_row(tmp_path, strict):
         return
     corpus = load_corpus(tmp_path, min_lifetime=1)
     assert corpus.summary.n_rows_skipped == 1
-    assert list(corpus.get("O").volume) == [5, 2 ** 63 - 1]
+    assert list(stock(corpus, "O").volume) == [5, 2 ** 63 - 1]
 
 
 def test_impossible_date_in_a_long_file_is_skipped_not_fatal(tmp_path):
@@ -305,7 +303,7 @@ def test_impossible_date_in_a_long_file_is_skipped_not_fatal(tmp_path):
     write_csv(tmp_path / "F.csv", rows)
     corpus = load_corpus(tmp_path, min_lifetime=1)
     assert corpus.summary.n_rows_skipped == 1
-    assert corpus.get("F").lifetime_days == 5000
+    assert stock(corpus, "F").lifetime_days == 5000
 
 
 # rows outside the grammar, each with the field it breaks; the first nine
@@ -331,7 +329,7 @@ def test_row_outside_the_grammar_skipped_when_lenient_named_when_strict(
     (tmp_path / "T.csv").write_bytes(("\n".join(lines) + "\n").encode())
     corpus = load_corpus(tmp_path, min_lifetime=1)
     assert corpus.summary.n_rows_skipped == 1
-    assert list(corpus.get("T").volume) == [5, 6]
+    assert list(stock(corpus, "T").volume) == [5, 6]
     with pytest.raises(vi.DataError, match=rf"T\.csv:3: {field} "):
         load_corpus(tmp_path, min_lifetime=1, strict=True)
 

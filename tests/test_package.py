@@ -11,7 +11,8 @@ import volint as vi
 from test_cli import python_env
 
 # every name the package bound with `from .<module> import ...` before its
-# exports became lazy, less the deleted OctileStat and MemorySummary, by module
+# exports became lazy, less the deleted OctileStat, MemorySummary,
+# FactorVector and factor_value, by module
 EAGER_EXPORTS = {
     "conditional": ["GEOMETRIC_BOUNDARIES", "ConditionalPdf", "assign_octiles",
                     "conditional_pdfs", "consecutive_pairs", "memory_summary",
@@ -21,9 +22,8 @@ EAGER_EXPORTS = {
                "FitShapeError", "InsufficientStatisticsError",
                "InsufficientTailError", "VolintError"],
     "factors": ["DEFAULT_BIN_COUNTS", "FACTORS", "AlphaBin",
-                "CorrelationReport", "FactorBinning", "FactorVector",
-                "GammaBin", "alpha_by_factor", "bin_stocks",
-                "factor_correlations", "factor_value",
+                "CorrelationReport", "FactorBinning", "GammaBin",
+                "alpha_by_factor", "bin_stocks", "factor_correlations",
                 "gamma_by_factor", "make_edges", "stock_factors"],
     "fitting": ["BinnedPdf", "ExpFit", "TailFit", "collapse_distance",
                 "fit_exponential", "fit_power_tail", "geometric_edges",
