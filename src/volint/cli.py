@@ -1,12 +1,11 @@
 """Command-line pipelines: corpus in, plot-ready TSVs plus report.json out.
 
-Subcommands: intervals, conditional, dfa, factors, synth. Every analysis
-maps the per-stock stage (stage.map_stocks: CSV file or generator spec ->
-column -> volatility -> intervals per threshold, shuffled control, DFA,
-factors) over the corpus's sources and reduces its ticker-ordered
-results, so the --jobs value can never change any output byte. The
-report deliberately omits execution environment (paths, parallelism) for
-the same reason.
+Subcommands: intervals, conditional, dfa, factors, synth. An analysis is
+a request to the per-stock stage (stage.map_stocks: CSV file or generator
+spec -> column -> volatility -> intervals per threshold, shuffled control,
+DFA, factors) and a reducer, cmd_<command>, of the ticker-ordered results,
+so --jobs never changes an output byte. main alone writes report.json,
+which omits paths and parallelism for the same reason, and decides exit 4.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 insufficient statistics everywhere (nothing useful produced).
@@ -92,6 +91,13 @@ def _thresholds(text: str) -> tuple:
     return qs
 
 
+def _dir_or_new(path: str) -> bool:
+    """Whether path is a directory or can be made one: the first of it and
+    its parents that exists is a directory."""
+    return os.path.isdir(next(p for p in (Path(path), *Path(path).parents)
+                              if os.path.exists(p)))
+
+
 def _default_jobs() -> int:
     """The CPUs this process may run on, where the platform tells, up to
     MAX_JOBS."""
@@ -140,18 +146,21 @@ OPTIONS = (
         ("dist", DISTS))),
     Option("series", ("volume", "price"), "volume", echo=True),
     Option("thresholds", str, ",".join(map(str, DEFAULT_THRESHOLDS)),
-           echo=True, check=_thresholds),
+           ("intervals", "conditional"), echo=True, check=_thresholds),
     Option("seed", int, 0, ALL, echo=True),
-    Option("out", commands=ALL, required=ALL),
+    Option("out", commands=ALL, required=ALL,
+           check=_must(_dir_or_new, "a directory or a new path under one")),
     Option("jobs", int, _default_jobs,
            check=_must(lambda x: 1 <= x <= MAX_JOBS, f"from 1 to {MAX_JOBS}")),
     Option("min_lifetime", int, DEFAULT_MIN_LIFETIME, echo=True,
            check=_at_least(0)),
     Option("strict", bool, False, echo=True),
-    Option("bins_per_decade", int, DEFAULT_BINS_PER_DECADE, echo=True,
+    Option("bins_per_decade", int, DEFAULT_BINS_PER_DECADE,
+           ("intervals", "conditional", "factors"), echo=True,
            check=_must(lambda x: 1 <= x <= MAX_BINS_PER_DECADE,
                        f"from 1 to {MAX_BINS_PER_DECADE}")),
-    Option("x_min", float, DEFAULT_X_MIN, echo=True, check=_positive),
+    Option("x_min", float, DEFAULT_X_MIN, ("intervals", "factors"),
+           echo=True, check=_positive),
     Option("dump_intervals", bool, False, ("intervals",),
            help="also write ticker/q/tau rows to intervals.tsv"),
     Option("octiles", ("geometric", "quantile"), "geometric",
@@ -191,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _configure(cfg):
     """Check the parsed options before any data is read or generated: each
-    option's check in table order, then the source; the first failure
-    raises ConfigError with its flag. Adds params, the GeneratorSpec
-    params of the generator flags, which synth.check_spec checks."""
+    option's check in table order, on defaults too (report.json echoes them
+    checked), then the source; the first failure raises ConfigError with
+    its flag. Adds params, the GeneratorSpec params of the generator flags."""
     for opt in OPTIONS:
         value = getattr(cfg, opt.name)
-        if value is None or cfg.command not in opt.commands:
+        if value is None:
             continue
         try:
             value = _finite(value) if opt.type is float else value
@@ -336,15 +345,19 @@ def _fit_block(values, path: Path, cfg) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: reducers over the per-stock stage
+# analyses: a request to the stage (map_stocks arguments) and a reducer
+# cmd_<command>(cfg, results, outdir) -> (report block, why it is empty)
+REQUESTS = {
+    "intervals": lambda c: {"qs": c.thresholds, "shuffled_qs": c.thresholds},
+    "conditional": lambda c: {"shuffled_qs" if c.shuffled else "qs": c.thresholds},
+    "dfa": lambda c: {"order": c.order, "shuffled_dfa": c.shuffled, "factors": True},
+    "factors": lambda c: {"qs": (c.q,), "factors": True},
+}
 
-def cmd_intervals(cfg) -> None:
-    results, summary, outdir = _stage(cfg, qs=cfg.thresholds,
-                                      shuffled_qs=cfg.thresholds)
+
+def cmd_intervals(cfg, results, outdir):
     ok = [r for r in results if not r.degenerate]
-
-    report = {**_header(cfg, summary),
-              "n_degenerate": len(results) - len(ok),
+    report = {"n_degenerate": len(results) - len(ok),
               "n_returns_dropped": sum(r.n_dropped for r in results),
               "intervals": {}}
     dump = []
@@ -380,22 +393,18 @@ def cmd_intervals(cfg) -> None:
             # each stock's rows, ticker <TAB> q <TAB> interval, as one string
             dump += [f"{t}\t{tag}\t" + f"\n{t}\t{tag}\t".join(map(str, iv.taus.tolist()))
                      + "\n" for t, iv in items if iv.taus.size]
-    produced = any(not b["empty"] for b in report["intervals"].values())
-    if cfg.dump_intervals and produced:
+    if all(b["empty"] for b in report["intervals"].values()):
+        return report, "no threshold produced any interval"
+    if cfg.dump_intervals:
         with open(outdir / "intervals.tsv", "w") as fh:
             fh.writelines(dump)
-    _write_json(outdir / "report.json", report)
-    if not produced:
-        raise InsufficientStatisticsError("no threshold produced any interval")
+    return report, None
 
 
-def cmd_conditional(cfg) -> None:
-    results, summary, outdir = _stage(cfg, **{
-        "shuffled_qs" if cfg.shuffled else "qs": cfg.thresholds})
+def cmd_conditional(cfg, results, outdir):
     by_q = [(r.ticker, r.shuffled_by_q if cfg.shuffled else r.by_q)
             for r in results if not r.degenerate]
-
-    report = {**_header(cfg, summary), "conditional": {}}
+    report = {"conditional": {}}
     for q in cfg.thresholds:
         tag = _qtag(q)
         tau0, tau = consecutive_pairs([(t, ivs[q]) for t, ivs in by_q])
@@ -422,49 +431,42 @@ def cmd_conditional(cfg) -> None:
                         for cp in pdfs],
             "spearman": memory_summary(pdfs),
         }
-    _write_json(outdir / "report.json", report)
     if all(b["empty"] for b in report["conditional"].values()):
-        raise InsufficientStatisticsError(
-            "no threshold produced octiles of interval pairs")
+        return report, "no threshold produced octiles of interval pairs"
+    return report, None
 
 
-def cmd_dfa(cfg) -> None:
-    results, summary, outdir = _stage(cfg, order=cfg.order,
-                                      shuffled_dfa=cfg.shuffled, factors=True)
+def cmd_dfa(cfg, results, outdir):
     curves = [(r.ticker, r.curve) for r in results if r.curve is not None]
     alphas = {t: c.alpha for t, c in curves}
     good = np.array(list(alphas.values()))
-    report = _header(cfg, summary)
     if good.size == 0:
-        _write_json(outdir / "report.json", {**report, "dfa": {"empty": True}})
-        raise InsufficientStatisticsError("no stock yielded a DFA exponent")
+        return {"dfa": {"empty": True}}, "no stock yielded a DFA exponent"
 
     if cfg.dump_fluctuations:
         for t, c in curves:
             write_tsv(outdir / f"dfa_fluct_{t}.tsv",
                       zip(c.window_sizes, c.fluctuations))
 
-    report["dfa"] = {"empty": False,
-                     "mean_alpha": float(good.mean()),
-                     "std_alpha": float(good.std()),
-                     "n_computed": int(good.size),
-                     "n_skipped": int(len(results) - good.size),
-                     "n_flagged_above_1": sum(c.alpha_flagged for _, c in curves),
-                     "by_factor": {}}
+    report = {"dfa": {"empty": False,
+                      "mean_alpha": float(good.mean()),
+                      "std_alpha": float(good.std()),
+                      "n_computed": int(good.size),
+                      "n_skipped": int(len(results) - good.size),
+                      "n_flagged_above_1": sum(c.alpha_flagged for _, c in curves),
+                      "by_factor": {}}}
     for factor, binning in _factor_binnings(*_factor_table(results)):
         rows = alpha_by_factor(binning, alphas)
         write_tsv(outdir / f"dfa_alpha_by_{factor}.tsv", map(astuple, rows))
         report["dfa"]["by_factor"][factor] = list(map(asdict, rows))
-    _write_json(outdir / "report.json", report)
+    return report, None
 
 
-def cmd_factors(cfg) -> None:
-    results, summary, outdir = _stage(cfg, qs=(cfg.q,), factors=True)
+def cmd_factors(cfg, results, outdir):
     tickers, table = _factor_table(results)
     intervals = {r.ticker: r.by_q[cfg.q] for r in results if not r.degenerate}
 
-    report = {**_header(cfg, summary),
-              "factors": {"gamma_by_factor": {}, "unbinned": {}}}
+    report = {"factors": {"gamma_by_factor": {}, "unbinned": {}}}
     try:
         report["factors"]["correlations"] = asdict(factor_correlations(table))
     except InsufficientStatisticsError:
@@ -486,10 +488,8 @@ def cmd_factors(cfg) -> None:
         if both.size:
             write_tsv(outdir / f"scatter_{fa}_vs_{fb}.tsv",
                       [(tickers[k], table[k, ia], table[k, ib]) for k in both])
-    _write_json(outdir / "report.json", report)
-    if not fitted and report["factors"]["correlations"] is None:
-        raise InsufficientStatisticsError(
-            "no factor bin has a tail exponent and no correlations")
+    return report, (None if fitted or report["factors"]["correlations"] else
+                    "no factor bin has a tail exponent and no correlations")
 
 
 def cmd_synth(cfg) -> None:
@@ -515,10 +515,17 @@ def cmd_synth(cfg) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        cfg = _configure(build_parser().parse_args(argv))
+        if cfg.command == "synth":
+            cmd_synth(cfg)
+            return EXIT_OK
+        results, summary, outdir = _stage(cfg, **REQUESTS[cfg.command](cfg))
         # looked up by name, so a wrapper put on cmd_* (bench/traced.py) runs
-        globals()[f"cmd_{args.command}"](_configure(args))
+        block, empty = globals()[f"cmd_{cfg.command}"](cfg, results, outdir)
+        _write_json(outdir / "report.json", {**_header(cfg, summary), **block})
+        if empty:
+            raise InsufficientStatisticsError(empty)
         return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from .synth import synth_stock
 from .volatility import log_returns, normalize_volatility
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StockResult:
     """Everything the analyses need from one stock; no per-day arrays.
 
@@ -36,7 +36,7 @@ class StockResult:
     values, NaN where undefined, from factors.stock_factors). A degenerate
     stock has no volatility and carries no intervals or curve. load is how
     the stock's file loaded; a file that was not accepted carries nothing
-    else.
+    else. Results compare by identity: their arrays have no one truth value.
     """
 
     ticker: str

@@ -151,6 +151,22 @@ def test_no_source_exit_2(tmp_path):
     assert main(["intervals", "--out", str(tmp_path / "x"), "--jobs", "1"]) == 2
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+@pytest.mark.parametrize("command", ["intervals", "synth"])
+def test_out_that_cannot_be_a_directory_exit_2_before_any_data(
+        tmp_path, capsys, out, command):
+    # a missing --data-dir would exit 3 once read: exit 2 shows --out was
+    # rejected at configuration, before the source was touched
+    (tmp_path / "file").write_text("kept\n")
+    source = (["--kind", "iid", "--n-stocks", "2", "--length", "300"]
+              if command == "synth" else
+              ["--data-dir", str(tmp_path / "nope"), "--jobs", "1"])
+    assert main([command, *source, "--out", str(tmp_path / out)]) == 2
+    assert "--out must be a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 def test_missing_data_dir_exit_3(tmp_path):
     rc = main(["intervals", "--data-dir", str(tmp_path / "nope"),
                "--out", str(tmp_path / "x"), "--jobs", "1"])
@@ -591,15 +607,53 @@ def test_generator_flags_map_onto_spec_params(tmp_path, flags, params):
         assert json.load(fh)["S00000"]["params"] == params
 
 
-def test_dfa_partial_report_has_header(tmp_path):
-    out = tmp_path / "dfa"
-    rc = main(["dfa", "--synth-kind", "iid", "--synth-n-stocks", "3",
-               "--synth-length", "20", "--out", str(out), "--jobs", "1"])
+# two 20-day stocks: no interval reaches a threshold of 50, no series is
+# long enough for DFA, and two stocks are too few for factor correlations
+EMPTY_RUNS = {
+    "intervals": (["--thresholds", "50"],
+                  {"n_degenerate": 0, "n_returns_dropped": 0,
+                   "intervals": {"50": {"empty": True}}},
+                  "no threshold produced any interval"),
+    "conditional": (["--thresholds", "50"],
+                    {"conditional": {"50": {"empty": True}}},
+                    "no threshold produced octiles of interval pairs"),
+    "dfa": ([], {"dfa": {"empty": True}}, "no stock yielded a DFA exponent"),
+    "factors": (["--q", "50"], None,
+                "no factor bin has a tail exponent and no correlations"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EMPTY_RUNS))
+def test_run_with_nothing_to_report_writes_header_and_empty_block_exit_4(
+        tmp_path, capsys, command):
+    flags, block, reason = EMPTY_RUNS[command]
+    out = tmp_path / command
+    rc = main([command, "--synth-kind", "iid", "--synth-n-stocks", "2",
+               "--synth-length", "20", *flags, "--out", str(out),
+               "--jobs", "1"])
     assert rc == 4
+    assert capsys.readouterr().err == f"insufficient statistics: {reason}\n"
     rep = read_report(out)
-    assert rep["dfa"] == {"empty": True}
-    assert rep["n_stocks"] == 3
-    assert rep["load_summary"]["n_accepted"] == 3
+    header = {k: rep.pop(k) for k in ("config", "load_summary", "n_stocks")}
+    # the config echoes every echo option, checked, also one the command
+    # does not take (dfa and factors take no --thresholds)
+    config = header["config"]
+    assert config["command"] == command
+    assert config["thresholds"] == (
+        [50.0] if flags[:1] == ["--thresholds"] else [2.0, 2.5, 3.0, 3.5, 4.0])
+    assert config["bins_per_decade"] == 8 and config["x_min"] == 1.0
+    assert header["n_stocks"] == header["load_summary"]["n_accepted"] == 2
+    if command == "factors":
+        # every factor is binned, but no bin holds an interval
+        block = rep.pop("factors")
+        assert rep == {}
+        assert block["correlations"] is None
+        assert block["unbinned"] == dict.fromkeys(vi.FACTORS, 0)
+        assert sorted(block["gamma_by_factor"]) == sorted(vi.FACTORS)
+        assert all(r["gamma"] is None and r["n_intervals"] == 0
+                   for rows in block["gamma_by_factor"].values() for r in rows)
+    else:
+        assert rep == block
 
 
 def test_lenient_load_rejects_one_bad_file_not_the_corpus(tmp_path):
@@ -901,17 +955,19 @@ ANALYSIS_DEFAULTS = {
     "--data-dir": None, "--synth-kind": None, "--synth-n-stocks": 100,
     "--synth-length": 5000, "--synth-hurst": None, "--synth-sigma": None,
     "--synth-vol-scale": None, "--synth-df": None, "--synth-kappa": None,
-    "--synth-dist": None, "--series": "volume",
-    "--thresholds": "2.0,2.5,3.0,3.5,4.0", "--seed": 0, "--out": "o",
-    "--min-lifetime": 350, "--strict": False, "--bins-per-decade": 8,
-    "--x-min": 1.0}
+    "--synth-dist": None, "--series": "volume", "--seed": 0, "--out": "o",
+    "--min-lifetime": 350, "--strict": False}
+THRESHOLDS = {"--thresholds": "2.0,2.5,3.0,3.5,4.0"}
+BINS = {"--bins-per-decade": 8}
+X_MIN = {"--x-min": 1.0}
 SURFACE = {
-    "intervals": {**ANALYSIS_DEFAULTS, "--dump-intervals": False},
-    "conditional": {**ANALYSIS_DEFAULTS, "--octiles": "geometric",
-                    "--shuffled": False},
+    "intervals": {**ANALYSIS_DEFAULTS, **THRESHOLDS, **BINS, **X_MIN,
+                  "--dump-intervals": False},
+    "conditional": {**ANALYSIS_DEFAULTS, **THRESHOLDS, **BINS,
+                    "--octiles": "geometric", "--shuffled": False},
     "dfa": {**ANALYSIS_DEFAULTS, "--order": 1, "--shuffled": False,
             "--dump-fluctuations": False},
-    "factors": {**ANALYSIS_DEFAULTS, "--q": 2.0},
+    "factors": {**ANALYSIS_DEFAULTS, **BINS, **X_MIN, "--q": 2.0},
     "synth": {"--kind": "iid", "--n-stocks": 1, "--length": 2, "--seed": 0,
               "--out": "o", "--hurst": None, "--sigma": None,
               "--vol-scale": None, "--df": None, "--kappa": None,
@@ -948,3 +1004,22 @@ def test_cli_surface_flags_defaults_required_and_choices(command):
             if a.choices} == {f: c for f, c in CHOICES.items() if f in want}
     assert ("--jobs" in sub.choices[command]._option_string_actions) == (
         command != "synth")
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("dfa", "--thresholds", "9"),
+    ("dfa", "--bins-per-decade", "3"),
+    ("dfa", "--x-min", "50"),
+    ("factors", "--thresholds", "9"),
+    ("conditional", "--x-min", "50"),
+])
+def test_flag_the_command_does_not_read_exit_2_before_any_data(
+        tmp_path, capsys, command, flag, value):
+    # argparse rejects the flag, so the missing --data-dir is never read
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data-dir", str(tmp_path / "nope"), flag, value,
+              "--out", str(out), "--jobs", "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()

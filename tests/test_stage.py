@@ -18,6 +18,17 @@ def test_map_stocks_gives_degenerate_stock_no_curve():
     assert r.curve is None and r.by_q == {}
 
 
+def test_results_compare_by_identity_without_raising():
+    # a generated __eq__ would compare the interval arrays and raise
+    corpus, _ = vi.synth_corpus(2, vi.homogeneous_rule(
+        "iid", 600, {"dist": "normal"}, 71))
+    a = vi.map_stocks(corpus, qs=(2.0,), factors=True)
+    b = vi.map_stocks(corpus, qs=(2.0,), factors=True)
+    assert a != b
+    assert a == a and a[0] == a[0]
+    assert len({*a, *b}) == 4
+
+
 def test_map_stocks_rejects_unknown_series_kind():
     corpus, _ = vi.synth_corpus(1, vi.homogeneous_rule(
         "iid", 600, {"dist": "normal"}, 71))
