@@ -384,10 +384,10 @@ def cmd_intervals(cfg, results, outdir):
                  "fits": _fit_block(pooled.values,
                                     outdir / f"pdf_scaled_q{tag}.tsv", cfg)}
         del pooled
+        # a shuffle permutes the same values, so it has as many intervals
         shuffled = pool_scaled([(r.ticker, r.shuffled_by_q[q]) for r in ok]).values
-        block["shuffled_fits"] = (
-            _fit_block(shuffled, outdir / f"pdf_shuffled_q{tag}.tsv", cfg)
-            if shuffled.size else None)
+        block["shuffled_fits"] = _fit_block(
+            shuffled, outdir / f"pdf_shuffled_q{tag}.tsv", cfg)
         report["intervals"][tag] = block
         if cfg.dump_intervals:
             # each stock's rows, ticker <TAB> q <TAB> interval, as one string
@@ -515,8 +515,14 @@ def cmd_synth(cfg) -> None:
 
 
 def main(argv=None) -> int:
+    ap = build_parser()
+    cfg, extra = ap.parse_known_args(argv)
+    if extra:
+        # the command's own parser reports them, with the usage of its flags
+        [sub] = [a for a in ap._actions if a.dest == "command"]
+        sub.choices[cfg.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        cfg = _configure(build_parser().parse_args(argv))
+        cfg = _configure(cfg)
         if cfg.command == "synth":
             cmd_synth(cfg)
             return EXIT_OK
@@ -536,7 +542,3 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-
-if __name__ == "__main__":
-    sys.exit(main())

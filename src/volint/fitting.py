@@ -28,14 +28,15 @@ class BinnedPdf:
     """Histogram density on geometric bins.
 
     densities[i] = counts[i] / (n_total * width[i]); zero-count bins carry
-    zero density and are excluded from any fit.
+    zero density and are excluded from any fit. degenerate: a grid derived
+    from samples all equal to lo, the one bin [lo, lo * 10**(1/bins_per_decade)).
     """
 
     edges: np.ndarray
     densities: np.ndarray
     counts: np.ndarray
     n_total: int
-    degenerate: bool = False    # all samples equal, single forced bin
+    degenerate: bool = False
 
     @property
     def centers(self) -> np.ndarray:
@@ -93,7 +94,9 @@ def linregress(x, y) -> Line:
     if ssym == 0.0:
         r = np.nan if ssxym == 0 else 0.0
     else:
-        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+        # ssxm * ssym may underflow to 0: r is then +-1 or NaN, as scipy's
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
     slope = ssxym / ssxm
     stderr = 0.0 if n == 2 else np.sqrt((1 - r**2) * ssym / ssxm / (n - 2))
     return Line(float(slope), float(stderr), float(r))
@@ -171,26 +174,20 @@ def log_bin(samples, bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
     if not np.all(np.isfinite(x) & (x > 0)):
         raise DataError("samples must all be finite and positive")
     if edges is not None:
-        edges = increasing_edges(edges)
+        edges, degenerate = increasing_edges(edges), False
     else:
         if bins_per_decade < 1:
             raise ConfigError(f"bins_per_decade must be >= 1, got {bins_per_decade}")
         lo, hi = float(x.min()), float(x.max())
-        if lo == hi:
-            # no range to bin over; flag rather than invent a scale
-            edges = np.array([lo, lo * 10.0 ** (1.0 / bins_per_decade)])
-            counts = np.array([x.size], dtype=np.int64)
-            dens = counts / (x.size * np.diff(edges))
-            return BinnedPdf(edges=edges, densities=dens, counts=counts,
-                             n_total=int(x.size), degenerate=True)
+        degenerate = lo == hi
         # derived edges cover every sample, so n_total below is x.size
         edges = geometric_edges(lo, hi, bins_per_decade)
     counts, _ = np.histogram(x, bins=edges)
     n_total = int(counts.sum())
     widths = np.diff(edges)
     dens = counts / (n_total * widths) if n_total else np.zeros_like(widths)
-    return BinnedPdf(edges=edges, densities=dens,
-                     counts=counts.astype(np.int64), n_total=n_total)
+    return BinnedPdf(edges=edges, densities=dens, counts=counts.astype(np.int64),
+                     n_total=n_total, degenerate=degenerate)
 
 
 def fit_power_tail(pdf: BinnedPdf, x_min: float = DEFAULT_X_MIN,

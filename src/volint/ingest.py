@@ -379,14 +379,12 @@ def _read_series(path: Path, strict: bool):
 
 
 def corpus_files(path) -> list[Path]:
-    """The CSV files of a corpus: the sorted ``*.csv`` files of a directory,
-    or a single file. Raises DataError when path is neither."""
+    """The CSV files of a corpus: the sorted ``*.csv`` files of a directory.
+    Raises DataError when path is not a directory."""
     path = Path(path)
-    if path.is_dir():
-        return sorted(path.glob("*.csv"))
-    if path.is_file():
-        return [path]
-    raise DataError(f"no such file or directory: {path}")
+    if not path.is_dir():
+        raise DataError(f"not a directory: {path}")
+    return sorted(path.glob("*.csv"))
 
 
 def read_stock(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
@@ -415,12 +413,13 @@ def read_stock(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
 
 def load_corpus(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
                 strict: bool = False) -> Corpus:
-    """Load a corpus from a directory of per-ticker CSV files (or one file).
+    """Load a corpus from a directory of per-ticker CSV files.
 
     Parameters
     ----------
     path : str or Path
-        Directory containing ``<TICKER>.csv`` files, or a single CSV file.
+        Directory containing ``<TICKER>.csv`` files; anything else raises
+        DataError.
     min_lifetime : int
         Minimum record count for a stock to enter the corpus.
     strict : bool

@@ -167,10 +167,16 @@ def test_out_that_cannot_be_a_directory_exit_2_before_any_data(
     assert (tmp_path / "file").read_text() == "kept\n"
 
 
-def test_missing_data_dir_exit_3(tmp_path):
-    rc = main(["intervals", "--data-dir", str(tmp_path / "nope"),
-               "--out", str(tmp_path / "x"), "--jobs", "1"])
+@pytest.mark.parametrize("name", ["nope", "T.csv"])
+def test_missing_data_dir_exit_3(tmp_path, capsys, name):
+    # a corpus is a directory, even of one file
+    (tmp_path / "T.csv").write_text(
+        "date,volume,close,shares_outstanding\n2001-01-02,5,1.0,\n")
+    rc = main(["intervals", "--data-dir", str(tmp_path / name), "--min-lifetime",
+               "1", "--out", str(tmp_path / "x"), "--jobs", "1"])
     assert rc == 3
+    assert f"data error: not a directory: {tmp_path / name}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("files, text", [
@@ -932,6 +938,16 @@ def test_library_import_leaves_the_environment_and_numpy_alone():
     assert same_env
 
 
+def test_the_cli_module_is_no_entry(tmp_path):
+    # volint and python -m volint are the entries; running the module
+    # imports it and runs nothing
+    res = subprocess.run([sys.executable, "-m", "volint.cli", "synth", "--kind",
+                          "iid", "--out", str(tmp_path / "x")],
+                         env=python_env(), capture_output=True, text=True)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "", "")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_blas_thread_count_changes_no_byte(tmp_path):
     # the entry runs BLAS on one thread unless the environment sets a
     # count, so DFA's projections must give the same bytes at the
@@ -1021,5 +1037,8 @@ def test_flag_the_command_does_not_read_exit_2_before_any_data(
         main([command, "--data-dir", str(tmp_path / "nope"), flag, value,
               "--out", str(out), "--jobs", "1"])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the command's own usage, which lists the flags it does take
+    assert err.startswith(f"usage: volint {command} ")
+    assert f"volint {command}: error: unrecognized arguments: {flag} {value}" in err
     assert not out.exists()

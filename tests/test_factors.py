@@ -160,6 +160,19 @@ def test_make_edges_size_geometric():
         make_edges([np.nan, np.nan], "volume")
 
 
+@pytest.mark.parametrize("factor", FACTORS[1:])
+@pytest.mark.parametrize("value", [np.finfo(np.float64).tiny, 1.0, 3.7e5, MAX_FACTOR])
+def test_make_edges_size_factor_every_stock_equal(factor, value):
+    # no range: the top is nudged above the one value, so it is binned
+    edges = make_edges([value] * 3, factor)
+    assert edges.size == vi.DEFAULT_BIN_COUNTS[factor] + 1
+    assert np.isfinite(edges).all() and (np.diff(edges) > 0).all()
+    assert edges[0] == value
+    binning = bin_stocks(["A", "B", "C"], [value] * 3, factor, edges)
+    assert binning.unbinned == () and binning.undefined == ()
+    assert binning.members == {0: ["A", "B", "C"]}
+
+
 def test_bin_boundary_goes_to_upper_bin():
     binning = bin_stocks(["A", "B"], [500.0, 600.0], "lifetime",
                          np.array([400.0, 600.0, 800.0]))

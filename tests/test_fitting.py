@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
 import volint as vi
@@ -57,6 +57,33 @@ def test_log_bin_single_value_degenerate():
     pdf = log_bin(np.full(10, 3.0))
     assert pdf.degenerate
     assert pdf.counts.sum() == 10
+    assert not log_bin(np.full(10, 3.0), edges=[1.0, 10.0]).degenerate
+
+
+def constant_sample_reference(value, n, bins_per_decade):
+    """(edges, densities, counts) of n samples equal to value, as log_bin
+    once binned them in a branch of its own: one bin from value up by the
+    grid's ratio."""
+    edges = np.array([value, value * 10.0 ** (1.0 / bins_per_decade)])
+    counts = np.array([n], dtype=np.int64)
+    return edges, counts / (n * np.diff(edges)), counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-300, 1e300), st.integers(1, 50), st.integers(1, 1000))
+@example(1e-300, 1, 1000)
+@example(1e300, 1, 1)
+@example(1e300, 7, 1000)
+def test_log_bin_constant_sample_is_the_general_grid(value, n, bins_per_decade):
+    # the general grid of lo == hi is the one bin [lo, lo * ratio); below
+    # about 1e-300 its density may overflow, and so did the reference's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pdf = log_bin(np.full(n, value), bins_per_decade)
+    want = constant_sample_reference(value, n, bins_per_decade)
+    for got, ref in zip((pdf.edges, pdf.densities, pdf.counts), want):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert pdf.n_total == n and pdf.degenerate
 
 
 def test_log_bin_empty_sample_needs_edges():
@@ -220,7 +247,10 @@ def agree(a, b, rel=1e-12):
 
 
 def assert_matches_scipy(x, y):
-    ref = stats.linregress(x, y)
+    with warnings.catch_warnings():
+        # scipy warns where ssxm * ssym underflows; volint must not
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref = stats.linregress(x, y)
     got = linregress(x, y)
     assert agree(got.slope, ref.slope)
     assert agree(got.stderr, ref.stderr)
@@ -249,6 +279,7 @@ def test_linregress_matches_scipy_near_collinear(n, a, b, eps, seed):
 
 
 @given(st.tuples(coords, coords), st.tuples(coords, coords))
+@example((0.0, 0.0), (0.25, 2.30016732e-161))  # ssxm * ssym underflows to 0
 def test_linregress_two_points_has_zero_stderr(p, q):
     assume(abs(p[0] - q[0]) > 1e-6)
     x, y = np.array([p, q]).T

@@ -67,6 +67,15 @@ def test_missing_path_raises():
         load_corpus("/no/such/dir")
 
 
+def test_a_file_is_not_a_corpus(tmp_path):
+    write_csv(tmp_path / "T.csv", ["2001-01-02,5,1.0,"])
+    for call in (vi.corpus_files, load_corpus):
+        with pytest.raises(vi.DataError,
+                           match=re.escape(f"not a directory: {tmp_path / 'T.csv'}")):
+            call(tmp_path / "T.csv")
+    assert load_corpus(tmp_path, min_lifetime=1).tickers == ["T"]
+
+
 def test_empty_directory_gives_empty_corpus(tmp_path):
     corpus = load_corpus(tmp_path)
     assert len(corpus) == 0

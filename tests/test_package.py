@@ -4,11 +4,14 @@ import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import volint as vi
 from test_cli import python_env
+from volint.cli import EXIT_CONFIG, main
 
 # every name the package bound with `from .<module> import ...` before its
 # exports became lazy, less the deleted OctileStat, MemorySummary,
@@ -100,3 +103,70 @@ def test_dfa_and_volatility_stay_functions_in_every_import_order():
                          env=python_env(), capture_output=True, text=True,
                          check=True)
     assert json.loads(res.stdout) == 48
+
+
+def _refused_mkdir(monkeypatch):
+    """synth with an --out whose mkdir fails, as a directory without write
+    permission makes it fail (the superuser ignores permissions)."""
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    return main(["synth", "--kind", "iid", "--n-stocks", "1", "--length", "2",
+                 "--out", "refused"])
+
+
+def _series(dates=("2001-01-02", "2001-01-03")):
+    n = len(dates)
+    return vi.DailySeries("T", np.array(dates, dtype="datetime64[D]"),
+                          np.ones(n, dtype=np.int64), np.ones(n), np.ones(n))
+
+
+# checks and paths no pipeline run reaches: the call, on the monkeypatch
+# fixture, and what it must raise (an (error, match) pair) or return
+RARE_PATHS = {
+    "cli-outdir-not-made": (_refused_mkdir, EXIT_CONFIG),
+    "conditional-boundary-count": (
+        lambda mp: vi.assign_octiles([1.0], [1.0, 2.0]),
+        (vi.ConfigError, "need 9 boundaries, got 2")),
+    "dfa-two-dimensional": (lambda mp: vi.dfa(np.ones((64, 2))),
+                            (vi.ConfigError, "one-dimensional")),
+    "factors-empty-series": (lambda mp: vi.stock_factors(_series(())),
+                             (vi.DataError, "T: empty series")),
+    "fitting-bins-per-decade": (
+        lambda mp: vi.log_bin([1.0, 2.0], bins_per_decade=0),
+        (vi.ConfigError, "bins_per_decade must be >= 1, got 0")),
+    "fitting-collapse-empty": (lambda mp: vi.collapse_distance([], [1.0]),
+                               (vi.DataError, "non-empty")),
+    "fitting-hill-short-tail": (lambda mp: vi.hill_gamma([2.0] * 4),
+                                (vi.InsufficientTailError, "4 tail samples")),
+    "ingest-dates-decreasing": (
+        lambda mp: _series(("2001-01-03", "2001-01-02")),
+        (vi.DataError, "T: dates not strictly increasing")),
+    "ingest-series-equals-other": (lambda mp: _series() == "T", False),
+    "ingest-summary-as-dict": (
+        lambda mp: vi.LoadSummary.of([vi.FileLoad("ok", 2, 1),
+                                      vi.FileLoad("short")]).as_dict(),
+        {"n_files": 2, "n_accepted": 1, "n_rejected_short": 1,
+         "n_rejected_error": 0, "n_rows_skipped": 2, "n_duplicate_rows": 1}),
+    "synth-cascade-levels": (
+        lambda mp: vi.cascade_log_weights(0, 0.4, np.random.default_rng(0)),
+        (vi.ConfigError, "levels must be >= 1, got 0")),
+    "synth-powered-normal-kappa": (
+        lambda mp: vi.iid_exceedance_probability(2.0, "powered_normal"),
+        (vi.ConfigError, "powered_normal needs kappa")),
+    "synth-corpus-no-stocks": (
+        lambda mp: vi.synth_corpus(0, lambda i: None),
+        (vi.ConfigError, "n_stocks must be >= 1, got 0")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RARE_PATHS))
+def test_rare_path(case, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    call, want = RARE_PATHS[case]
+    if isinstance(want, tuple):
+        with pytest.raises(want[0], match=want[1]):
+            call(monkeypatch)
+    else:
+        assert call(monkeypatch) == want
+    assert list(tmp_path.iterdir()) == []
