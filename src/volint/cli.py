@@ -47,7 +47,7 @@ EXIT_DATA = 3
 EXIT_EMPTY = 4
 # log_bin's edges and counts grow linearly with --bins-per-decade
 MAX_BINS_PER_DECADE = 1000
-# the pool forks all min(--jobs, stocks) workers at once, so a mistyped
+# map_stocks forks all min(--jobs, stocks) workers at once, so a mistyped
 # --jobs on a paper-size tree (17k files) would ask for 17k processes
 MAX_JOBS = 256
 

@@ -58,7 +58,7 @@ def default_windows(n: int) -> np.ndarray:
 def _distinct(sizes: np.ndarray) -> np.ndarray:
     """The sorted distinct values of an integer array, as np.unique gives
     them; under numpy 2, np.unique imports numpy.ma (about 13 ms) on its
-    first call in every process, pool workers included."""
+    first call in every process, forked workers included."""
     sizes = np.sort(sizes)
     keep = np.ones(sizes.size, dtype=bool)
     keep[1:] = sizes[1:] != sizes[:-1]

@@ -32,6 +32,9 @@ DEFAULT_Q = 2.0
 # the largest defined factor: past it, the top bin edge nudged above it,
 # or a geometric edge below that, may overflow to inf
 MAX_FACTOR = np.finfo(np.float64).max / 2
+# the smallest: below it, a subnormal, the top edge nudged above it may
+# round back to it, and the geometric edges need not increase
+MIN_FACTOR = np.finfo(np.float64).tiny
 
 
 @dataclass
@@ -79,11 +82,11 @@ def stock_factors(s) -> np.ndarray:
 
     Trading value is close * volume per day, averaged; capitalization is
     close * shares_outstanding averaged over the rows where shares are
-    present. A factor is defined where it is finite, > 0 and at most
+    present. A factor is defined where it is finite and from MIN_FACTOR to
     MAX_FACTOR, and NaN elsewhere: a capitalization without shares, a
-    zero volume or trading value, or a mean that overflows or is too
-    large for its bin edges to stay finite. This is the one place that
-    decides it.
+    zero volume or trading value, a mean that overflows or is too large
+    for its bin edges to stay finite, or one so small (subnormal) that
+    they need not increase. This is the one place that decides it.
     """
     if s.lifetime_days == 0:
         raise DataError(f"{s.ticker}: empty series")
@@ -94,7 +97,7 @@ def stock_factors(s) -> np.ndarray:
                if mask.any() else np.nan)
         row = np.array([s.lifetime_days, cap, vol.mean(),
                         np.mean(s.close * vol)], dtype=np.float64)
-    row[~((row > 0) & (row <= MAX_FACTOR))] = np.nan
+    row[~((row >= MIN_FACTOR) & (row <= MAX_FACTOR))] = np.nan
     return row
 
 

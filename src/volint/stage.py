@@ -4,12 +4,14 @@ Every analysis maps this stage over its sources and reduces the results;
 it is the one place that turns a stock's column into volatility. A
 worker reads or generates its own stock, so a caller that passes CSV
 paths or generator specs never holds a per-day array. Results depend on
-the master seed and the ticker only, so the pool size can never change
-them.
+the master seed and the ticker only, so the number of workers can never
+change them.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -111,26 +113,164 @@ def map_stocks(sources, series: str = "volume", *, seed: int = 0,
     min_lifetime and strict, or a (GeneratorSpec, index) pair, which it
     realizes with synth.synth_stock and does not filter. series picks the
     column ("volume" or "price"), seed is the master seed of the shuffle
-    controls, and jobs > 1 maps in a process pool of that size, or of one
-    worker per source when there are fewer; the other arguments go to
-    _stock. Under strict, the first file in source order that breaks the
-    grammar raises its DataError.
+    controls, and jobs > 1 maps in that many forked workers, or in one
+    worker per source when there are fewer (in this process where the
+    platform has no os.fork); the other arguments go to _stock. The
+    exception of the first source in source order that raises is raised:
+    under strict, the first file that breaks the grammar raises its
+    DataError. A forked worker that dies before it has reported its share
+    raises a RuntimeError naming it, and no worker outlives the call.
     """
     sources = list(sources)
     worker = partial(_stock, seed=seed, series=series, qs=qs,
                      shuffled_qs=shuffled_qs, order=order,
                      shuffled_dfa=shuffled_dfa, factors=factors,
                      min_lifetime=min_lifetime, strict=strict)
-    if jobs <= 1 or len(sources) <= 1:
+    # glibc raises its mmap threshold to the size of a mapped block when
+    # that is freed, and trims the heap top only beyond twice it; one 2 MB
+    # block freed first keeps a stock's buffers (fGn's, a CSV file's byte
+    # matrices) in the heap, instead of mapped or trimmed and faulted in
+    # anew for every stock, wherever earlier work left the heap top; forked
+    # workers inherit the raised threshold
+    np.empty(1 << 18)
+    if jobs <= 1 or len(sources) <= 1 or not hasattr(os, "fork"):
         return [worker(s) for s in sources]
-    # imported only for a pool: loading multiprocessing with the package
-    # made `import volint` about 40% slower
-    from concurrent.futures import ProcessPoolExecutor
-    chunk = max(1, len(sources) // (jobs * 4))
-    # a fork-started pool forks all max_workers at once
-    with ProcessPoolExecutor(max_workers=min(jobs, len(sources))) as ex:
-        try:
-            return list(ex.map(worker, sources, chunksize=chunk))
-        finally:
-            # after a raise, start none of the sources still queued
-            ex.shutdown(cancel_futures=True)
+    if shuffled_qs or shuffled_dfa or any(isinstance(s, tuple)
+                                          for s in sources):
+        # shuffle controls and generators draw: numpy.random loads once
+        # here rather than once in every child
+        import numpy.random  # noqa: F401
+    return _fork_map(worker, sources, min(jobs, len(sources)))
+
+
+# a frame is its payload's length, then the pickled result or exception
+_LEN = 8
+
+
+def _frame(value, start: int) -> bytes:
+    """One length-prefixed pickle frame of a result or an exception; an
+    exception that does not survive a pickle round trip becomes a
+    RuntimeError that names its type."""
+    try:
+        # protocol 5 would rebuild each array as a view of its own
+        # bytearray: about 10 MB more in the parent at 2000 stocks
+        data = pickle.dumps(value, 4)
+        if isinstance(value, BaseException):
+            pickle.loads(data)
+    except Exception as exc:
+        data = pickle.dumps(RuntimeError(
+            f"worker {start} raised {type(value).__module__}."
+            f"{type(value).__qualname__}: {value}, which cannot be sent "
+            f"to the parent ({type(exc).__name__}: {exc})"))
+    return len(data).to_bytes(_LEN, "little") + data
+
+
+def _child(worker, sources, start: int, step: int, r: int, w: int):
+    """A forked worker: a frame for each of sources[start::step] in order,
+    up to and including the first that raises, onto the pipe's write end
+    w; then the process exits, with 0 when every frame was written. It
+    never returns into the parent's code, and frames still buffered when
+    it dies are lost."""
+    code = 1
+    try:
+        os.close(r)
+        # frames go out 64 KB at a time: a write per frame woke the parent
+        # once per stock, which cost it about 0.2 s of CPU over 2000 stocks
+        with open(w, "wb", buffering=1 << 16) as out:
+            for i in range(start, len(sources), step):
+                try:
+                    value = worker(sources[i])
+                except Exception as exc:
+                    value = exc
+                out.write(_frame(value, start))
+                if isinstance(value, Exception):
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+@dataclass
+class _Worker:
+    """The parent's view of one forked worker: next is the source index of
+    its next frame, buf the bytes of frames not yet complete, status its
+    wait status once reaped."""
+
+    start: int
+    next: int
+    pid: int | None = None
+    buf: bytearray = field(default_factory=bytearray)
+    status: int | None = None
+
+
+def _fork_map(worker, sources, n: int) -> list:
+    """worker over sources in n forked children, child k taking sources
+    k, k + n, ...; the results in source order, or the exception of the
+    smallest source index that failed. A child that exits before it has
+    reported its share fails at its next source."""
+    # imported here: a map in process does not need it
+    import selectors
+    results = [None] * len(sources)
+    failed = {}
+    children = {}
+    try:
+        for k in range(n):
+            r, w = os.pipe()
+            children[r] = c = _Worker(k, k)
+            try:
+                c.pid = os.fork()
+                if c.pid == 0:
+                    _child(worker, sources, k, n, r, w)
+            finally:
+                os.close(w)
+        with selectors.DefaultSelector() as sel:
+            for fd, c in children.items():
+                sel.register(fd, selectors.EVENT_READ, c)
+            while sel.get_map():
+                for key, _ in sel.select():
+                    c = key.data
+                    chunk = os.read(key.fd, 1 << 16)
+                    c.buf += chunk
+                    while len(c.buf) >= _LEN:
+                        size = _LEN + int.from_bytes(c.buf[:_LEN], "little")
+                        if len(c.buf) < size:
+                            break
+                        value = pickle.loads(c.buf[_LEN:size])
+                        del c.buf[:size]
+                        if isinstance(value, BaseException):
+                            failed[c.next] = value
+                        else:
+                            results[c.next] = value
+                            c.next += n
+                    if not chunk:
+                        sel.unregister(key.fd)
+                        _, c.status = os.waitpid(c.pid, 0)
+                        if (c.status != 0 or c.next < len(sources)
+                                and c.next not in failed):
+                            failed.setdefault(c.next, RuntimeError(
+                                f"worker {c.start} (pid {c.pid}) "
+                                f"{_exit_text(c.status)} before it reported "
+                                f"source {c.next}"))
+                # no child that is past the first failure can change it
+                first = min(failed, default=len(sources))
+                for fd, key in list(sel.get_map().items()):
+                    if key.data.next > first:
+                        sel.unregister(fd)
+    finally:
+        for fd, c in children.items():
+            os.close(fd)
+            if c.pid is not None and c.status is None:
+                # imported here: a map that succeeds kills nothing; the
+                # child is not reaped yet, so its pid is still its own
+                import signal
+                os.kill(c.pid, signal.SIGKILL)
+                os.waitpid(c.pid, 0)
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
+def _exit_text(status: int) -> str:
+    if os.WIFSIGNALED(status):
+        return f"was killed by signal {os.WTERMSIG(status)}"
+    return f"exited with status {os.waitstatus_to_exitcode(status)}"

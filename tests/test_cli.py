@@ -324,6 +324,29 @@ def test_factor_that_overflows_is_undefined_not_a_warning(tmp_path, argv, block,
     (["factors"], "factors", "gamma_by_factor"),
     (["dfa"], "dfa", "by_factor"),
 ], ids=["factors", "dfa"])
+def test_subnormal_factor_is_undefined_not_a_config_error(tmp_path, argv,
+                                                          block, key):
+    # a close of 1e-320 is valid, but capitalization and trading value are
+    # then subnormal, where the nudged top edge rounds back to the value
+    # and the geometric edges stop increasing: both are undefined instead
+    corpus, _ = vi.synth_corpus(3, vi.homogeneous_rule(
+        "fgn", 400, {"hurst": 0.8, "vol_scale": 0.5}, 7))
+    corpus.stocks[:] = [dataclasses.replace(s, close=np.full(400, 1e-320),
+                                            shares_outstanding=np.ones(400))
+                        for s in corpus.stocks]
+    vi.write_corpus(corpus, tmp_path / "data")
+    out = tmp_path / "out"
+    assert main([*argv, "--data-dir", str(tmp_path / "data"), "--min-lifetime",
+                 "300", "--jobs", "2", "--out", str(out)]) == 0
+    report = read_report(out)
+    assert report["n_stocks"] == 3
+    assert sorted(report[block][key]) == ["lifetime", "volume"]
+
+
+@pytest.mark.parametrize("argv, block, key", [
+    (["factors"], "factors", "gamma_by_factor"),
+    (["dfa"], "dfa", "by_factor"),
+], ids=["factors", "dfa"])
 def test_factor_too_large_for_its_edges_is_undefined(tmp_path, argv, block, key):
     # a one-day stock whose trading value is the largest double: finite,
     # but the top edge nudged past it would be inf and so would every
@@ -347,12 +370,10 @@ def test_factor_too_large_for_its_edges_is_undefined(tmp_path, argv, block, key)
 
 def test_jobs_above_max_jobs_exit_2_before_any_pool(tmp_path, capsys,
                                                     monkeypatch):
-    import concurrent.futures
+    def no_fork():
+        raise AssertionError("a worker was forked")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     out = tmp_path / "x"
     assert main(["intervals", *SYNTH, "--jobs", str(MAX_JOBS + 1),
                  "--out", str(out)]) == 2
@@ -386,19 +407,15 @@ def test_data_dir_source(tmp_path):
 
 
 def test_jobs_do_not_change_bytes(tmp_path):
-    outs = []
-    for tag, jobs in (("a", 1), ("b", 2)):
-        out = tmp_path / tag
+    # 5 forked workers take uneven shares of the 12 stocks: 3, 3, 2, 2, 2
+    trees = []
+    for jobs in (1, 2, 5):
+        out = tmp_path / str(jobs)
         assert main(["conditional", *SYNTH, "--thresholds", "2.0",
                      "--seed", "5", "--out", str(out), "--jobs",
                      str(jobs)]) == 0
-        outs.append(out)
-    a, b = outs
-    fa = sorted(p.name for p in a.iterdir())
-    fb = sorted(p.name for p in b.iterdir())
-    assert fa == fb
-    for name in fa:
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert trees[0] == trees[1] == trees[2]
 
 
 def test_price_series_mode(tmp_path):
@@ -946,6 +963,24 @@ def test_the_cli_module_is_no_entry(tmp_path):
                          env=python_env(), capture_output=True, text=True)
     assert (res.returncode, res.stdout, res.stderr) == (0, "", "")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_forked_workers_load_no_executor(tmp_path):
+    # the map forks its workers itself: a run at --jobs 2 loads neither
+    # concurrent.futures nor multiprocessing
+    code = ("import sys\n"
+            "from volint.__main__ import main\n"
+            "rc = main()\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] in\n"
+            "             ('concurrent', 'multiprocessing')))\n"
+            "sys.exit(rc)")
+    res = subprocess.run([sys.executable, "-c", code, "dfa",
+                          "--synth-kind", "fgn", "--synth-n-stocks", "4",
+                          "--synth-length", "2048", "--synth-hurst", "0.8",
+                          "--jobs", "2", "--out", str(tmp_path / "o")],
+                         env=python_env(), capture_output=True, text=True)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "[]\n", "")
+    assert (tmp_path / "o" / "report.json").exists()
 
 
 def test_blas_thread_count_changes_no_byte(tmp_path):

@@ -126,7 +126,7 @@ def test_non_finite_series_rejected(bad):
 
 
 def test_first_dfa_call_imports_no_numpy_module():
-    # every pool worker makes a first call; numpy.polynomial (polyfit) and
+    # every forked worker makes a first call; numpy.polynomial (polyfit) and
     # numpy.ma (np.unique under numpy 2) each cost milliseconds to import;
     # at n = 128 the 20 geometric sizes from 8 to 32 collide, so the first
     # call removes duplicates

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import volint as vi
 from factor_reference import factor_value, factor_vector, reference_bin
-from volint.factors import (FACTORS, MAX_FACTOR, bin_stocks,
+from volint.factors import (FACTORS, MAX_FACTOR, MIN_FACTOR, bin_stocks,
                             factor_correlations, gamma_by_factor, make_edges,
                             stock_factors)
 
@@ -77,6 +77,12 @@ def test_stock_factors_undefined_cases():
     big = np.finfo(np.float64).max
     f = stock_factors(series([1], [big], [np.nan]))
     assert f[2] == 1.0 and np.isnan(f[3]) and big > MAX_FACTOR
+    # positive, but subnormal: too small for increasing geometric edges
+    tiny = np.finfo(np.float64).tiny
+    f = stock_factors(series([1] * 3, [1e-320] * 3, [1.0] * 3))
+    assert f[2] == 1.0 and np.isnan(f[[1, 3]]).all() and 1e-320 < MIN_FACTOR
+    f = stock_factors(series([1] * 3, [tiny] * 3, [1.0] * 3))
+    assert f[1] == f[3] == tiny == MIN_FACTOR
 
 
 def test_unknown_factor_is_a_config_error():

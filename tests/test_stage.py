@@ -1,10 +1,12 @@
 import dataclasses
+import os
+import signal
 
 import numpy as np
 import pytest
 
 import volint as vi
-from volint import cli
+from volint import cli, stage
 
 
 def test_map_stocks_gives_degenerate_stock_no_curve():
@@ -59,39 +61,140 @@ def test_map_stocks_matches_the_library_steps_in_a_pool():
 
 
 def test_map_stocks_starts_at_most_one_worker_per_stock(monkeypatch):
-    import concurrent.futures
+    forks = []
+    fork = os.fork
 
-    pools = []
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    class RecordingPool:
-        """Records the pool's size and maps in this process."""
-
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            pools.append((self.max_workers, chunksize))
-            return map(fn, items)
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     corpus, _ = vi.synth_corpus(2, vi.homogeneous_rule(
         "iid", 600, {"dist": "normal"}, 73))
     serial = vi.map_stocks(corpus, qs=(2.0,))
+    assert forks == []
     for jobs in (2, 4):
         pooled = vi.map_stocks(corpus, jobs=jobs, qs=(2.0,))
         assert [r.by_q[2.0].taus.tolist() for r in pooled] == [
             r.by_q[2.0].taus.tolist() for r in serial]
-    assert pools == [(2, 1), (2, 1)]
+    assert len(forks) == 4
+    _assert_no_child_left()
+
+
+def test_map_stocks_runs_in_process_without_fork(monkeypatch):
+    corpus, _ = vi.synth_corpus(3, vi.homogeneous_rule(
+        "iid", 600, {"dist": "normal"}, 73))
+    serial = vi.map_stocks(corpus, qs=(2.0,))
+    monkeypatch.delattr(os, "fork")
+    pooled = vi.map_stocks(corpus, jobs=2, qs=(2.0,))
+    assert [_plain(r) for r in pooled] == [_plain(r) for r in serial]
+
+
+# ---------------------------------------------------------------------------
+# a worker that fails: the fork map raises the failure of the first source
+# in source order, and leaves no child behind
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test whose map waits 60 s, instead of letting it hang."""
+    def expire(signum, frame):
+        raise TimeoutError("the fork map did not return in 60 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def _failing_at(monkeypatch, failures):
+    """Make the stage's worker call failures[i]() on the source of index i
+    of a six-stock corpus, and return that corpus."""
+    corpus, _ = vi.synth_corpus(6, vi.homogeneous_rule(
+        "iid", 600, {"dist": "normal"}, 76))
+    index = {s.ticker: i for i, s in enumerate(corpus)}
+    stock = stage._stock
+
+    def worker(source, **kwargs):
+        failures.get(index[source.ticker], lambda: None)()
+        return stock(source, **kwargs)
+
+    monkeypatch.setattr(stage, "_stock", worker)
+    return corpus
+
+
+def _die():
+    os._exit(1)
+
+
+def _kill():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("die, how", [(_die, "exited with status 1"),
+                                      (_kill, "was killed by signal 9")],
+                         ids=["exit", "sigkill"])
+def test_worker_that_dies_unreported_is_named(monkeypatch, deadline, die, how):
+    # worker 1 dies on source 3 with source 1's frame still buffered, so
+    # source 1 is the first that the parent has not received
+    corpus = _failing_at(monkeypatch, {3: die})
+    with pytest.raises(RuntimeError, match=rf"^worker 1 \(pid \d+\) {how} "
+                                           r"before it reported source 1$"):
+        vi.map_stocks(corpus, jobs=2, qs=(2.0,))
+    _assert_no_child_left()
+
+
+class Unloadable(Exception):
+    """Pickles, but its constructor cannot take its own args back."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+class Unpicklable(Exception):
+    """Cannot be pickled at all: it holds a lambda."""
+
+    def __init__(self):
+        super().__init__("holds a lambda")
+        self.f = lambda: None
+
+
+@pytest.mark.parametrize("exc", [lambda: Unloadable(1, 2), Unpicklable],
+                         ids=["unloadable", "unpicklable"])
+def test_worker_exception_that_cannot_be_sent_names_its_type(monkeypatch,
+                                                            deadline, exc):
+    def fail():
+        raise exc()
+
+    corpus = _failing_at(monkeypatch, {4: fail})
+    name = type(exc()).__qualname__
+    with pytest.raises(RuntimeError, match=rf"^worker 0 raised "
+                                           rf"test_stage\.{name}: "):
+        vi.map_stocks(corpus, jobs=2, qs=(2.0,))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 4])
+def test_first_failure_in_source_order_is_raised(monkeypatch, deadline, jobs):
+    # failures in every child's share; the later ones, in any child, do
+    # not change which is raised
+    def fail(i):
+        def raise_():
+            raise vi.DataError(f"source {i}")
+        return raise_
+
+    corpus = _failing_at(monkeypatch, {i: fail(i) for i in range(1, 6)})
+    with pytest.raises(vi.DataError, match="^source 1$"):
+        vi.map_stocks(corpus, jobs=jobs, qs=(2.0,))
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +285,22 @@ def test_strict_names_the_first_bad_file_in_sorted_order(tmp_path, capsys):
                      "--jobs", "2", "--out", str(out)]) == cli.EXIT_DATA
     assert capsys.readouterr().err == f"data error: {stage.value}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_strict_bad_files_in_two_shares_raise_the_first(tmp_path, jobs):
+    # A.csv (source 1) and BAD.csv (source 2) break the grammar and are in
+    # different children's shares; A.csv, in the later child, is first
+    _dirty_tree(tmp_path)
+    with open(tmp_path / "A.csv", "a") as fh:
+        fh.write("1999-13-01,5,1.0,\r\n")
+    with pytest.raises(vi.DataError) as library:
+        vi.load_corpus(tmp_path, min_lifetime=300, strict=True)
+    with pytest.raises(vi.DataError) as stage:
+        _stage(tmp_path, jobs, "--strict")
+    assert str(stage.value) == str(library.value)
+    assert str(stage.value).startswith(f"{tmp_path / 'A.csv'}:")
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
