@@ -6,6 +6,9 @@ spec -> column -> volatility -> intervals per threshold, shuffled control,
 DFA, factors) and a reducer, cmd_<command>, of the ticker-ordered results,
 so --jobs never changes an output byte. main alone writes report.json,
 which omits paths and parallelism for the same reason, and decides exit 4.
+The conditional, DFA, factor and generator modules are imported by the
+functions that use them, so a run loads only what its command and source
+need; the option table reads their choices and defaults from constants.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 insufficient statistics everywhere (nothing useful produced).
@@ -24,13 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .conditional import (conditional_pdfs, consecutive_pairs,
-                          memory_summary, octile_boundaries)
-from .dfa import DEFAULT_ORDER, MAX_ORDER
+from .constants import DEFAULT_ORDER, DEFAULT_Q, DISTS, KINDS, MAX_ORDER
 from .errors import (ConfigError, DataError, FitShapeError,
                      InsufficientStatisticsError, InsufficientTailError)
-from .factors import (DEFAULT_Q, FACTORS, alpha_by_factor, bin_stocks,
-                      factor_correlations, gamma_by_factor, make_edges)
 from .fitting import (DEFAULT_BINS_PER_DECADE, DEFAULT_X_MIN, fit_exponential,
                       fit_power_tail, hill_gamma, log_bin,
                       power_fit_sensitivity, write_pdf_tsv, write_tsv)
@@ -38,8 +37,6 @@ from .ingest import (DEFAULT_MIN_LIFETIME, LoadSummary, corpus_files,
                      write_corpus)
 from .intervals import DEFAULT_THRESHOLDS, pool_scaled
 from .stage import map_stocks
-from .synth import (DISTS, KINDS, GeneratorSpec, check_spec,
-                    homogeneous_rule, synth_stock)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -225,6 +222,7 @@ def _configure(cfg):
     elif "df" in cfg.params:
         cfg.params["noise_df"] = cfg.params.pop("df")
     if cfg.kind:
+        from .synth import GeneratorSpec, check_spec
         check_spec(GeneratorSpec(cfg.kind, cfg.length, cfg.params))
     return cfg
 
@@ -233,6 +231,7 @@ def _sources(cfg) -> list:
     """The stage's sources: the corpus's CSV files, or a (GeneratorSpec,
     index) pair per synthetic stock."""
     if cfg.kind:
+        from .synth import homogeneous_rule
         rule = homogeneous_rule(cfg.kind, cfg.length, cfg.params, cfg.seed)
         return [(rule(i), i) for i in range(cfg.n_stocks)]
     return corpus_files(cfg.data_dir)
@@ -276,6 +275,7 @@ def _factor_table(results):
 
 def _factor_binnings(tickers, table):
     """(factor, default binning) of each factor some stock defines."""
+    from .factors import FACTORS, bin_stocks, make_edges
     for factor, values in zip(FACTORS, table.T):
         if not np.isnan(values).all():
             yield factor, bin_stocks(tickers, values, factor,
@@ -402,6 +402,8 @@ def cmd_intervals(cfg, results, outdir):
 
 
 def cmd_conditional(cfg, results, outdir):
+    from .conditional import (conditional_pdfs, consecutive_pairs,
+                              memory_summary, octile_boundaries)
     by_q = [(r.ticker, r.shuffled_by_q if cfg.shuffled else r.by_q)
             for r in results if not r.degenerate]
     report = {"conditional": {}}
@@ -437,6 +439,7 @@ def cmd_conditional(cfg, results, outdir):
 
 
 def cmd_dfa(cfg, results, outdir):
+    from .factors import alpha_by_factor
     curves = [(r.ticker, r.curve) for r in results if r.curve is not None]
     alphas = {t: c.alpha for t, c in curves}
     good = np.array(list(alphas.values()))
@@ -463,6 +466,7 @@ def cmd_dfa(cfg, results, outdir):
 
 
 def cmd_factors(cfg, results, outdir):
+    from .factors import FACTORS, factor_correlations, gamma_by_factor
     tickers, table = _factor_table(results)
     intervals = {r.ticker: r.by_q[cfg.q] for r in results if not r.degenerate}
 
@@ -493,6 +497,7 @@ def cmd_factors(cfg, results, outdir):
 
 
 def cmd_synth(cfg) -> None:
+    from .synth import synth_stock
     # the directories this run creates, deepest first
     made = [d for d in (Path(cfg.out), *Path(cfg.out).parents) if not d.exists()]
     out = _outdir(cfg)

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import DEFAULT_ORDER, MAX_ORDER
 from .errors import ConfigError, DataError
 from .fitting import linregress
 
-DEFAULT_ORDER = 1
 DEFAULT_N_WINDOWS = 20
-DEFAULT_MIN_WINDOW = 8
-# an order-k fit needs windows of k + 2 points, and the smallest is fixed
-MAX_ORDER = DEFAULT_MIN_WINDOW - 2
+# an order-k fit needs windows of k + 2 points
+DEFAULT_MIN_WINDOW = MAX_ORDER + 2
 
 
 @dataclass(frozen=True)

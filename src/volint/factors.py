@@ -28,7 +28,6 @@ from .intervals import pool_scaled
 FACTORS = ("lifetime", "capitalization", "volume", "trading_value")
 DEFAULT_BIN_COUNTS = {"lifetime": 10, "capitalization": 8,
                       "volume": 11, "trading_value": 9}
-DEFAULT_Q = 2.0
 # the largest defined factor: past it, the top bin edge nudged above it,
 # or a geometric edge below that, may overflow to inf
 MAX_FACTOR = np.finfo(np.float64).max / 2

@@ -5,27 +5,30 @@ it is the one place that turns a stock's column into volatility. A
 worker reads or generates its own stock, so a caller that passes CSV
 paths or generator specs never holds a per-day array. Results depend on
 the master seed and the ticker only, so the number of workers can never
-change them.
+change them. The DFA, factor and generator modules load only for a
+request or a source that uses them.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 import pickle
 from dataclasses import dataclass, field
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dfa import DfaCurve, dfa
 from .errors import DataError, DegenerateSeriesError
-from .factors import stock_factors
 from .ingest import (DEFAULT_MIN_LIFETIME, DailySeries, FileLoad, read_stock,
                      ticker_of)
 from .intervals import extract_intervals, shuffle_control
 from .seeds import derive_seed
-from .synth import synth_stock
 from .volatility import log_returns, normalize_volatility
+
+if TYPE_CHECKING:
+    from .dfa import DfaCurve
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +60,7 @@ def _open(source, min_lifetime: int, strict: bool):
     if isinstance(source, DailySeries):
         return source.ticker, source, FileLoad()
     if isinstance(source, tuple):
+        from .synth import synth_stock
         stock, _ = synth_stock(*source)
         return stock.ticker, stock, FileLoad()
     stock, load = read_stock(source, min_lifetime, strict)
@@ -76,7 +80,10 @@ def _stock(source, seed: int, series: str = "volume", qs=(), shuffled_qs=(),
     ticker, stock, load = _open(source, min_lifetime, strict)
     if stock is None:
         return StockResult(ticker, load=load)
-    fv = stock_factors(stock) if factors else None
+    fv = None
+    if factors:
+        from .factors import stock_factors
+        fv = stock_factors(stock)
     column = stock.column(series)
     n_dropped = 0
     try:
@@ -93,6 +100,7 @@ def _stock(source, seed: int, series: str = "volume", qs=(), shuffled_qs=(),
     shuffled_by_q = {q: extract_intervals(sv, q) for q in shuffled_qs}
     curve = None
     if order is not None:
+        from .dfa import dfa
         try:
             curve = dfa(sv if shuffled_dfa else v, order=order)
         except DataError:
@@ -135,10 +143,15 @@ def map_stocks(sources, series: str = "volume", *, seed: int = 0,
     np.empty(1 << 18)
     if jobs <= 1 or len(sources) <= 1 or not hasattr(os, "fork"):
         return [worker(s) for s in sources]
-    if shuffled_qs or shuffled_dfa or any(isinstance(s, tuple)
-                                          for s in sources):
-        # shuffle controls and generators draw: numpy.random loads once
-        # here rather than once in every child
+    # what the workers import, each loads once here rather than once in
+    # every child: the steps this request runs, and numpy.random where
+    # shuffle controls or generators draw
+    generated = any(isinstance(s, tuple) for s in sources)
+    for module, used in (("dfa", order is not None), ("factors", factors),
+                         ("synth", generated)):
+        if used:
+            importlib.import_module(f".{module}", __package__)
+    if shuffled_qs or shuffled_dfa or generated:
         import numpy.random  # noqa: F401
     return _fork_map(worker, sources, min(jobs, len(sources)))
 

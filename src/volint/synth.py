@@ -27,11 +27,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .constants import DISTS, KINDS  # noqa: F401 (DISTS stays a synth name)
 from .errors import ConfigError, DataError
 from .ingest import Corpus, DailySeries, LoadSummary
 from .seeds import derive_seed
-
-KINDS = ("iid", "fgn", "cascade")
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,6 @@ def _noise(rng, n: int, df=None) -> np.ndarray:
     return rng.standard_t(df, n) if df is not None else rng.standard_normal(n)
 
 
-DISTS = ("normal", "student_t", "powered_normal")
 # (parameters taken, parameters required) per kind, iid's per dist
 PARAMS = {"iid normal": (("dist",), ()),
           "iid student_t": (("dist", "df"), ("df",)),

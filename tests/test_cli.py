@@ -474,7 +474,8 @@ def test_dfa_order_above_smallest_window_exit_2_before_generating(
     def no_stock(*args):
         raise AssertionError("a stock was generated")
 
-    monkeypatch.setattr("volint.stage.synth_stock", no_stock)
+    # the stage imports synth_stock from its module when it generates
+    monkeypatch.setattr("volint.synth.synth_stock", no_stock)
     out = tmp_path / "x"
     assert main(["dfa", "--synth-kind", "iid", "--synth-n-stocks", "3",
                  "--synth-length", "2000", "--order", "7", "--jobs", "1",
@@ -883,6 +884,31 @@ def test_runs_that_draw_nothing_leave_hashlib_unloaded(tmp_path):
     *drew_nothing, shuffled = run_python(code)
     assert drew_nothing == [[0, []]] * 3
     assert shuffled[0] == 0 and "hashlib" in shuffled[1]
+
+
+def test_csv_runs_load_no_generator_dfa_or_factor_code(tmp_path):
+    # a module loads only for a command, source or request that uses it:
+    # conditional and intervals on CSV files, in process and forked, load
+    # none of these three, and a generated dfa run loads them and works
+    data = tmp_path / "data"
+    assert main(["synth", "--kind", "iid", "--n-stocks", "3", "--length",
+                 "600", "--seed", "5", "--out", str(data)]) == 0
+    runs = [["conditional", "--octiles", "quantile", "--data-dir", str(data)],
+            ["intervals", "--data-dir", str(data)],
+            ["dfa", "--synth-kind", "fgn", "--synth-n-stocks", "3",
+             "--synth-length", "2048", "--synth-hurst", "0.8"]]
+    code = ("import json, sys; from volint.cli import main; loaded = []\n"
+            f"for i, run in enumerate({runs!r}):\n"
+            "    for jobs in ('1', '2'):\n"
+            f"        rc = main(run + ['--jobs', jobs, '--out', {str(tmp_path)!r}"
+            " + f'/o{i}{jobs}'])\n"
+            "        loaded.append([rc, sorted({'volint.synth', 'volint.dfa', "
+            "'volint.factors'} & set(sys.modules))])\n"
+            "print(json.dumps(loaded))")
+    *csv, generated_jobs1, generated_jobs2 = run_python(code)
+    assert csv == [[0, []]] * 4
+    assert generated_jobs1 == generated_jobs2 == [
+        0, ["volint.dfa", "volint.factors", "volint.synth"]]
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import volint as vi
 import csv_oracle
@@ -430,13 +430,14 @@ SHARES = st.just("") | st.integers(1, 2 ** 63 - 1).map(str)
 
 
 @st.composite
-def csv_files(draw):
+def csv_files(draw, regular=False):
     """(bytes of one file, whether every row is valid).
 
     Each row is written from a template. A malformed or odd shape
     replaces the template of one row; a duplicate repeats a row's date, a
     swap puts two rows out of order and a variant spells one row in
-    another valid way.
+    another valid way. A regular file has none of the first two and no
+    stray "\\r" at its end, so that every line holds three commas.
     """
     n = draw(st.integers(1, 30))
     # the rows cycle through a few drawn values of each field and date
@@ -449,10 +450,11 @@ def csv_files(draw):
             for i, d in enumerate(day)]
     templates = ["{d},{v},{c},{s}"] * n
     clean = True
+    kinds = ("duplicate", "swap", "variant")
+    kinds = kinds if regular else ("malformed", "odd", *kinds)
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(rows) - 1))
-        kind = draw(st.sampled_from(("malformed", "odd", "duplicate", "swap",
-                                     "variant")))
+        kind = draw(st.sampled_from(kinds))
         clean &= kind not in ("malformed", "odd")
         if kind == "duplicate":
             rows.insert(i + 1, {**rows[i], "v": rows[i]["v"] ^ 1})    # stays in range
@@ -467,7 +469,7 @@ def csv_files(draw):
     end = draw(st.sampled_from(("\n", "\r\n")))
     lines = [t.format(**row) for t, row in zip(templates, rows)]
     # a "\r" with no line end after it stays in the last field
-    tail = draw(st.sampled_from((end, "", "\r")))
+    tail = draw(st.sampled_from((end, "") if regular else (end, "", "\r")))
     clean &= tail != "\r"
     return (end.join([HEADER, *lines]) + tail).encode(), clean
 
@@ -519,6 +521,70 @@ def test_loader_agrees_with_grammar_oracle(file):
     if clean:
         summary, _ = expected_load(data, strict=False)
         assert summary["n_rows_skipped"] == 0
+
+
+def splits(data):
+    """(the regular-line split, None unless every line holds three
+    commas, and the split that searches each line end among the commas)
+    of a file's bytes."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    _, starts, ends, stops = ingest._lines(b)
+    commas = np.flatnonzero(b == ord(","))
+    return (ingest._regular_split(commas, starts, stops),
+            ingest._split(commas, ends, stops))
+
+
+@st.composite
+def broken_lines(draw):
+    """(a file whose every line holds three commas, the same file with one
+    line changed at a drawn place, and the change). A moved comma leaves
+    one line and joins another, so the file keeps its number of commas."""
+    data, _ = draw(csv_files(regular=True))
+    head = data.index(b"\n") + 1
+    lines = data[head:].split(b"\n")
+    n = len(lines) - (lines[-1] == b"")
+    i = draw(st.integers(0, n - 1))
+    change = draw(st.sampled_from(("fourth comma", "missing comma", "moved comma",
+                                   "carriage return", "no last line end")))
+    to = i
+    if change == "moved comma":
+        assume(n > 1)
+        to = draw(st.sampled_from([j for j in range(n) if j != i]))
+    if change in ("missing comma", "moved comma"):
+        at = draw(st.sampled_from([j for j, c in enumerate(lines[i]) if c == ord(",")]))
+        lines[i] = lines[i][:at] + lines[i][at + 1:]
+    if change in ("fourth comma", "moved comma"):
+        at = draw(st.integers(0, len(lines[to])))
+        lines[to] = lines[to][:at] + b"," + lines[to][at:]
+    if change == "carriage return":
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + b"\r" + lines[i][at:]
+    if change == "no last line end" and lines[-1] == b"":
+        lines.pop()
+        lines[-1] = lines[-1].removesuffix(b"\r")
+    return data, data[:head] + b"\n".join(lines), change
+
+
+def assert_same_split(regular, general):
+    assert regular is not None
+    for a, b in zip(regular, general):
+        assert a.tolist() == b.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(broken_lines())
+def test_regular_files_split_alike_on_both_paths_and_load_as_the_oracle_reads(file):
+    data, changed, change = file
+    assert_same_split(*splits(data))
+    check_loader_agrees_with_oracle(data)
+    regular, general = splits(changed)
+    if "comma" in change:
+        # a line without three commas: the file is no longer regular
+        assert regular is None
+        assert not general[0].all()
+    else:
+        assert_same_split(regular, general)
+    check_loader_agrees_with_oracle(changed)
 
 
 def test_long_file_keeps_the_first_of_scattered_duplicate_dates():
