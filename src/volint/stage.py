@@ -5,8 +5,9 @@ it is the one place that turns a stock's column into volatility. A
 worker reads or generates its own stock, so a caller that passes CSV
 paths or generator specs never holds a per-day array. Results depend on
 the master seed and the ticker only, so the number of workers can never
-change them. The DFA, factor and generator modules load only for a
-request or a source that uses them.
+change them. Forked workers send their results back as one pickle
+stream each, which the parent reads in source order. The DFA, factor and
+generator modules load only for a request or a source that uses them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DataError, DegenerateSeriesError
+from .errors import ConfigError, DataError, DegenerateSeriesError
 from .ingest import (DEFAULT_MIN_LIFETIME, DailySeries, FileLoad, read_stock,
                      ticker_of)
 from .intervals import extract_intervals, shuffle_control
@@ -124,10 +125,13 @@ def map_stocks(sources, series: str = "volume", *, seed: int = 0,
     controls, and jobs > 1 maps in that many forked workers, or in one
     worker per source when there are fewer (in this process where the
     platform has no os.fork); the other arguments go to _stock. The
-    exception of the first source in source order that raises is raised:
-    under strict, the first file that breaks the grammar raises its
-    DataError. A forked worker that dies before it has reported its share
-    raises a RuntimeError naming it, and no worker outlives the call.
+    parent reads the results in source order, so a worker runs ahead of
+    the slowest only by what its pipe holds. The exception of the first
+    source in source order that raises is raised: under strict, the first
+    file that breaks the grammar raises its DataError. A forked worker
+    that dies before it has reported its share raises a RuntimeError
+    naming it, a fork that fails raises ConfigError, and no worker
+    outlives the call.
     """
     sources = list(sources)
     worker = partial(_stock, seed=seed, series=series, qs=qs,
@@ -156,14 +160,10 @@ def map_stocks(sources, series: str = "volume", *, seed: int = 0,
     return _fork_map(worker, sources, min(jobs, len(sources)))
 
 
-# a frame is its payload's length, then the pickled result or exception
-_LEN = 8
-
-
 def _frame(value, start: int) -> bytes:
-    """One length-prefixed pickle frame of a result or an exception; an
-    exception that does not survive a pickle round trip becomes a
-    RuntimeError that names its type."""
+    """The pickle of a result or an exception; an exception that does not
+    survive a pickle round trip becomes a RuntimeError that names its
+    type."""
     try:
         # protocol 5 would rebuild each array as a view of its own
         # bytearray: about 10 MB more in the parent at 2000 stocks
@@ -175,20 +175,24 @@ def _frame(value, start: int) -> bytes:
             f"worker {start} raised {type(value).__module__}."
             f"{type(value).__qualname__}: {value}, which cannot be sent "
             f"to the parent ({type(exc).__name__}: {exc})"))
-    return len(data).to_bytes(_LEN, "little") + data
+    return data
 
 
 def _child(worker, sources, start: int, step: int, r: int, w: int):
-    """A forked worker: a frame for each of sources[start::step] in order,
-    up to and including the first that raises, onto the pipe's write end
-    w; then the process exits, with 0 when every frame was written. It
-    never returns into the parent's code, and frames still buffered when
-    it dies are lost."""
+    """A forked worker: the pickle of each of sources[start::step] in
+    order, up to and including the first that raises, onto the pipe's
+    write end w; then the process exits, with 0 when every pickle was
+    written. It never returns into the parent's code, and pickles still
+    buffered when it dies are lost. The parent reads the pickles in
+    source order, so a worker runs ahead of the one the parent waits for
+    only by what its pipe and the two 64 KB buffers hold; then its write
+    blocks until the parent reaches it."""
     code = 1
     try:
         os.close(r)
-        # frames go out 64 KB at a time: a write per frame woke the parent
-        # once per stock, which cost it about 0.2 s of CPU over 2000 stocks
+        # pickles go out 64 KB at a time: a write per stock woke the
+        # parent once per stock, which cost it about 0.2 s of CPU over
+        # 2000 stocks
         with open(w, "wb", buffering=1 << 16) as out:
             for i in range(start, len(sources), step):
                 try:
@@ -203,84 +207,51 @@ def _child(worker, sources, start: int, step: int, r: int, w: int):
         os._exit(code)
 
 
-@dataclass
-class _Worker:
-    """The parent's view of one forked worker: next is the source index of
-    its next frame, buf the bytes of frames not yet complete, status its
-    wait status once reaped."""
-
-    start: int
-    next: int
-    pid: int | None = None
-    buf: bytearray = field(default_factory=bytearray)
-    status: int | None = None
-
-
 def _fork_map(worker, sources, n: int) -> list:
     """worker over sources in n forked children, child k taking sources
     k, k + n, ...; the results in source order, or the exception of the
-    smallest source index that failed. A child that exits before it has
-    reported its share fails at its next source."""
-    # imported here: a map in process does not need it
-    import selectors
-    results = [None] * len(sources)
-    failed = {}
-    children = {}
+    smallest source index that failed. The parent reads source i from
+    child i % n, so the first failure it reads is the first in source
+    order; a child whose pipe ends before source i fails there."""
+    pipes = []
+    pids = {}       # child -> pid, until reaped
     try:
         for k in range(n):
             r, w = os.pipe()
-            children[r] = c = _Worker(k, k)
+            pipes.append(open(r, "rb", buffering=1 << 16))
             try:
-                c.pid = os.fork()
-                if c.pid == 0:
+                pids[k] = os.fork()
+                if pids[k] == 0:
                     _child(worker, sources, k, n, r, w)
+            except OSError as exc:
+                raise ConfigError(f"cannot fork worker {k} of {n} ({exc}); "
+                                  f"lower --jobs") from None
             finally:
                 os.close(w)
-        with selectors.DefaultSelector() as sel:
-            for fd, c in children.items():
-                sel.register(fd, selectors.EVENT_READ, c)
-            while sel.get_map():
-                for key, _ in sel.select():
-                    c = key.data
-                    chunk = os.read(key.fd, 1 << 16)
-                    c.buf += chunk
-                    while len(c.buf) >= _LEN:
-                        size = _LEN + int.from_bytes(c.buf[:_LEN], "little")
-                        if len(c.buf) < size:
-                            break
-                        value = pickle.loads(c.buf[_LEN:size])
-                        del c.buf[:size]
-                        if isinstance(value, BaseException):
-                            failed[c.next] = value
-                        else:
-                            results[c.next] = value
-                            c.next += n
-                    if not chunk:
-                        sel.unregister(key.fd)
-                        _, c.status = os.waitpid(c.pid, 0)
-                        if (c.status != 0 or c.next < len(sources)
-                                and c.next not in failed):
-                            failed.setdefault(c.next, RuntimeError(
-                                f"worker {c.start} (pid {c.pid}) "
-                                f"{_exit_text(c.status)} before it reported "
-                                f"source {c.next}"))
-                # no child that is past the first failure can change it
-                first = min(failed, default=len(sources))
-                for fd, key in list(sel.get_map().items()):
-                    if key.data.next > first:
-                        sel.unregister(fd)
+        results = []
+        for i in range(len(sources)):
+            k = i % n
+            try:
+                value = pickle.load(pipes[k])
+            except (EOFError, pickle.UnpicklingError):
+                pid = pids.pop(k)
+                _, status = os.waitpid(pid, 0)
+                raise RuntimeError(
+                    f"worker {k} (pid {pid}) {_exit_text(status)} before "
+                    f"it reported source {i}") from None
+            if isinstance(value, BaseException):
+                raise value
+            results.append(value)
+        return results
     finally:
-        for fd, c in children.items():
-            os.close(fd)
-            if c.pid is not None and c.status is None:
-                # imported here: a map that succeeds kills nothing; the
-                # child is not reaped yet, so its pid is still its own
-                import signal
-                os.kill(c.pid, signal.SIGKILL)
-                os.waitpid(c.pid, 0)
-    if failed:
-        raise failed[min(failed)]
-    return results
+        for pipe in pipes:
+            pipe.close()
+        # imported here: a map in process kills nothing
+        import signal
+        for pid in pids.values():
+            # not reaped yet, so the pid is still the child's own
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _exit_text(status: int) -> str:

@@ -1,6 +1,9 @@
 import dataclasses
+import io
 import os
+import pickle
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -195,6 +198,74 @@ def test_first_failure_in_source_order_is_raised(monkeypatch, deadline, jobs):
     with pytest.raises(vi.DataError, match="^source 1$"):
         vi.map_stocks(corpus, jobs=jobs, qs=(2.0,))
     _assert_no_child_left()
+
+
+def test_fork_that_fails_is_a_config_error_naming_jobs(monkeypatch, tmp_path,
+                                                      capsys):
+    # the second fork fails as it does when the process limit is reached;
+    # the first worker is killed and reaped, and nothing is written
+    fork = os.fork
+    calls = []
+
+    def fork_once():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    out = tmp_path / "out"
+    assert cli.main(["intervals", "--synth-kind", "iid", "--synth-n-stocks",
+                     "4", "--synth-length", "600", "--jobs", "2",
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: cannot fork worker 1 of 2 ([Errno 11] "
+        "Resource temporarily unavailable); lower --jobs\n")
+    assert len(calls) == 2
+    assert not out.exists()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_no_worker_deadlocks_ahead_of_a_slow_one(monkeypatch, deadline, jobs):
+    # source 0's worker sleeps while the others run ahead, and source 1's
+    # result (about 0.9 MB pickled) alone is more than its pipe holds
+    small, _ = vi.synth_corpus(39, vi.homogeneous_rule(
+        "iid", 600, {"dist": "normal"}, 77))
+    big, _ = vi.synth_corpus(1, vi.homogeneous_rule(
+        "iid", 300_000, {"dist": "normal"}, 78))
+    sources = [*small][:1] + [*big] + [*small][1:]
+    serial = vi.map_stocks(sources, qs=(0.5,))
+    assert len(pickle.dumps(serial[1], 4)) > 1 << 18
+    stock = stage._stock
+
+    def worker(source, **kwargs):
+        if source is sources[0]:
+            time.sleep(0.3)
+        return stock(source, **kwargs)
+
+    monkeypatch.setattr(stage, "_stock", worker)
+    pooled = vi.map_stocks(sources, jobs=jobs, qs=(0.5,))
+    assert [_plain(r) for r in pooled] == [_plain(r) for r in serial]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("kind", ["result", "exception"])
+def test_a_pickle_cut_short_never_loads(kind):
+    # the parent reports a worker that died before source i when source
+    # i's pickle does not load: a worker that dies mid-write leaves a
+    # proper prefix of it, which must raise and never return a value
+    if kind == "result":
+        corpus, _ = vi.synth_corpus(1, vi.homogeneous_rule(
+            "iid", 600, {"dist": "normal"}, 79))
+        [value] = vi.map_stocks(corpus, factors=True, **STAGE)
+    else:
+        value = vi.DataError("A.csv:3: date breaks the row grammar")
+    data = stage._frame(value, 0)
+    for end in range(len(data)):
+        with pytest.raises((EOFError, pickle.UnpicklingError)):
+            pickle.load(io.BytesIO(data[:end]))
+    assert repr(_plain(pickle.loads(data))) == repr(_plain(value))
 
 
 # ---------------------------------------------------------------------------
