@@ -6,9 +6,11 @@ spec -> column -> volatility -> intervals per threshold, shuffled control,
 DFA, factors) and a reducer, cmd_<command>, of the ticker-ordered results,
 so --jobs never changes an output byte. main alone writes report.json,
 which omits paths and parallelism for the same reason, and decides exit 4.
-The conditional, DFA, factor and generator modules are imported by the
-functions that use them, so a run loads only what its command and source
-need; the option table reads their choices and defaults from constants.
+The CSV reader and writer and the conditional, DFA, factor and generator
+modules are imported by the functions that use them, so a run loads only
+what its command and source need; the option table reads their choices
+and defaults from constants, and the parser gets the arguments of the
+commands argv names only.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 insufficient statistics everywhere (nothing useful produced).
@@ -21,9 +23,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,9 +35,8 @@ from .errors import (ConfigError, DataError, FitShapeError,
 from .fitting import (DEFAULT_BINS_PER_DECADE, DEFAULT_X_MIN, fit_exponential,
                       fit_power_tail, hill_gamma, log_bin,
                       power_fit_sensitivity, write_pdf_tsv, write_tsv)
-from .ingest import (DEFAULT_MIN_LIFETIME, LoadSummary, corpus_files,
-                     write_corpus)
 from .intervals import DEFAULT_THRESHOLDS, pool_scaled
+from .records import DEFAULT_MIN_LIFETIME, LoadSummary
 from .stage import map_stocks
 
 EXIT_OK = 0
@@ -103,8 +104,7 @@ def _default_jobs() -> int:
     return min(os.cpu_count() or 1, MAX_JOBS)
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     """One row of the option table.
 
     The flag is --<name>, or --synth-<name> on an analysis for a generator
@@ -173,14 +173,17 @@ OPTIONS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A subparser per command; its namespace holds every option."""
+def build_parser(commands=ALL) -> argparse.ArgumentParser:
+    """A subparser per command, with the arguments of those in commands
+    only; its namespace holds every option."""
     ap = argparse.ArgumentParser(
         prog="volint",
         description="Threshold return-interval statistics for volatility series")
     sub = ap.add_subparsers(dest="command", required=True)
     for command, text in COMMANDS.items():
         p = sub.add_parser(command, help=text)
+        if command not in commands:
+            continue
         for opt in OPTIONS:
             default = opt.default() if callable(opt.default) else opt.default
             if command not in opt.commands:
@@ -234,6 +237,7 @@ def _sources(cfg) -> list:
         from .synth import homogeneous_rule
         rule = homogeneous_rule(cfg.kind, cfg.length, cfg.params, cfg.seed)
         return [(rule(i), i) for i in range(cfg.n_stocks)]
+    from .ingest import corpus_files
     return corpus_files(cfg.data_dir)
 
 
@@ -319,7 +323,7 @@ def _header(cfg, summary) -> dict:
                      if o.gen == "corpus"}}
     config = {o.name: getattr(cfg, o.name) for o in OPTIONS if o.echo}
     return {"config": {"command": cfg.command, "source": source, **config},
-            "load_summary": asdict(summary), "n_stocks": summary.n_accepted}
+            "load_summary": summary._asdict(), "n_stocks": summary.n_accepted}
 
 
 def _fit_block(values, path: Path, cfg) -> dict:
@@ -329,12 +333,12 @@ def _fit_block(values, path: Path, cfg) -> dict:
     write_pdf_tsv(pdf, path)
     block = {"n_samples": int(values.size)}
     try:
-        block["power"] = asdict(fit_power_tail(pdf, cfg.x_min))
+        block["power"] = fit_power_tail(pdf, cfg.x_min)._asdict()
     except InsufficientTailError:
         block["power"] = None
     block["power_x_min_grid"] = power_fit_sensitivity(pdf)
     try:
-        block["exponential"] = asdict(fit_exponential(pdf))
+        block["exponential"] = fit_exponential(pdf)._asdict()
     except (InsufficientTailError, FitShapeError):
         block["exponential"] = None
     try:
@@ -460,8 +464,8 @@ def cmd_dfa(cfg, results, outdir):
                       "by_factor": {}}}
     for factor, binning in _factor_binnings(*_factor_table(results)):
         rows = alpha_by_factor(binning, alphas)
-        write_tsv(outdir / f"dfa_alpha_by_{factor}.tsv", map(astuple, rows))
-        report["dfa"]["by_factor"][factor] = list(map(asdict, rows))
+        write_tsv(outdir / f"dfa_alpha_by_{factor}.tsv", rows)
+        report["dfa"]["by_factor"][factor] = [r._asdict() for r in rows]
     return report, None
 
 
@@ -472,7 +476,7 @@ def cmd_factors(cfg, results, outdir):
 
     report = {"factors": {"gamma_by_factor": {}, "unbinned": {}}}
     try:
-        report["factors"]["correlations"] = asdict(factor_correlations(table))
+        report["factors"]["correlations"] = factor_correlations(table)._asdict()
     except InsufficientStatisticsError:
         report["factors"]["correlations"] = None
 
@@ -483,7 +487,7 @@ def cmd_factors(cfg, results, outdir):
         write_tsv(outdir / f"gamma_by_{factor}.tsv",
                   [(r.lo, r.hi, r.gamma, r.stderr, r.n_stocks, r.n_intervals)
                    for r in rows])
-        report["factors"]["gamma_by_factor"][factor] = list(map(asdict, rows))
+        report["factors"]["gamma_by_factor"][factor] = [r._asdict() for r in rows]
         report["factors"]["unbinned"][factor] = len(binning.unbinned)
         fitted = fitted or any(r.gamma is not None for r in rows)
 
@@ -497,6 +501,7 @@ def cmd_factors(cfg, results, outdir):
 
 
 def cmd_synth(cfg) -> None:
+    from .ingest import write_corpus
     from .synth import synth_stock
     # the directories this run creates, deepest first
     made = [d for d in (Path(cfg.out), *Path(cfg.out).parents) if not d.exists()]
@@ -520,7 +525,10 @@ def cmd_synth(cfg) -> None:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    # arguments only for the commands argv names: the one argparse runs,
+    # its first positional, is among them
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser(set(argv))
     cfg, extra = ap.parse_known_args(argv)
     if extra:
         # the command's own parser reports them, with the usage of its flags

@@ -9,7 +9,7 @@ quantile mode partitions pairs into eight equal-population subsets instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ GEOMETRIC_BOUNDARIES = np.array(
 LOW_STATISTICS_PAIRS = 50
 
 
-@dataclass(frozen=True)
-class ConditionalPdf:
+class ConditionalPdf(NamedTuple):
     """Scaled-interval PDF restricted to one preceding-interval octile."""
 
     octile: int                 # 1..8

@@ -18,7 +18,7 @@ cached per (n, order); stocks of one length share their windows.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ DEFAULT_N_WINDOWS = 20
 DEFAULT_MIN_WINDOW = MAX_ORDER + 2
 
 
-@dataclass(frozen=True)
-class DfaCurve:
+class DfaCurve(NamedTuple):
     """F(n) over window sizes plus the fitted exponent."""
 
     window_sizes: np.ndarray

@@ -15,7 +15,7 @@ alongside for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,19 +36,17 @@ MAX_FACTOR = np.finfo(np.float64).max / 2
 MIN_FACTOR = np.finfo(np.float64).tiny
 
 
-@dataclass
-class FactorBinning:
+class FactorBinning(NamedTuple):
     """Half-open bins [e_i, e_{i+1}); boundary values go to the upper bin."""
 
     factor: str
     edges: np.ndarray
-    members: dict = field(default_factory=dict)     # bin index -> [tickers]
+    members: dict                                   # bin index -> [tickers]
     unbinned: tuple = ()                            # outside the edge range
     undefined: tuple = ()                           # factor not defined
 
 
-@dataclass(frozen=True)
-class GammaBin:
+class GammaBin(NamedTuple):
     lo: float
     hi: float
     gamma: float | None
@@ -58,8 +56,7 @@ class GammaBin:
     n_intervals: int
 
 
-@dataclass(frozen=True)
-class AlphaBin:
+class AlphaBin(NamedTuple):
     lo: float
     hi: float
     mean_alpha: float
@@ -67,8 +64,7 @@ class AlphaBin:
     count: int
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     labels: tuple[str, ...]
     log: np.ndarray             # size factors logged, lifetime raw
     raw: np.ndarray

@@ -10,7 +10,6 @@ relied on by the calibration tests.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,8 +22,7 @@ DEFAULT_X_MIN = 1.0
 DEFAULT_X_MIN_GRID = (0.5, 0.71, 1.0, 1.41, 2.0, 2.83, 4.0)
 
 
-@dataclass(frozen=True)
-class BinnedPdf:
+class BinnedPdf(NamedTuple):
     """Histogram density on geometric bins.
 
     densities[i] = counts[i] / (n_total * width[i]); zero-count bins carry
@@ -47,8 +45,7 @@ class BinnedPdf:
         return np.diff(self.edges)
 
 
-@dataclass(frozen=True)
-class TailFit:
+class TailFit(NamedTuple):
     """Power-law tail fit f(x) ~ x**(-gamma) from log-log least squares."""
 
     gamma: float
@@ -58,8 +55,7 @@ class TailFit:
     r2: float
 
 
-@dataclass(frozen=True)
-class ExpFit:
+class ExpFit(NamedTuple):
     """Exponential fit f(x) ~ exp(-a x) from lin-log least squares."""
 
     a: float
@@ -268,7 +264,7 @@ def power_fit_sensitivity(pdf: BinnedPdf):
     rows = []
     for xm in DEFAULT_X_MIN_GRID:
         try:
-            rows.append(asdict(fit_power_tail(pdf, x_min=xm)))
+            rows.append(fit_power_tail(pdf, x_min=xm)._asdict())
         except InsufficientTailError:
             rows.append({"x_min": float(xm), "gamma": None,
                          "stderr": None, "r2": None, "n_tail": 0})

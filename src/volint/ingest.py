@@ -1,4 +1,4 @@
-"""CSV corpus loading and the canonical in-memory data model.
+"""Reading and writing CSV corpora; re-exports the records module's names.
 
 One CSV file per ticker, read under the one row grammar the README
 states: the exact header ``date,volume,close,shares_outstanding``,
@@ -24,16 +24,15 @@ from __future__ import annotations
 
 import functools
 import re
-from collections import Counter
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
+from .records import (DEFAULT_MIN_LIFETIME, Corpus, DailySeries, FileLoad,
+                      LoadSummary)
 
 CSV_HEADER = ("date", "volume", "close", "shares_outstanding")
-DEFAULT_MIN_LIFETIME = 350
 
 _HEADER = ",".join(CSV_HEADER).encode()
 # Unicode category Cc; a ticker holding one would break TSV rows and the
@@ -81,116 +80,6 @@ _DASH_BYTES = np.uint64(0xFF * (1 << 16 | 1 << 40))
 _DASHES = np.uint64((ord("-") ^ ord("0")) * (1 << 16 | 1 << 40))
 # the first and last date a four-digit year can write
 _DATE_SPAN = np.array(["0000-01-01", "9999-12-31"], dtype="datetime64[D]")
-
-
-@dataclass(frozen=True)
-class DailySeries:
-    """Date-sorted daily records for one ticker.
-
-    shares_outstanding is stored as a float array with NaN marking rows
-    where the field was empty; it is None-like (all NaN) when no row had it.
-    """
-
-    ticker: str
-    dates: np.ndarray                 # datetime64[D], strictly increasing
-    volume: np.ndarray                # int64, >= 0
-    close: np.ndarray                 # float64, > 0
-    shares_outstanding: np.ndarray    # float64, NaN where absent
-
-    def __post_init__(self):
-        n = len(self.dates)
-        if not (len(self.volume) == len(self.close) == len(self.shares_outstanding) == n):
-            raise DataError(f"{self.ticker}: column lengths disagree")
-        if n > 1 and not np.all(self.dates[1:] > self.dates[:-1]):
-            raise DataError(f"{self.ticker}: dates not strictly increasing")
-
-    @property
-    def lifetime_days(self) -> int:
-        return len(self.dates)
-
-    def column(self, series_kind: str) -> np.ndarray:
-        """The column a series kind is computed from: volume or close."""
-        if series_kind == "volume":
-            return self.volume
-        if series_kind == "price":
-            return self.close
-        raise ConfigError(f"unknown series kind {series_kind!r}; "
-                          "choose volume or price")
-
-    def __eq__(self, other):
-        if not isinstance(other, DailySeries):
-            return NotImplemented
-        return (self.ticker == other.ticker
-                and np.array_equal(self.dates, other.dates)
-                and np.array_equal(self.volume, other.volume)
-                and np.array_equal(self.close, other.close)
-                and np.array_equal(self.shares_outstanding,
-                                   other.shares_outstanding, equal_nan=True))
-
-
-@dataclass(frozen=True)
-class FileLoad:
-    """How one file loaded: disposition "ok" (accepted), "short" (below the
-    lifetime filter) or "error" (unreadable, a bad header, or duplicate
-    dates under strict), with its skipped and duplicate row counts."""
-
-    disposition: str = "ok"
-    n_rows_skipped: int = 0
-    n_duplicate_rows: int = 0
-
-
-@dataclass
-class LoadSummary:
-    """Bookkeeping for one corpus load.
-
-    accepted + rejected == total files encountered.
-    """
-
-    n_files: int = 0
-    n_accepted: int = 0
-    n_rejected_short: int = 0
-    n_rejected_error: int = 0
-    n_rows_skipped: int = 0
-    n_duplicate_rows: int = 0
-
-    @classmethod
-    def of(cls, loads) -> LoadSummary:
-        """The summary of the FileLoads of every file encountered."""
-        loads = list(loads)
-        n = Counter(load.disposition for load in loads)
-        return cls(n_files=len(loads), n_accepted=n["ok"],
-                   n_rejected_short=n["short"], n_rejected_error=n["error"],
-                   n_rows_skipped=sum(x.n_rows_skipped for x in loads),
-                   n_duplicate_rows=sum(x.n_duplicate_rows for x in loads))
-
-    @property
-    def n_rejected(self) -> int:
-        return self.n_rejected_short + self.n_rejected_error
-
-    def as_dict(self) -> dict:
-        """dataclasses.asdict of the summary; bench/test_bench.py calls it."""
-        return asdict(self)
-
-
-@dataclass
-class Corpus:
-    """A ticker-sorted collection of DailySeries."""
-
-    stocks: list[DailySeries]
-    summary: LoadSummary = field(default_factory=LoadSummary)
-
-    def __post_init__(self):
-        self.stocks = sorted(self.stocks, key=lambda s: s.ticker)
-
-    def __len__(self):
-        return len(self.stocks)
-
-    def __iter__(self):
-        return iter(self.stocks)
-
-    @property
-    def tickers(self) -> list[str]:
-        return [s.ticker for s in self.stocks]
 
 
 def _matrix(b: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
@@ -498,28 +387,12 @@ def read_stock(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
 
 def load_corpus(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
                 strict: bool = False) -> Corpus:
-    """Load a corpus from a directory of per-ticker CSV files.
-
-    Parameters
-    ----------
-    path : str or Path
-        Directory containing ``<TICKER>.csv`` files; anything else raises
-        DataError.
-    min_lifetime : int
-        Minimum record count for a stock to enter the corpus.
-    strict : bool
-        Promote malformed rows, bad headers and unreadable files to fatal
-        errors and duplicate dates to per-ticker rejection. Default skips
-        and counts malformed rows, rejects a file with a bad header or
-        that cannot be read (n_rejected_error) and keeps the first of
-        duplicate dates.
-
-    Returns
-    -------
-    Corpus
-        Ticker-sorted stocks with lifetime >= min_lifetime plus a
-        LoadSummary accounting for every file encountered.
-    """
+    """The Corpus of a directory's ``*.csv`` files (corpus_files): the
+    stocks read_stock accepts under min_lifetime and strict, sorted by
+    ticker, and the LoadSummary of every file. Lenient, a malformed row is
+    skipped and counted, a bad header or an unreadable file rejects its
+    file and the first of duplicate dates is kept; strict raises DataError
+    for the first three and rejects a file with duplicate dates."""
     read = [read_stock(fp, min_lifetime, strict) for fp in corpus_files(path)]
     return Corpus(stocks=[s for s, _ in read if s is not None],
                   summary=LoadSummary.of(load for _, load in read))

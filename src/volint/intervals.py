@@ -10,7 +10,7 @@ at high q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .errors import ConfigError
 DEFAULT_THRESHOLDS = (2.0, 2.5, 3.0, 3.5, 4.0)
 
 
-@dataclass(frozen=True)
-class IntervalSeries:
+class IntervalSeries(NamedTuple):
     """Ordered return intervals of one series at one threshold."""
 
     q: float
@@ -36,18 +35,20 @@ class IntervalSeries:
         return self.taus.size == 0
 
 
-@dataclass
 class PooledIntervals:
     """Per-stock scaled intervals tau/<tau> pooled across stocks.
 
-    values are ordered by (ticker, temporal position), so pooling is
-    schedule-independent; sizes[i] of them belong to tickers[i].
+    values (float64 scaled intervals) are ordered by (ticker, temporal
+    position), so pooling is schedule-independent; sizes[i] of them belong
+    to tickers[i]. skipped are the tickers insufficient at this q.
     """
 
-    values: np.ndarray                      # float64 scaled intervals
-    tickers: tuple[str, ...]
-    sizes: tuple[int, ...]
-    skipped: tuple[str, ...] = ()           # insufficient at this q
+    __slots__ = ("values", "tickers", "sizes", "skipped")
+
+    def __init__(self, values: np.ndarray, tickers: tuple[str, ...],
+                 sizes: tuple[int, ...], skipped: tuple[str, ...] = ()):
+        self.values, self.tickers, self.sizes = values, tickers, sizes
+        self.skipped = skipped
 
     def __len__(self):
         return len(self.values)

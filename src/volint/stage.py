@@ -6,8 +6,9 @@ worker reads or generates its own stock, so a caller that passes CSV
 paths or generator specs never holds a per-day array. Results depend on
 the master seed and the ticker only, so the number of workers can never
 change them. Forked workers send their results back as one pickle
-stream each, which the parent reads in source order. The DFA, factor and
-generator modules load only for a request or a source that uses them.
+stream each, which the parent reads in source order. The CSV reader, DFA,
+factor and generator modules load only for a source or a request that
+uses them.
 """
 
 from __future__ import annotations
@@ -15,25 +16,18 @@ from __future__ import annotations
 import importlib
 import os
 import pickle
-from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateSeriesError
-from .ingest import (DEFAULT_MIN_LIFETIME, DailySeries, FileLoad, read_stock,
-                     ticker_of)
 from .intervals import extract_intervals, shuffle_control
+from .records import DEFAULT_MIN_LIFETIME, DailySeries, FileLoad, Frozen
 from .seeds import derive_seed
 from .volatility import log_returns, normalize_volatility
 
-if TYPE_CHECKING:
-    from .dfa import DfaCurve
 
-
-@dataclass(frozen=True, eq=False)
-class StockResult:
+class StockResult(Frozen):
     """Everything the analyses need from one stock; no per-day arrays.
 
     by_q and shuffled_by_q map a threshold to the IntervalSeries of the
@@ -45,14 +39,14 @@ class StockResult:
     else. Results compare by identity: their arrays have no one truth value.
     """
 
-    ticker: str
-    n_dropped: int = 0
-    degenerate: bool = False
-    by_q: dict = field(default_factory=dict)
-    shuffled_by_q: dict = field(default_factory=dict)
-    curve: DfaCurve | None = None
-    factors: np.ndarray | None = None
-    load: FileLoad = FileLoad()
+    __slots__ = ("ticker", "n_dropped", "degenerate", "by_q",
+                 "shuffled_by_q", "curve", "factors", "load")
+
+    def __init__(self, ticker: str, n_dropped: int = 0, degenerate=False,
+                 by_q=None, shuffled_by_q=None, curve=None, factors=None,
+                 load: FileLoad = FileLoad()):
+        super().__init__(ticker, n_dropped, degenerate, by_q or {},
+                         shuffled_by_q or {}, curve, factors, load)
 
 
 def _open(source, min_lifetime: int, strict: bool):
@@ -64,6 +58,7 @@ def _open(source, min_lifetime: int, strict: bool):
         from .synth import synth_stock
         stock, _ = synth_stock(*source)
         return stock.ticker, stock, FileLoad()
+    from .ingest import read_stock, ticker_of
     stock, load = read_stock(source, min_lifetime, strict)
     return ticker_of(source), stock, load
 
@@ -148,11 +143,12 @@ def map_stocks(sources, series: str = "volume", *, seed: int = 0,
     if jobs <= 1 or len(sources) <= 1 or not hasattr(os, "fork"):
         return [worker(s) for s in sources]
     # what the workers import, each loads once here rather than once in
-    # every child: the steps this request runs, and numpy.random where
-    # shuffle controls or generators draw
+    # every child: the steps this request runs, the reader of CSV
+    # sources, and numpy.random where shuffle controls or generators draw
     generated = any(isinstance(s, tuple) for s in sources)
+    paths = any(not isinstance(s, (tuple, DailySeries)) for s in sources)
     for module, used in (("dfa", order is not None), ("factors", factors),
-                         ("synth", generated)):
+                         ("synth", generated), ("ingest", paths)):
         if used:
             importlib.import_module(f".{module}", __package__)
     if shuffled_qs or shuffled_dfa or generated:

@@ -22,24 +22,24 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .constants import DISTS, KINDS  # noqa: F401 (DISTS stays a synth name)
 from .errors import ConfigError, DataError
-from .ingest import Corpus, DailySeries, LoadSummary
+from .records import Corpus, DailySeries, LoadSummary
 from .seeds import derive_seed
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Recipe for one synthetic series."""
+class GeneratorSpec(NamedTuple):
+    """Recipe for one synthetic series; params is read-only when left
+    out."""
 
     kind: str
     length: int
-    params: Mapping = field(default_factory=dict)
+    params: Mapping = MappingProxyType({})
     seed: int = 0
 
 
@@ -305,21 +305,10 @@ def synth_stock(spec: GeneratorSpec, index: int):
 
 
 def synth_corpus(n_stocks: int, spec_rule: Callable[[int], GeneratorSpec]):
-    """Synthesize a corpus plus its planted ground truth.
-
-    Parameters
-    ----------
-    n_stocks : int
-    spec_rule : int -> GeneratorSpec
-        Per-stock generator recipe (index runs 0..n_stocks-1). Planted
-        factor sweeps couple parameters to the index here.
-
-    Returns
-    -------
-    (Corpus, dict)
-        The corpus and a planted mapping ticker -> generator parameters
-        and size attributes, the oracle side of factor-recovery tests.
-    """
+    """(Corpus, planted) of n_stocks synthetic stocks, stock i made by
+    synth_stock from spec_rule(i) (planted factor sweeps couple parameters
+    to i there); planted maps each ticker to its generator parameters and
+    size attributes, the oracle side of factor-recovery tests."""
     if n_stocks < 1:
         raise ConfigError(f"n_stocks must be >= 1, got {n_stocks}")
     made = [synth_stock(spec_rule(i), i) for i in range(n_stocks)]

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import volint as vi
-from volint.cli import MAX_JOBS, build_parser, main
+from volint.cli import ANALYSES, MAX_JOBS, build_parser, main
 from volint.synth import check_spec
 
 
@@ -303,7 +302,9 @@ def test_factor_that_overflows_is_undefined_not_a_warning(tmp_path, argv, block,
     corpus, _ = vi.synth_corpus(6, vi.homogeneous_rule(
         "fgn", 600, {"hurst": 0.8, "vol_scale": 0.5, "noise_df": 2.5}, 7))
     s = corpus.stocks[0]
-    corpus.stocks[0] = dataclasses.replace(s, close=np.full(len(s.dates), 1e300))
+    corpus.stocks[0] = vi.DailySeries(s.ticker, s.dates, s.volume,
+                                      np.full(len(s.dates), 1e300),
+                                      s.shares_outstanding)
     vi.write_corpus(corpus, tmp_path / "data")
     out = tmp_path / "out"
     assert main([*argv, "--data-dir", str(tmp_path / "data"), "--min-lifetime", "100",
@@ -331,8 +332,8 @@ def test_subnormal_factor_is_undefined_not_a_config_error(tmp_path, argv,
     # and the geometric edges stop increasing: both are undefined instead
     corpus, _ = vi.synth_corpus(3, vi.homogeneous_rule(
         "fgn", 400, {"hurst": 0.8, "vol_scale": 0.5}, 7))
-    corpus.stocks[:] = [dataclasses.replace(s, close=np.full(400, 1e-320),
-                                            shares_outstanding=np.ones(400))
+    corpus.stocks[:] = [vi.DailySeries(s.ticker, s.dates, s.volume,
+                                       np.full(400, 1e-320), np.ones(400))
                         for s in corpus.stocks]
     vi.write_corpus(corpus, tmp_path / "data")
     out = tmp_path / "out"
@@ -909,6 +910,47 @@ def test_csv_runs_load_no_generator_dfa_or_factor_code(tmp_path):
     assert csv == [[0, []]] * 4
     assert generated_jobs1 == generated_jobs2 == [
         0, ["volint.dfa", "volint.factors", "volint.synth"]]
+
+
+def test_no_run_loads_dataclasses_and_no_generated_run_the_csv_reader(tmp_path):
+    # the records are named tuples and plain classes, and the CSV reader
+    # and writer load only for a run that reads or writes files: each
+    # command on generated stocks, then synth and each analysis on its
+    # tree, in process and forked
+    data = str(tmp_path / "data")
+    gen = ["--kind", "fgn", "--n-stocks", "3", "--length", "2048", "--hurst", "0.8"]
+    source = {"generated": [f.replace("--", "--synth-") for f in gen],
+              "csv": ["--data-dir", data]}
+    runs = {name: [[c, *flags, "--jobs", jobs,
+                    "--out", str(tmp_path / f"{name}{c}{jobs}")]
+                   for c in ANALYSES for jobs in ("1", "2")]
+            for name, flags in source.items()}
+    runs = [*runs["generated"], ["synth", *gen, "--out", data], *runs["csv"]]
+    code = ("import contextlib, io, json, sys; from volint.cli import main\n"
+            "loaded = []\n"
+            f"for run in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        rc = main(run)\n"
+            "    loaded.append([rc, sorted({'dataclasses', 'volint.ingest'} "
+            "& set(sys.modules))])\n"
+            "print(json.dumps(loaded))")
+    loaded = run_python(code)
+    assert loaded == [[0, []]] * 8 + [[0, ["volint.ingest"]]] * 9
+
+
+# argv -> [exit code, stdout, stderr] of --help and of usage errors at 80
+# columns, recorded when the parser built every command's arguments
+CLI_TEXT = json.loads((Path(__file__).parent / "cli_text.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_TEXT))
+def test_help_and_usage_errors_print_the_recorded_text(monkeypatch, capsys, argv):
+    # the parser builds the arguments of the commands argv names only,
+    # which must change no character of what argparse prints
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert [exc.value.code, *capsys.readouterr()] == CLI_TEXT[argv]
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",

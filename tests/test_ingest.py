@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import tempfile
 import unicodedata
@@ -268,7 +267,8 @@ def test_write_corpus_formats_each_value_as_one_line_at_a_time_would(columns):
 
 def dated(ticker, *dates):
     s = make_series(ticker=ticker, n=len(dates))
-    return dataclasses.replace(s, dates=np.array(dates, dtype="datetime64[D]"))
+    return vi.DailySeries(s.ticker, np.array(dates, dtype="datetime64[D]"),
+                          s.volume, s.close, s.shares_outstanding)
 
 
 @pytest.mark.parametrize("dates", [
@@ -488,7 +488,7 @@ def load_one(directory, strict: bool):
                      s.close.tolist(),
                      [None if x != x else x for x in s.shares_outstanding.tolist()]))
             for s in corpus]
-    return dataclasses.asdict(corpus.summary), rows[0] if rows else []
+    return corpus.summary._asdict(), rows[0] if rows else []
 
 
 def check_loader_agrees_with_oracle(data):

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import os
 import pickle
@@ -276,11 +275,11 @@ STAGE = {"qs": (2.0,), "shuffled_qs": (2.5,), "order": 1}
 
 
 def _plain(x):
-    """x with dataclasses as dicts, arrays as bytes and floats as their
+    """x with records as dicts, arrays as bytes and floats as their
     repr, so that == compares every value, NaN included."""
-    if dataclasses.is_dataclass(x):
-        return {f.name: _plain(getattr(x, f.name))
-                for f in dataclasses.fields(x)}
+    fields = getattr(x, "_fields", None) or getattr(x, "__slots__", None)
+    if fields:
+        return {f: _plain(getattr(x, f)) for f in fields}
     if isinstance(x, dict):
         return {k: _plain(v) for k, v in x.items()}
     if isinstance(x, np.ndarray):
@@ -329,14 +328,14 @@ def test_worker_reads_csv_like_load_corpus_then_map_stocks(tmp_path, jobs):
     corpus = vi.load_corpus(tmp_path, min_lifetime=300)
     results, summary = _stage(tmp_path, jobs)
     assert summary == corpus.summary
-    assert dataclasses.asdict(summary) == {
+    assert summary._asdict() == {
         "n_files": 7, "n_accepted": 5, "n_rejected_short": 1,
         "n_rejected_error": 1, "n_rows_skipped": 3, "n_duplicate_rows": 2}
     assert [r.ticker for r in results] == corpus.tickers == [
         "A", "A-", "C", "D", "E"]
     assert [r.load.disposition for r in results] == ["ok"] * 5
-    assert [_plain(dataclasses.replace(r, load=None)) for r in results] == [
-        _plain(dataclasses.replace(r, load=None))
+    assert [{**_plain(r), "load": None} for r in results] == [
+        {**_plain(r), "load": None}
         for r in _library(corpus, **STAGE)]
 
 
