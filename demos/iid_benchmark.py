@@ -23,16 +23,13 @@ def main():
     corpus, _ = vi.synth_corpus(200, vi.homogeneous_rule(
         "iid", 5000, {"dist": "powered_normal", "kappa": KAPPA},
         master_seed=5))
-    items = []
-    for stock in corpus:
-        nu = vi.volatility(stock.volume)
-        iv = vi.extract_intervals(nu, Q)
-        if iv.taus.size:
-            items.append((stock.ticker, iv))
-    pool = vi.pool_scaled(items)
+    # each stock's intervals, in ticker order
+    samples = [vi.extract_intervals(vi.volatility(stock.volume), Q).taus
+               for stock in corpus]
+    pool = vi.pool_scaled(samples)
 
     # taus are narrow unsigned integers: take float64 before arithmetic
-    taus = np.concatenate([iv.taus for _, iv in items]).astype(np.float64)
+    taus = np.concatenate(samples).astype(np.float64)
     print(f"observed mean interval: {taus.mean():.1f} "
           f"({taus.size} intervals)")
 
@@ -40,16 +37,16 @@ def main():
     # check per stock, since pooling mixes stocks whose estimated
     # normalization (and hence effective p) differs
     ratios = []
-    for _, iv in items:
-        if iv.taus.size < 30:
+    for t in samples:
+        if t.size < 30:
             continue
-        t = iv.taus.astype(np.float64)
+        t = t.astype(np.float64)
         m = t.mean()
         ratios.append(t.std() / m / np.sqrt(1 - 1 / m))
     print(f"per-stock CV / geometric prediction: "
           f"{np.mean(ratios):.3f} +- {np.std(ratios):.3f}  (1 = memoryless)")
 
-    pdf = vi.log_bin(pool.values[pool.values >= 0.1], bins_per_decade=8)
+    pdf = vi.log_bin(pool[pool >= 0.1], bins_per_decade=8)
     fit = vi.fit_exponential(pdf)
     print(f"scaled PDF exponential fit: slope a = {fit.a:.3f}, "
           f"r2 = {fit.r2:.4f}")

@@ -15,24 +15,22 @@ Q = 2.0
 
 
 def scaled_pool(corpus):
-    items = []
+    samples = []
     for stock in corpus:
         try:
             nu = vi.volatility(stock.volume)
         except vi.DegenerateSeriesError:
             continue
-        iv = vi.extract_intervals(nu, Q)
-        if iv.taus.size:
-            items.append((stock.ticker, iv))
-    return vi.pool_scaled(items)
+        samples.append(vi.extract_intervals(nu, Q).taus)
+    return vi.pool_scaled(samples)
 
 
 def describe(name, corpus):
     pool = scaled_pool(corpus)
-    pdf = vi.log_bin(pool.values, bins_per_decade=8)
-    print(f"\n{name}: {pool.values.size} scaled intervals")
+    pdf = vi.log_bin(pool, bins_per_decade=8)
+    print(f"\n{name}: {pool.size} scaled intervals")
 
-    tail = vi.log_bin(pool.values[pool.values >= 1.0], bins_per_decade=8)
+    tail = vi.log_bin(pool[pool >= 1.0], bins_per_decade=8)
     pow_fit = vi.fit_power_tail(pdf, x_min=1.0)
     exp_fit = vi.fit_exponential(tail)
     better = "power" if pow_fit.r2 > exp_fit.r2 else "exponential"

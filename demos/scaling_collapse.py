@@ -25,35 +25,34 @@ def build_corpus():
 
 
 def intervals(corpus, q):
-    """(ticker, IntervalSeries) of every stock with an interval at q."""
-    items = []
+    """The taus at q of every stock with an interval there, in ticker
+    order."""
+    samples = []
     for stock in corpus:
         try:
             nu = vi.volatility(stock.volume)
         except vi.DegenerateSeriesError:
             continue
-        iv = vi.extract_intervals(nu, q)
-        if iv.taus.size:
-            items.append((stock.ticker, iv))
-    return items
+        taus = vi.extract_intervals(nu, q).taus
+        if taus.size:
+            samples.append(taus)
+    return samples
 
 
 def main():
     corpus = build_corpus()
     print(f"corpus: {len(corpus)} stocks x {LENGTH} days")
 
-    items = {q: intervals(corpus, q) for q in THRESHOLDS}
-    pools = {q: vi.pool_scaled(items[q]) for q in THRESHOLDS}
+    samples = {q: intervals(corpus, q) for q in THRESHOLDS}
+    pools = {q: vi.pool_scaled(samples[q]) for q in THRESHOLDS}
     for q in THRESHOLDS:
-        p = pools[q]
-        raw_mean = np.mean([iv.taus.mean() for _, iv in items[q]])
-        print(f"q={q}: {p.values.size:6d} intervals, "
+        raw_mean = np.mean([taus.mean() for taus in samples[q]])
+        print(f"q={q}: {pools[q].size:6d} intervals, "
               f"mean raw tau per stock ~ {raw_mean:.1f}")
 
     # raw distributions are far apart: a high threshold stretches tau
     lo, hi = THRESHOLDS[0], THRESHOLDS[-1]
-    raw = {q: np.concatenate([iv.taus for _, iv in items[q]])
-           for q in (lo, hi)}
+    raw = {q: np.concatenate(samples[q]) for q in (lo, hi)}
     ks_raw = vi.collapse_distance(raw[lo].astype(float), raw[hi].astype(float))
     print(f"\nKS(raw tau, q={lo} vs q={hi}) = {ks_raw:.3f}  (distinct)")
 
@@ -62,10 +61,10 @@ def main():
     qs = list(THRESHOLDS)
     for i in range(len(qs)):
         for j in range(i + 1, len(qs)):
-            d = vi.collapse_distance(pools[qs[i]].values, pools[qs[j]].values)
+            d = vi.collapse_distance(pools[qs[i]], pools[qs[j]])
             print(f"  q={qs[i]} vs q={qs[j]}: {d:.4f}")
 
-    pdf = vi.log_bin(pools[2.0].values, bins_per_decade=8)
+    pdf = vi.log_bin(pools[2.0], bins_per_decade=8)
     fit = vi.fit_exponential(pdf)
     print(f"\nstretched tail at q=2.0: exponential fit r2 = {fit.r2:.3f}"
           f" (long memory bends it away from pure exponential)")

@@ -13,7 +13,7 @@ SEED = 13
 
 
 def pairs_from(corpus, shuffle_seed=None):
-    items = []
+    samples = []
     for stock in corpus:
         try:
             nu = vi.volatility(stock.volume)
@@ -22,10 +22,8 @@ def pairs_from(corpus, shuffle_seed=None):
         if shuffle_seed is not None:
             nu = vi.shuffle_control(
                 nu, vi.derive_seed(shuffle_seed, stock.ticker, "shuffle"))
-        iv = vi.extract_intervals(nu, Q)
-        if iv.taus.size:
-            items.append((stock.ticker, iv))
-    return vi.consecutive_pairs(items)
+        samples.append(vi.extract_intervals(nu, Q).taus)
+    return vi.consecutive_pairs(samples)
 
 
 def show(label, tau0, tau):

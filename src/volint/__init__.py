@@ -36,10 +36,10 @@ _EXPORTS = {
                 "fit_exponential", "fit_power_tail", "geometric_edges",
                 "hill_gamma", "log_bin", "power_fit_sensitivity", "spearman",
                 "write_pdf_tsv"),
-    "ingest": ("Corpus", "DailySeries", "FileLoad", "LoadSummary",
-               "corpus_files", "load_corpus", "read_stock", "write_corpus"),
-    "intervals": ("DEFAULT_THRESHOLDS", "IntervalSeries", "PooledIntervals",
-                  "extract_intervals", "pool_scaled", "shuffle_control"),
+    "ingest": ("corpus_files", "load_corpus", "read_stock", "write_corpus"),
+    "intervals": ("DEFAULT_THRESHOLDS", "IntervalSeries", "extract_intervals",
+                  "pool_scaled", "shuffle_control"),
+    "records": ("Corpus", "DailySeries", "FileLoad", "LoadSummary"),
     "seeds": ("derive_seed",),
     "stage": ("StockResult", "map_stocks"),
     "synth": ("GeneratorSpec", "cascade_log_weights", "fgn", "generate",

@@ -367,36 +367,34 @@ def cmd_intervals(cfg, results, outdir):
     dump = []
     for q in cfg.thresholds:
         tag = _qtag(q)
-        items = [(r.ticker, r.by_q[q]) for r in ok]
-        raw = [iv.taus for _, iv in items if iv.taus.size]
-        if not raw:
+        used = [(r.ticker, r.by_q[q]) for r in ok if r.by_q[q].size]
+        if not used:
             report["intervals"][tag] = {"empty": True}
             continue
         # one sample at a time, each freed before the next is built: the
         # raw intervals (log_bin takes its own float64 copy of the narrow
         # taus), then the scaled pool, then the shuffled one
-        raw = np.concatenate(raw)
+        raw = np.concatenate([taus for _, taus in used])
         mean_tau = float(raw.mean())
         write_pdf_tsv(log_bin(raw, cfg.bins_per_decade), outdir / f"pdf_q{tag}.tsv")
         del raw
-        pooled = pool_scaled(items)
+        pooled = pool_scaled(taus for _, taus in used)
         block = {"empty": False,
-                 "n_stocks_used": len(pooled.tickers),
-                 "n_insufficient": len(pooled.skipped),
-                 "n_intervals": len(pooled),
+                 "n_stocks_used": len(used),
+                 "n_insufficient": len(ok) - len(used),
+                 "n_intervals": pooled.size,
                  "mean_tau": mean_tau,
-                 "fits": _fit_block(pooled.values,
-                                    outdir / f"pdf_scaled_q{tag}.tsv", cfg)}
+                 "fits": _fit_block(pooled, outdir / f"pdf_scaled_q{tag}.tsv", cfg)}
         del pooled
         # a shuffle permutes the same values, so it has as many intervals
-        shuffled = pool_scaled([(r.ticker, r.shuffled_by_q[q]) for r in ok]).values
+        shuffled = pool_scaled(r.shuffled_by_q[q] for r in ok)
         block["shuffled_fits"] = _fit_block(
             shuffled, outdir / f"pdf_shuffled_q{tag}.tsv", cfg)
         report["intervals"][tag] = block
         if cfg.dump_intervals:
             # each stock's rows, ticker <TAB> q <TAB> interval, as one string
-            dump += [f"{t}\t{tag}\t" + f"\n{t}\t{tag}\t".join(map(str, iv.taus.tolist()))
-                     + "\n" for t, iv in items if iv.taus.size]
+            dump += [f"{t}\t{tag}\t" + f"\n{t}\t{tag}\t".join(map(str, taus.tolist()))
+                     + "\n" for t, taus in used]
     if all(b["empty"] for b in report["intervals"].values()):
         return report, "no threshold produced any interval"
     if cfg.dump_intervals:
@@ -408,12 +406,12 @@ def cmd_intervals(cfg, results, outdir):
 def cmd_conditional(cfg, results, outdir):
     from .conditional import (conditional_pdfs, consecutive_pairs,
                               memory_summary, octile_boundaries)
-    by_q = [(r.ticker, r.shuffled_by_q if cfg.shuffled else r.by_q)
+    by_q = [r.shuffled_by_q if cfg.shuffled else r.by_q
             for r in results if not r.degenerate]
     report = {"conditional": {}}
     for q in cfg.thresholds:
         tag = _qtag(q)
-        tau0, tau = consecutive_pairs([(t, ivs[q]) for t, ivs in by_q])
+        tau0, tau = consecutive_pairs(taus[q] for taus in by_q)
         if tau.size == 0:
             report["conditional"][tag] = {"empty": True}
             continue

@@ -33,25 +33,26 @@ class ConditionalPdf(NamedTuple):
     low_statistics: bool
 
 
-def consecutive_pairs(items):
+def consecutive_pairs(samples):
     """Pooled (tau0, tau) consecutive pairs, scaled per stock.
 
     Parameters
     ----------
-    items : iterable of (ticker, IntervalSeries)
-        One threshold's intervals, scaled and ordered by pool_scaled.
-        Pairs never cross stock boundaries; a stock with fewer than two
-        intervals contributes nothing.
+    samples : iterable of taus arrays
+        One threshold's intervals per stock, pooled by pool_scaled in the
+        order given. Pairs never cross stock boundaries; a stock with
+        fewer than two intervals contributes nothing.
 
     Returns
     -------
-    (tau0, tau) : two aligned float arrays in (ticker, position) order.
+    (tau0, tau) : two aligned float arrays in (stock, position) order.
     """
-    pooled = pool_scaled(items)
+    samples = [taus for taus in samples if taus.size]
+    values = pool_scaled(samples)
     # false at the last interval of each stock, which starts no pair
-    first = np.ones(len(pooled), dtype=bool)
-    first[np.cumsum(pooled.sizes, dtype=np.intp) - 1] = False
-    return pooled.values[first], pooled.values[1:][first[:-1]]
+    first = np.ones(values.size, dtype=bool)
+    first[np.cumsum([taus.size for taus in samples], dtype=np.intp) - 1] = False
+    return values[first], values[1:][first[:-1]]
 
 
 def octile_boundaries(tau0, mode: str = "geometric") -> np.ndarray:

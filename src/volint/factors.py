@@ -156,9 +156,9 @@ def gamma_by_factor(binning: FactorBinning, intervals: dict,
     Parameters
     ----------
     binning : FactorBinning
-    intervals : dict ticker -> IntervalSeries
-        One threshold's intervals per stock, e.g. from stage.map_stocks;
-        members missing from it (degenerate stocks) are skipped.
+    intervals : dict ticker -> taus
+        One threshold's taus per stock, e.g. from stage.map_stocks, pooled
+        in member order; members missing from it (degenerate) are skipped.
 
     Returns
     -------
@@ -167,20 +167,20 @@ def gamma_by_factor(binning: FactorBinning, intervals: dict,
     """
     rows = []
     for b in range(len(binning.edges) - 1):
-        items = [(t, intervals[t]) for t in binning.members.get(b, [])
-                 if t in intervals]
-        pooled = pool_scaled(items)
+        samples = [intervals[t] for t in binning.members.get(b, [])
+                   if t in intervals and intervals[t].size]
+        pooled = pool_scaled(samples)
         gamma = stderr = r2 = None
-        if len(pooled):
+        if pooled.size:
             try:
-                f = fit_power_tail(log_bin(pooled.values, bins_per_decade), x_min)
+                f = fit_power_tail(log_bin(pooled, bins_per_decade), x_min)
                 gamma, stderr, r2 = f.gamma, f.stderr, f.r2
             except InsufficientTailError:
                 pass
         rows.append(GammaBin(
             lo=float(binning.edges[b]), hi=float(binning.edges[b + 1]),
             gamma=gamma, stderr=stderr, r2=r2,
-            n_stocks=len(pooled.tickers), n_intervals=len(pooled)))
+            n_stocks=len(samples), n_intervals=pooled.size))
     return rows
 
 

@@ -22,7 +22,6 @@ DEFAULT_THRESHOLDS = (2.0, 2.5, 3.0, 3.5, 4.0)
 class IntervalSeries(NamedTuple):
     """Ordered return intervals of one series at one threshold."""
 
-    q: float
     # each >= 1, in temporal order, in the narrowest unsigned dtype that
     # holds the series length (uint16 up to 65,535 days); take float64
     # before any arithmetic on them
@@ -33,25 +32,6 @@ class IntervalSeries(NamedTuple):
     def insufficient(self) -> bool:
         """True when fewer than 2 exceedances produced no interval."""
         return self.taus.size == 0
-
-
-class PooledIntervals:
-    """Per-stock scaled intervals tau/<tau> pooled across stocks.
-
-    values (float64 scaled intervals) are ordered by (ticker, temporal
-    position), so pooling is schedule-independent; sizes[i] of them belong
-    to tickers[i]. skipped are the tickers insufficient at this q.
-    """
-
-    __slots__ = ("values", "tickers", "sizes", "skipped")
-
-    def __init__(self, values: np.ndarray, tickers: tuple[str, ...],
-                 sizes: tuple[int, ...], skipped: tuple[str, ...] = ()):
-        self.values, self.tickers, self.sizes = values, tickers, sizes
-        self.skipped = skipped
-
-    def __len__(self):
-        return len(self.values)
 
 
 def extract_intervals(v, q: float) -> IntervalSeries:
@@ -77,43 +57,35 @@ def extract_intervals(v, q: float) -> IntervalSeries:
         raise ConfigError(f"threshold must be positive, got {q}")
     v = np.asarray(v, dtype=np.float64)
     idx = np.flatnonzero(v > q)
-    return IntervalSeries(q=float(q),
-                          taus=np.diff(idx).astype(np.min_scalar_type(v.size)),
-                          n_exceedances=int(idx.size))
+    return IntervalSeries(np.diff(idx).astype(np.min_scalar_type(v.size)),
+                          int(idx.size))
 
 
-def pool_scaled(items) -> PooledIntervals:
-    """Pool per-stock scaled intervals tau / <tau>_stock.
+def pool_scaled(samples) -> np.ndarray:
+    """Per-stock scaled intervals tau / <tau>_stock, pooled in one array.
 
     Parameters
     ----------
-    items : iterable of (ticker, IntervalSeries)
-        One entry per stock at a common threshold. Members flagged
-        insufficient are skipped and recorded, not an error.
+    samples : iterable of taus arrays
+        One stock's intervals at a common threshold per entry, pooled in
+        the order given and not sorted; an empty array adds nothing.
 
     Notes
     -----
     Scaling is per stock, by that stock's own mean interval; pooling raw
     intervals and scaling by a global mean is a different (wrong) rule for
     a per-series scaling law. The values are one float64 array, sized from
-    the members up front and filled stock by stock: the mean of integer
+    the samples up front and filled stock by stock: the mean of integer
     taus is taken in float64, and each tau is cast to float64 before it is
     divided, so the dtype of taus never changes a value.
     """
-    items = sorted(items, key=lambda kv: kv[0])
-    qs = sorted({iv.q for _, iv in items})
-    if len(qs) > 1:
-        raise ConfigError(f"mixed thresholds in pool: {qs}")
-    used = [(t, iv.taus) for t, iv in items if not iv.insufficient]
-    sizes = tuple(taus.size for _, taus in used)
-    values = np.empty(sum(sizes), dtype=np.float64)
+    used = [taus for taus in samples if taus.size]
+    values = np.empty(sum(taus.size for taus in used), dtype=np.float64)
     end = 0
-    for (_, taus), size in zip(used, sizes):
-        np.divide(taus, taus.mean(), out=values[end:end + size])
-        end += size
-    return PooledIntervals(values=values, tickers=tuple(t for t, _ in used),
-                           sizes=sizes,
-                           skipped=tuple(t for t, iv in items if iv.insufficient))
+    for taus in used:
+        np.divide(taus, taus.mean(), out=values[end:end + taus.size])
+        end += taus.size
+    return values
 
 
 def shuffle_control(v, seed: int) -> np.ndarray:

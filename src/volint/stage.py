@@ -30,13 +30,14 @@ from .volatility import log_returns, normalize_volatility
 class StockResult(Frozen):
     """Everything the analyses need from one stock; no per-day arrays.
 
-    by_q and shuffled_by_q map a threshold to the IntervalSeries of the
-    volatility and of its shuffle control; curve is the DFA of one of
-    them, factors the stock's factor row when asked for (FACTORS' four
-    values, NaN where undefined, from factors.stock_factors). A degenerate
-    stock has no volatility and carries no intervals or curve. load is how
-    the stock's file loaded; a file that was not accepted carries nothing
-    else. Results compare by identity: their arrays have no one truth value.
+    by_q and shuffled_by_q map a threshold to the taus (extract_intervals'
+    narrow array, nothing more) of the volatility and of its shuffle
+    control; curve is the DFA of one of them, factors the stock's factor
+    row when asked for (FACTORS' four values, NaN where undefined, from
+    factors.stock_factors). A degenerate stock has no volatility and
+    carries no intervals or curve. load is how the stock's file loaded; a
+    file that was not accepted carries nothing else. Results compare by
+    identity: their arrays have no one truth value.
     """
 
     __slots__ = ("ticker", "n_dropped", "degenerate", "by_q",
@@ -89,11 +90,11 @@ def _stock(source, seed: int, series: str = "volume", qs=(), shuffled_qs=(),
     except DegenerateSeriesError:
         return StockResult(ticker, n_dropped, degenerate=True, factors=fv,
                            load=load)
-    by_q = {q: extract_intervals(v, q) for q in qs}
+    by_q = {q: extract_intervals(v, q).taus for q in qs}
     sv = None
     if shuffled_qs or (order is not None and shuffled_dfa):
         sv = shuffle_control(v, derive_seed(seed, ticker, "shuffle"))
-    shuffled_by_q = {q: extract_intervals(sv, q) for q in shuffled_qs}
+    shuffled_by_q = {q: extract_intervals(sv, q).taus for q in shuffled_qs}
     curve = None
     if order is not None:
         from .dfa import dfa
@@ -112,7 +113,8 @@ def map_stocks(sources, series: str = "volume", *, seed: int = 0,
                strict: bool = False) -> list[StockResult]:
     """_stock over sources, one StockResult per source in their order.
 
-    A source is a DailySeries (so a Corpus maps in ticker order), the path
+    Nothing sorts them: the reducers pool their taus in the order given. A
+    source is a DailySeries (so a Corpus maps in ticker order), the path
     of a CSV file, which the worker reads as ingest.read_stock does under
     min_lifetime and strict, or a (GeneratorSpec, index) pair, which it
     realizes with synth.synth_stock and does not filter. series picks the

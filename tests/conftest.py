@@ -9,11 +9,11 @@ import volint as vi
 
 
 def pooled_intervals(corpus, q, series_kind="volume"):
-    """(items, pooled) at threshold q; degenerate stocks are skipped."""
-    items = [(r.ticker, r.by_q[q])
-             for r in vi.map_stocks(corpus, series_kind, qs=(q,))
-             if not r.degenerate]
-    return items, vi.pool_scaled(items)
+    """(samples, pooled) at threshold q: each stock's taus in the corpus'
+    ticker order, and their scaled pool; degenerate stocks are skipped."""
+    samples = [r.by_q[q] for r in vi.map_stocks(corpus, series_kind, qs=(q,))
+               if not r.degenerate]
+    return samples, vi.pool_scaled(samples)
 
 
 @pytest.fixture(scope="session")
@@ -29,14 +29,14 @@ def fgn_corpus():
 def fgn_pools(fgn_corpus):
     """Per-threshold interval extractions for the shared corpus.
 
-    Returns (items, pools, raws, build_seconds): items and pools are keyed
-    by threshold, raws holds the unscaled pooled taus as float arrays.
+    Returns (samples, pools, raws, build_seconds): samples (each stock's
+    taus) and pools (their scaled pool) are keyed by threshold, raws holds
+    the unscaled pooled taus as float arrays.
     """
     corpus, dt = fgn_corpus
     t0 = time.monotonic()
-    items, pools, raws = {}, {}, {}
+    samples, pools, raws = {}, {}, {}
     for q in (2.0, 2.5, 3.0):
-        items[q], pools[q] = pooled_intervals(corpus, q)
-        raws[q] = np.concatenate(
-            [iv.taus for _, iv in items[q] if iv.taus.size]).astype(np.float64)
-    return items, pools, raws, dt + (time.monotonic() - t0)
+        samples[q], pools[q] = pooled_intervals(corpus, q)
+        raws[q] = np.concatenate(samples[q]).astype(np.float64)
+    return samples, pools, raws, dt + (time.monotonic() - t0)

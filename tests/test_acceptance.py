@@ -46,8 +46,7 @@ def test_iid_control_is_memoryless():
     t0 = time.monotonic()
     corpus, _ = vi.synth_corpus(500, vi.homogeneous_rule(
         "iid", 5000, {"dist": "powered_normal", "kappa": 6.0}, 101))
-    _, pooled = pooled_intervals(corpus, 2.0)
-    x = pooled.values
+    _, x = pooled_intervals(corpus, 2.0)
     p = vi.iid_exceedance_probability(2.0, "powered_normal", kappa=6.0)
     ks = ks_to_geometric(x, p)
     # intervals are integers, so the scaled support is a lattice with
@@ -66,8 +65,8 @@ def test_scaling_collapse_across_thresholds(fgn_pools):
     t0 = time.monotonic()
     _, pools, raws, build = fgn_pools
     qs = (2.0, 2.5, 3.0)
-    counts = [len(pools[q]) for q in qs]
-    worst_scaled = max_pairwise_ks([pools[q].values for q in qs])
+    counts = [pools[q].size for q in qs]
+    worst_scaled = max_pairwise_ks([pools[q] for q in qs])
     raw_spread = vi.collapse_distance(raws[2.0], raws[3.0])
     dt = build + (time.monotonic() - t0)
     ok = (worst_scaled < 0.05 and raw_spread > 0.2
@@ -85,8 +84,7 @@ def test_regime_dichotomy_cascade_vs_fgn():
             ("fgn", "fgn", 8192,
              {"hurst": 0.8, "vol_scale": 0.5, "noise_df": 2.2}, 404)):
         corpus, _ = vi.synth_corpus(400, vi.homogeneous_rule(kind, n, params, seed))
-        _, pooled = pooled_intervals(corpus, 2.0)
-        vals = pooled.values
+        _, vals = pooled_intervals(corpus, 2.0)
         tail = vi.log_bin(vals[vals >= 1.0], 8)
         r2_pow = vi.fit_power_tail(tail, x_min=1.0).r2
         r2_exp = vi.fit_exponential(tail).r2
@@ -170,7 +168,7 @@ def test_dfa_calibration():
 
 def test_shuffling_destroys_memory(fgn_corpus, fgn_pools):
     corpus, _ = fgn_corpus
-    items, _, _, _ = fgn_pools
+    samples, _, _, _ = fgn_pools
     # long-term: shuffled volatility series must look uncorrelated
     alphas = []
     for s in corpus.stocks[:100]:
@@ -180,16 +178,16 @@ def test_shuffling_destroys_memory(fgn_corpus, fgn_pools):
     mean_alpha = float(np.mean(alphas))
 
     # short-term: octile curves order by tau0 only before shuffling
-    tau0, tau = vi.consecutive_pairs(items[2.0])
+    tau0, tau = vi.consecutive_pairs(samples[2.0])
     bounds = vi.octile_boundaries(tau0, "quantile")
     rho = vi.memory_summary(vi.conditional_pdfs(tau0, tau, bounds))
 
-    sh_items = []
+    sh_samples = []
     for s in corpus:
         v = vi.volatility(s.volume)
         sh = vi.shuffle_control(v, vi.derive_seed(909, s.ticker, "shuffle"))
-        sh_items.append((s.ticker, vi.extract_intervals(sh, 2.0)))
-    s_tau0, s_tau = vi.consecutive_pairs(sh_items)
+        sh_samples.append(vi.extract_intervals(sh, 2.0).taus)
+    s_tau0, s_tau = vi.consecutive_pairs(sh_samples)
     s_bounds = vi.octile_boundaries(s_tau0, "quantile")
     s_oct = vi.assign_octiles(s_tau0, s_bounds)
     s_samples = [s_tau[s_oct == k] for k in range(1, 9)]
@@ -204,10 +202,10 @@ def test_shuffling_destroys_memory(fgn_corpus, fgn_pools):
 
 
 def test_conditional_mixture_identity(fgn_pools):
-    items, pools, _, _ = fgn_pools
-    tau0, tau = vi.consecutive_pairs(items[2.0])
+    samples, pools, _, _ = fgn_pools
+    tau0, tau = vi.consecutive_pairs(samples[2.0])
     bounds = vi.octile_boundaries(tau0, "quantile")
-    unconditional = vi.log_bin(pools[2.0].values, 8)
+    unconditional = vi.log_bin(pools[2.0], 8)
     conds = vi.conditional_pdfs(tau0, tau, bounds, edges=unconditional.edges)
     n_pairs = sum(c.n_pairs for c in conds)
     mix = np.zeros_like(unconditional.densities)

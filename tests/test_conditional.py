@@ -6,16 +6,16 @@ import volint as vi
 from volint.conditional import (GEOMETRIC_BOUNDARIES, assign_octiles,
                                 conditional_pdfs, consecutive_pairs,
                                 memory_summary, octile_boundaries)
-from volint.intervals import IntervalSeries, extract_intervals
+from volint.intervals import extract_intervals
 
 
 def vs(values):
     return np.asarray(values, dtype=np.float64)
 
 
-def items_for(corpus, q=2.0):
-    return [(s.ticker, extract_intervals(vi.volatility(s.volume), q))
-            for s in corpus]
+def samples_for(corpus, q=2.0):
+    """Each stock's taus at q, in the corpus' ticker order."""
+    return [extract_intervals(vi.volatility(s.volume), q).taus for s in corpus]
 
 
 def test_geometric_assignment_examples():
@@ -66,7 +66,7 @@ def test_unknown_mode_rejected():
 
 def test_consecutive_pairs_example():
     iv = extract_intervals(vs([0, 3, 0, 0, 3, 3, 0, 0, 3]), 2.0)  # taus 3,1,3
-    t0, t1 = consecutive_pairs([("A", iv)])
+    t0, t1 = consecutive_pairs([iv.taus])
     scaled = np.array([3, 1, 3]) / (7 / 3)
     assert np.allclose(t0, scaled[:-1])
     assert np.allclose(t1, scaled[1:])
@@ -75,20 +75,20 @@ def test_consecutive_pairs_example():
 def test_pairs_do_not_cross_stocks_and_count_identity():
     corpus, _ = vi.synth_corpus(30, vi.homogeneous_rule(
         "iid", 900, {"dist": "student_t", "df": 3.0}, 52))
-    items = items_for(corpus)
-    t0, t1 = consecutive_pairs(items)
-    expected = sum(iv.taus.size - 1 for _, iv in items if iv.taus.size >= 2)
+    samples = samples_for(corpus)
+    t0, t1 = consecutive_pairs(samples)
+    expected = sum(taus.size - 1 for taus in samples if taus.size >= 2)
     assert t0.size == t1.size == expected
 
 
-def reference_pairs(items):
-    """consecutive_pairs as a loop over the stocks in ticker order, each
+def reference_pairs(samples):
+    """consecutive_pairs as a loop over the stocks in the order given, each
     scaled by its own mean interval."""
     t0, t1 = [], []
-    for _, iv in sorted(items, key=lambda kv: kv[0]):
-        if iv.taus.size < 2:
+    for taus in samples:
+        if taus.size < 2:
             continue
-        scaled = iv.taus / iv.taus.mean()
+        scaled = taus / taus.mean()
         t0.append(scaled[:-1])
         t1.append(scaled[1:])
     if not t0:
@@ -100,35 +100,28 @@ STOCK_TAUS = st.lists(st.integers(1, 10 ** 6), max_size=12)   # 0, 1, 2+
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.text("ABC-", min_size=1, max_size=3), STOCK_TAUS,
-                       max_size=8), st.randoms(use_true_random=False))
-def test_consecutive_pairs_equal_per_stock_loop_bit_for_bit(taus, rnd):
-    items = [(t, IntervalSeries(2.0, np.array(v, dtype=np.int64), len(v) + 1))
-             for t, v in taus.items()]
-    rnd.shuffle(items)                      # tickers given out of order
-    got = consecutive_pairs(items)
-    for g, w in zip(got, reference_pairs(items)):
+@given(st.lists(STOCK_TAUS, max_size=8), st.sampled_from(["uint32", "int64"]))
+def test_consecutive_pairs_equal_per_stock_loop_bit_for_bit(taus, dtype):
+    # an empty first stock and a one-interval stock lead every draw, so
+    # the pairs start after a stock that adds nothing and one that adds no
+    # pair
+    samples = [np.array(v, dtype=dtype) for v in [[], [7], *taus]]
+    got = consecutive_pairs(samples)
+    for g, w in zip(got, reference_pairs(samples)):
         assert g.dtype == w.dtype == np.float64
         assert g.view(np.int64).tolist() == w.view(np.int64).tolist()
 
 
-def test_consecutive_pairs_reject_mixed_thresholds():
-    a = extract_intervals(vs([3, 0, 3, 3]), 2.0)
-    b = extract_intervals(vs([3, 0, 3, 3]), 2.5)
-    with pytest.raises(vi.ConfigError, match="mixed thresholds"):
-        consecutive_pairs([("A", a), ("B", b)])
-
-
 def test_single_interval_stock_contributes_nothing():
     iv = extract_intervals(vs([0, 3, 0, 3]), 2.0)   # one interval
-    t0, t1 = consecutive_pairs([("A", iv)])
+    t0, t1 = consecutive_pairs([iv.taus])
     assert t0.size == 0
 
 
 def test_mixture_reassembles_pair_pdf_exactly():
     corpus, _ = vi.synth_corpus(40, vi.homogeneous_rule(
         "fgn", 2048, {"hurst": 0.8, "vol_scale": 0.4, "noise_df": 3.0}, 53))
-    t0, t1 = consecutive_pairs(items_for(corpus))
+    t0, t1 = consecutive_pairs(samples_for(corpus))
     b = octile_boundaries(t0, "quantile")
     base = vi.log_bin(t1, 8)
     conds = conditional_pdfs(t0, t1, b, edges=base.edges)
@@ -179,7 +172,7 @@ def test_memory_summary_shape_and_degenerate_spearman():
 def test_persistence_orders_octile_means_iid_stays_flat():
     fgn, _ = vi.synth_corpus(60, vi.homogeneous_rule(
         "fgn", 4096, {"hurst": 0.8, "vol_scale": 0.4, "noise_df": 3.0}, 42))
-    t0, t1 = consecutive_pairs(items_for(fgn))
+    t0, t1 = consecutive_pairs(samples_for(fgn))
     conds = conditional_pdfs(t0, t1, octile_boundaries(t0, "quantile"))
     means = [cp.mean_scaled_tau for cp in conds]
     assert memory_summary(conds) > 0.8
@@ -187,7 +180,7 @@ def test_persistence_orders_octile_means_iid_stays_flat():
 
     iid, _ = vi.synth_corpus(100, vi.homogeneous_rule(
         "iid", 2000, {"dist": "student_t", "df": 3.0}, 41))
-    t0, t1 = consecutive_pairs(items_for(iid))
+    t0, t1 = consecutive_pairs(samples_for(iid))
     conds = conditional_pdfs(t0, t1, octile_boundaries(t0, "quantile"))
     means = [cp.mean_scaled_tau for cp in conds]
     # an 8-point rank statistic is blind to scale, so flatness is the

@@ -21,7 +21,7 @@ def column(factor, rows):
 
 
 def intervals_at(corpus, q):
-    """ticker -> IntervalSeries at q of every non-degenerate stock."""
+    """ticker -> taus at q of every non-degenerate stock."""
     return {r.ticker: r.by_q[q] for r in vi.map_stocks(corpus, qs=(q,))
             if not r.degenerate}
 

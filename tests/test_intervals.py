@@ -52,27 +52,21 @@ def test_exceedance_count_monotone_in_threshold():
 
 
 def test_pool_scaled_example():
-    items = [("B", extract_intervals(vs([0, 3, 3, 0]), 2.0)),      # taus [1]
-             ("A", extract_intervals(vs([0, 3, 0, 0, 3, 3, 0]), 2.0))]  # [3, 1]
-    pooled = pool_scaled(items)
-    # stocks are ordered by ticker, each divided by its own mean
-    assert pooled.tickers == ("A", "B")
-    assert np.allclose(pooled.values, [1.5, 0.5, 1.0])
+    b = extract_intervals(vs([0, 3, 3, 0]), 2.0).taus              # [1]
+    a = extract_intervals(vs([0, 3, 0, 0, 3, 3, 0]), 2.0).taus     # [3, 1]
+    # stocks are pooled in the order given, each divided by its own mean
+    pooled = pool_scaled([b, a])
+    assert pooled.dtype == np.float64
+    assert pooled.tolist() == [1.0, 1.5, 0.5]
 
 
 def test_pool_scaled_skips_insufficient():
-    items = [("A", extract_intervals(vs([0, 3, 0, 0, 3, 0]), 2.0)),
-             ("B", extract_intervals(vs([0.1, 0.2]), 2.0))]
-    pooled = pool_scaled(items)
-    assert pooled.skipped == ("B",)
-    assert pooled.tickers == ("A",)
-
-
-def test_pool_scaled_rejects_mixed_thresholds():
-    a = extract_intervals(vs([0, 3, 0, 3, 3]), 2.0)
-    b = extract_intervals(vs([0, 3, 0, 3, 3]), 2.5)
-    with pytest.raises(vi.ConfigError):
-        pool_scaled([("A", a), ("B", b)])
+    a = extract_intervals(vs([0, 3, 0, 0, 3, 0]), 2.0).taus
+    b = extract_intervals(vs([0.1, 0.2]), 2.0).taus
+    assert b.size == 0
+    assert pool_scaled([b, a, b]).tolist() == [1.0]
+    assert pool_scaled([b]).size == 0
+    assert pool_scaled([]).dtype == np.float64
 
 
 def test_geometric_interval_law_for_iid_exceedances():
@@ -108,16 +102,16 @@ def test_shuffling_removes_interval_clustering():
     cv = {}
     p_hat = None
     for shuffled in (False, True):
-        items, exc, obs = [], 0, 0
+        samples, exc, obs = [], 0, 0
         for s in corpus:
             v = vi.volatility(s.volume)
             if shuffled:
                 v = shuffle_control(v, vi.derive_seed(25, s.ticker))
             iv = extract_intervals(v, 2.0)
-            items.append((s.ticker, iv))
+            samples.append(iv.taus)
             exc += iv.n_exceedances
             obs += v.size
-        x = pool_scaled(items).values
+        x = pool_scaled(samples)
         cv[shuffled] = x.std() / x.mean()
         p_hat = exc / obs
     assert abs(cv[True] - np.sqrt(1.0 - p_hat)) < 0.01
@@ -143,19 +137,12 @@ def _taus_int64(v, q):
     return np.diff(np.flatnonzero(np.asarray(v, dtype=np.float64) > q)).astype(np.int64)
 
 
-def _pool_concatenate(items):
-    """pool_scaled as it was before it filled one preallocated array:
-    (values, tickers, sizes, skipped) of (ticker, int64 taus) items."""
-    tickers, chunks, skipped = [], [], []
-    for ticker, taus in sorted(items, key=lambda kv: kv[0]):
-        if taus.size == 0:
-            skipped.append(ticker)
-            continue
-        tickers.append(ticker)
-        chunks.append(taus / taus.mean())
-    values = (np.concatenate(chunks) if chunks
-              else np.empty(0, dtype=np.float64))
-    return values, tuple(tickers), tuple(len(c) for c in chunks), tuple(skipped)
+def _pool_concatenate(samples):
+    """pool_scaled as it was before it filled one preallocated array: the
+    scaled chunks of int64 taus, concatenated in the order given."""
+    chunks = [taus / taus.mean() for taus in samples if taus.size]
+    return (np.concatenate(chunks) if chunks
+            else np.empty(0, dtype=np.float64))
 
 
 def _shuffle_gather(v, seed):
@@ -216,31 +203,38 @@ def test_an_8192_day_stock_holds_uint16_taus():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(LENGTHS, st.integers(0, 2**32)), min_size=1,
                 max_size=5),
-       QS)
-def test_pool_mean_pdf_and_dump_of_narrow_taus_equal_int64(stocks, q):
+       QS, st.randoms(use_true_random=False))
+def test_pool_mean_pdf_and_dump_of_narrow_taus_equal_int64(stocks, q, rnd):
     narrow, wide = [], []
     for i, (length, seed) in enumerate(stocks):
         v = _volatility(length, seed)
-        ticker = f"S{len(stocks) - i:02d}"     # not in ticker order
-        narrow.append((ticker, extract_intervals(v, q)))
+        ticker = f"S{i:02d}"
+        narrow.append((ticker, extract_intervals(v, q).taus))
         wide.append((ticker, _taus_int64(v, q)))
-    pooled = pool_scaled(narrow)
-    values, tickers, sizes, skipped = _pool_concatenate(wide)
-    assert pooled.values.dtype == np.float64
-    assert pooled.values.tobytes() == values.tobytes()
-    assert (pooled.tickers, pooled.sizes, pooled.skipped) == (tickers, sizes,
-                                                             skipped)
+    # empty stocks among the others, all given out of ticker order
+    empty = (np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64))
+    for i in range(rnd.randint(0, 2)):
+        narrow.append((f"E{i}", empty[0]))
+        wide.append((f"E{i}", empty[1]))
+    order = list(range(len(narrow)))
+    rnd.shuffle(order)
+    narrow = [narrow[k] for k in order]
+    wide = [wide[k] for k in order]
+    pooled = pool_scaled(taus for _, taus in narrow)
+    values = _pool_concatenate(taus for _, taus in wide)
+    assert pooled.dtype == np.float64
+    assert pooled.tobytes() == values.tobytes()
     # cmd_intervals' raw pool, its mean, its PDF and its dump rows
-    if not pooled.tickers:
+    if not pooled.size:
         return
-    raw = np.concatenate([iv.taus for _, iv in narrow if iv.taus.size])
+    raw = np.concatenate([taus for _, taus in narrow if taus.size])
     raw64 = np.concatenate([taus for _, taus in wide if taus.size])
     assert raw.dtype.kind == "u"
     assert np.float64(raw.mean()).tobytes() == np.float64(raw64.mean()).tobytes()
     got, want = log_bin(raw), log_bin(raw64.astype(np.float64))
     for field in ("edges", "densities", "counts"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-    assert ([_dump(t, "2", iv.taus) for t, iv in narrow if iv.taus.size]
+    assert ([_dump(t, "2", taus) for t, taus in narrow if taus.size]
             == [_dump(t, "2", taus) for t, taus in wide if taus.size])
 
 

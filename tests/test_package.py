@@ -13,9 +13,9 @@ import volint as vi
 from test_cli import python_env
 from volint.cli import EXIT_CONFIG, main
 
-# every name the package bound with `from .<module> import ...` before its
-# exports became lazy, less the deleted OctileStat, MemorySummary,
-# FactorVector and factor_value, by module
+# every name the package exports, by the module that defines it; the
+# package bound each of them with `from .<module> import ...` before its
+# exports became lazy
 EAGER_EXPORTS = {
     "conditional": ["GEOMETRIC_BOUNDARIES", "ConditionalPdf", "assign_octiles",
                     "conditional_pdfs", "consecutive_pairs", "memory_summary",
@@ -32,10 +32,10 @@ EAGER_EXPORTS = {
                 "fit_exponential", "fit_power_tail", "geometric_edges",
                 "hill_gamma", "log_bin", "power_fit_sensitivity", "spearman",
                 "write_pdf_tsv"],
-    "ingest": ["Corpus", "DailySeries", "FileLoad", "LoadSummary",
-               "corpus_files", "load_corpus", "read_stock", "write_corpus"],
-    "intervals": ["DEFAULT_THRESHOLDS", "IntervalSeries", "PooledIntervals",
-                  "extract_intervals", "pool_scaled", "shuffle_control"],
+    "ingest": ["corpus_files", "load_corpus", "read_stock", "write_corpus"],
+    "intervals": ["DEFAULT_THRESHOLDS", "IntervalSeries", "extract_intervals",
+                  "pool_scaled", "shuffle_control"],
+    "records": ["Corpus", "DailySeries", "FileLoad", "LoadSummary"],
     "seeds": ["derive_seed"],
     "stage": ["StockResult", "map_stocks"],
     "synth": ["GeneratorSpec", "cascade_log_weights", "fgn", "generate",
@@ -66,6 +66,18 @@ def test_dir_and_all_list_the_exports_and_unknown_names_raise():
     assert set(vi.__all__) <= set(dir(vi))
     with pytest.raises(AttributeError, match="no_such_name"):
         vi.no_such_name
+
+
+def test_a_record_loads_no_csv_reader():
+    # the records live in volint.records, which needs neither the CSV
+    # reader nor numpy.ma
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, volint\n"
+         "volint.Corpus, volint.DailySeries, volint.FileLoad, volint.LoadSummary\n"
+         "print(json.dumps(sorted({'volint.ingest', 'numpy.ma'} & set(sys.modules))))"],
+        env=python_env(), capture_output=True, text=True, check=True)
+    assert json.loads(res.stdout) == []
 
 
 IMPORT_ORDERS = """

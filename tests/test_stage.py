@@ -51,14 +51,16 @@ def test_map_stocks_matches_the_library_steps_in_a_pool():
     for s, r, p in zip(corpus, serial, pooled):
         v = vi.volatility(s.volume)
         sv = vi.shuffle_control(v, vi.derive_seed(3, s.ticker, "shuffle"))
+        # the narrow taus themselves, not a record around them
+        assert type(r.by_q[2.0]) is np.ndarray
+        assert r.by_q[2.0].dtype == r.shuffled_by_q[2.0].dtype == np.uint16
         np.testing.assert_array_equal(
-            r.by_q[2.0].taus, vi.extract_intervals(v, 2.0).taus)
+            r.by_q[2.0], vi.extract_intervals(v, 2.0).taus)
         np.testing.assert_array_equal(
-            r.shuffled_by_q[2.0].taus, vi.extract_intervals(sv, 2.0).taus)
+            r.shuffled_by_q[2.0], vi.extract_intervals(sv, 2.0).taus)
         assert r.curve.alpha == vi.dfa(v).alpha
-        np.testing.assert_array_equal(r.by_q[2.0].taus, p.by_q[2.0].taus)
-        np.testing.assert_array_equal(r.shuffled_by_q[2.0].taus,
-                                      p.shuffled_by_q[2.0].taus)
+        np.testing.assert_array_equal(r.by_q[2.0], p.by_q[2.0])
+        np.testing.assert_array_equal(r.shuffled_by_q[2.0], p.shuffled_by_q[2.0])
         assert r.curve.alpha == p.curve.alpha
 
 
@@ -79,8 +81,8 @@ def test_map_stocks_starts_at_most_one_worker_per_stock(monkeypatch):
     assert forks == []
     for jobs in (2, 4):
         pooled = vi.map_stocks(corpus, jobs=jobs, qs=(2.0,))
-        assert [r.by_q[2.0].taus.tolist() for r in pooled] == [
-            r.by_q[2.0].taus.tolist() for r in serial]
+        assert [r.by_q[2.0].tolist() for r in pooled] == [
+            r.by_q[2.0].tolist() for r in serial]
     assert len(forks) == 4
     _assert_no_child_left()
 
