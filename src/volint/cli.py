@@ -175,13 +175,15 @@ OPTIONS = (
 
 def build_parser(commands=ALL) -> argparse.ArgumentParser:
     """A subparser per command, with the arguments of those in commands
-    only; its namespace holds every option."""
+    only; its namespace holds every option, and error, the command
+    parser's error method."""
     ap = argparse.ArgumentParser(
         prog="volint",
         description="Threshold return-interval statistics for volatility series")
     sub = ap.add_subparsers(dest="command", required=True)
     for command, text in COMMANDS.items():
         p = sub.add_parser(command, help=text)
+        p.set_defaults(error=p.error)
         if command not in commands:
             continue
         for opt in OPTIONS:
@@ -530,8 +532,7 @@ def main(argv=None) -> int:
     cfg, extra = ap.parse_known_args(argv)
     if extra:
         # the command's own parser reports them, with the usage of its flags
-        [sub] = [a for a in ap._actions if a.dest == "command"]
-        sub.choices[cfg.command].error(f"unrecognized arguments: {' '.join(extra)}")
+        cfg.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = _configure(cfg)
         if cfg.command == "synth":

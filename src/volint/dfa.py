@@ -43,24 +43,15 @@ class DfaCurve(NamedTuple):
 
 def default_windows(n: int) -> np.ndarray:
     """About DEFAULT_N_WINDOWS geometrically spaced sizes from
-    DEFAULT_MIN_WINDOW to n//4."""
+    DEFAULT_MIN_WINDOW to n//4, rounded, distinct and sorted."""
     largest = n // 4
     if largest < DEFAULT_MIN_WINDOW:
         raise DataError(
             f"series of length {n} supports windows up to {largest}, "
             f"smaller than the minimum window {DEFAULT_MIN_WINDOW}")
-    return _distinct(np.rint(np.geomspace(
-        DEFAULT_MIN_WINDOW, largest, DEFAULT_N_WINDOWS)).astype(np.int64))
-
-
-def _distinct(sizes: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of an integer array, as np.unique gives
-    them; under numpy 2, np.unique imports numpy.ma (about 13 ms) on its
-    first call in every process, forked workers included."""
-    sizes = np.sort(sizes)
-    keep = np.ones(sizes.size, dtype=bool)
-    keep[1:] = sizes[1:] != sizes[:-1]
-    return sizes[keep]
+    sizes = np.rint(np.geomspace(DEFAULT_MIN_WINDOW, largest, DEFAULT_N_WINDOWS))
+    # not np.unique, which imports numpy.ma in every forked worker
+    return np.array(sorted(set(sizes.tolist())), dtype=np.int64)
 
 
 @functools.lru_cache(maxsize=128)

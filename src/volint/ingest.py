@@ -1,4 +1,4 @@
-"""Reading and writing CSV corpora; re-exports the records module's names.
+"""Reading and writing CSV corpora.
 
 One CSV file per ticker, read under the one row grammar the README
 states: the exact header ``date,volume,close,shares_outstanding``,
@@ -291,33 +291,51 @@ def _split(commas: np.ndarray, ends: np.ndarray, stops: np.ndarray):
                      for i in (3, 2, 1)))
 
 
-def _read_series(path: Path, strict: bool):
-    """One file's (series | None, n_skipped, n_dup).
+def corpus_files(path) -> list[Path]:
+    """The CSV files of a corpus: the sorted ``*.csv`` files of a directory.
+    Raises DataError when path is not a directory."""
+    path = Path(path)
+    if not path.is_dir():
+        raise DataError(f"not a directory: {path}")
+    return sorted(path.glob("*.csv"))
+
+
+def read_stock(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
+               strict: bool = False) -> tuple[DailySeries | None, FileLoad]:
+    """One CSV file's series, None unless accepted, and its FileLoad.
 
     Every line after the header is checked against the row grammar at
     once; a line that breaks it is skipped, and the valid rows are sorted
-    by date with the first of duplicate dates kept. The series is None
-    for duplicate dates under strict. Raises DataError for a ticker
-    (ticker_of) that is empty or holds a control character, an unreadable
-    file or a bad header, and under strict at the first malformed line.
+    by date with the first of duplicate dates kept. A file whose ticker
+    (ticker_of) is empty or holds a control character, that cannot be
+    read or that has a bad header is an "error", and so is one with
+    duplicate dates under strict; one left with fewer than min_lifetime
+    rows (or none) is "short". Neither builds a series. Under strict, a bad
+    ticker, an unreadable file, a bad header or a malformed row raises
+    DataError instead.
     """
-    ticker = ticker_of(path)
-    if not ticker or not _CONTROL.isdisjoint(ticker):
-        raise DataError(f"{str(path)!r}: the file name gives no ticker or "
-                        f"one with a control character")
+    path, ticker = Path(path), ticker_of(path)
     try:
-        data = path.read_bytes()
-        data.decode()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    b = np.frombuffer(data, dtype=np.uint8)
-    head, starts, ends, stops = _lines(b)
-    header = data[:head]
-    if head < len(data) and header.endswith(b"\r"):
-        header = header[:-1]
-    if data and header != _HEADER:
-        raise DataError(f"{path}: bad header {header[:80]!r}, "
-                        f"expected {_HEADER.decode()}")
+        if not ticker or not _CONTROL.isdisjoint(ticker):
+            raise DataError(f"{str(path)!r}: the file name gives no ticker or "
+                            f"one with a control character")
+        try:
+            data = path.read_bytes()
+            data.decode()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
+        b = np.frombuffer(data, dtype=np.uint8)
+        head, starts, ends, stops = _lines(b)
+        header = data[:head]
+        if head < len(data) and header.endswith(b"\r"):
+            header = header[:-1]
+        if data and header != _HEADER:
+            raise DataError(f"{path}: bad header {header[:80]!r}, "
+                            f"expected {_HEADER.decode()}")
+    except DataError:
+        if strict:
+            raise
+        return None, FileLoad("error")
     commas = np.flatnonzero(b == ord(","))       # the header's three first
     three, c0, c1, c2 = (_regular_split(commas, starts, stops)
                          or _split(commas, ends, stops))
@@ -341,58 +359,25 @@ def _read_series(path: Path, strict: bool):
         first = np.append(True, np.diff(days[rows]) != 0)
         n_dup = len(rows) - int(np.count_nonzero(first))
         if n_dup and strict:
-            return None, n_skipped, n_dup
+            return None, FileLoad("error", n_skipped, n_dup)
         rows = rows[first]
     elif not n_skipped:
         rows = slice(None)                      # every line, in order
+    if len(valid) - n_skipped - n_dup < max(min_lifetime, 1):
+        return None, FileLoad("short", n_skipped, n_dup)
     return DailySeries(
         ticker=ticker, dates=days[rows].view("datetime64[D]"), volume=volume[rows],
         close=close[rows], shares_outstanding=np.where(
             has_shares[rows], shares[rows], np.nan),
-    ), n_skipped, n_dup
-
-
-def corpus_files(path) -> list[Path]:
-    """The CSV files of a corpus: the sorted ``*.csv`` files of a directory.
-    Raises DataError when path is not a directory."""
-    path = Path(path)
-    if not path.is_dir():
-        raise DataError(f"not a directory: {path}")
-    return sorted(path.glob("*.csv"))
-
-
-def read_stock(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
-               strict: bool = False) -> tuple[DailySeries | None, FileLoad]:
-    """One CSV file's series, None unless accepted, and its FileLoad.
-
-    A file whose ticker (ticker_of) is empty or holds a control character,
-    that has a bad header or that cannot be read is an "error", and so is
-    one with duplicate dates under strict; a series shorter than
-    min_lifetime (or empty) is "short". Under strict, a bad ticker, a bad
-    header, an unreadable file or a malformed row raises DataError
-    instead.
-    """
-    try:
-        series, skipped, n_dup = _read_series(Path(path), strict)
-    except DataError:
-        if strict:
-            raise
-        return None, FileLoad("error")
-    if series is None:                          # duplicate dates under strict
-        return None, FileLoad("error", skipped, n_dup)
-    if series.lifetime_days < max(min_lifetime, 1):     # no row is short
-        return None, FileLoad("short", skipped, n_dup)
-    return series, FileLoad("ok", skipped, n_dup)
+    ), FileLoad("ok", n_skipped, n_dup)
 
 
 def load_corpus(path, min_lifetime: int = DEFAULT_MIN_LIFETIME,
                 strict: bool = False) -> Corpus:
     """The Corpus of a directory's ``*.csv`` files (corpus_files): the
     stocks read_stock accepts under min_lifetime and strict, sorted by
-    ticker, and the LoadSummary of every file. Lenient, a malformed row is
-    skipped and counted, a bad header or an unreadable file rejects its
-    file and the first of duplicate dates is kept; strict raises DataError
-    for the first three and rejects a file with duplicate dates."""
+    ticker, and the LoadSummary of every file's FileLoad. read_stock
+    decides each file's fate, and raises under strict."""
     read = [read_stock(fp, min_lifetime, strict) for fp in corpus_files(path)]
     return Corpus(stocks=[s for s, _ in read if s is not None],
                   summary=LoadSummary.of(load for _, load in read))

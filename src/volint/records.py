@@ -1,6 +1,6 @@
 """A stock's daily series, how its file loaded, a corpus and its load
 summary: named tuples and plain classes, not dataclasses, whose generated
-code every cold run would compile. ingest re-exports them."""
+code every cold run would compile."""
 
 from __future__ import annotations
 

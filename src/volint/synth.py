@@ -27,7 +27,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .constants import DISTS, KINDS  # noqa: F401 (DISTS stays a synth name)
+from .constants import KINDS
 from .errors import ConfigError, DataError
 from .records import Corpus, DailySeries, LoadSummary
 from .seeds import derive_seed

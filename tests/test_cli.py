@@ -13,6 +13,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import volint as vi
 from volint.cli import ANALYSES, MAX_JOBS, build_parser, main
+from volint.constants import DISTS
 from volint.synth import check_spec
 
 
@@ -571,7 +572,7 @@ def synth_flags(draw):
                        st.integers(-20, 20).map(lambda i: i / 10),
                        st.sampled_from([math.inf, -math.inf, math.nan]),
                        st.floats())
-    flags = {n: draw(st.sampled_from(vi.synth.DISTS) if n == "dist" else values)
+    flags = {n: draw(st.sampled_from(DISTS) if n == "dist" else values)
              for n in sorted(names)}
     return kind, draw(st.integers(0, 300)), flags
 

@@ -86,6 +86,15 @@ def test_default_windows_shape():
         default_windows(20)
 
 
+def test_default_windows_are_the_distinct_sizes_np_unique_gives():
+    # the windows depend on n // 4 alone, so every fourth length covers
+    # every window set from 32 to 10**5
+    for n in range(32, 10 ** 5 + 1, 4):
+        sizes = np.rint(np.geomspace(DEFAULT_MIN_WINDOW, n // 4, 20)).astype(np.int64)
+        w = default_windows(n)
+        assert w.dtype == np.int64 and np.array_equal(w, np.unique(sizes)), n
+
+
 def test_too_short_series_rejected():
     with pytest.raises(vi.DataError, match="length"):
         dfa(np.ones(16))

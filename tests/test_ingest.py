@@ -12,8 +12,8 @@ import volint as vi
 import csv_oracle
 from csv_oracle import expected_load
 from volint import ingest
-from volint.ingest import (CSV_HEADER, DailySeries, FileLoad, load_corpus,
-                           read_stock, write_corpus)
+from volint.ingest import CSV_HEADER, load_corpus, read_stock, write_corpus
+from volint.records import DailySeries, FileLoad
 
 
 HEADER = ",".join(CSV_HEADER)
@@ -180,6 +180,28 @@ def test_duplicate_dates_reject_ticker_under_strict(tmp_path):
     corpus = load_corpus(tmp_path, min_lifetime=1, strict=True)
     assert len(corpus) == 0
     assert corpus.summary.n_rejected_error == 1
+
+
+def test_rejected_file_builds_no_series(tmp_path, monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(kwargs["ticker"])
+        return DailySeries(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "DailySeries", counted)
+    # one row left after a skipped row and a duplicate date: short of 2
+    write_csv(tmp_path / "S.csv", ["2001-01-01,1,1.0,", "2001-01-01,2,1.0,",
+                                   "2001-01-0x,3,1.0,"])
+    assert read_stock(tmp_path / "S.csv", min_lifetime=2) == (
+        None, FileLoad("short", 1, 1))
+    write_csv(tmp_path / "D.csv", ["2001-01-02,1,1.0,", "2001-01-01,2,1.0,",
+                                   "2001-01-02,3,1.0,"])
+    assert read_stock(tmp_path / "D.csv", min_lifetime=1, strict=True) == (
+        None, FileLoad("error", 0, 1))
+    assert built == []
+    series, load = read_stock(tmp_path / "D.csv", min_lifetime=2)
+    assert load == FileLoad("ok", 0, 1) and built == ["D"] == [series.ticker]
 
 
 def test_zero_volume_rows_are_valid(tmp_path):
