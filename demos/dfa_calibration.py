@@ -41,12 +41,11 @@ def main():
     corpus, _ = vi.synth_corpus(40, vi.homogeneous_rule(
         "fgn", N, {"hurst": 0.8, "vol_scale": 0.4, "noise_df": 3.0},
         master_seed=2))
-    raw, shuf = [], []
-    for stock in corpus:
-        nu = vi.volatility(stock.volume)
-        raw.append(vi.dfa(nu).alpha)
-        seed = vi.derive_seed(3, stock.ticker, "shuffle")
-        shuf.append(vi.dfa(vi.shuffle_control(nu, seed)).alpha)
+    # the DFA of each stock's volatility, then of its shuffle control
+    raw, shuf = (
+        [r.curve.alpha for r in vi.map_stocks(
+            corpus, seed=3, order=1, shuffled_dfa=shuffled) if r.curve]
+        for shuffled in (False, True))
     print(f"\nvolume volatility        alpha = {np.mean(raw):.3f}")
     print(f"same series, shuffled    alpha = {np.mean(shuf):.3f}  "
           f"(memoryless benchmark)")

@@ -24,8 +24,8 @@ def main():
         "iid", 5000, {"dist": "powered_normal", "kappa": KAPPA},
         master_seed=5))
     # each stock's intervals, in ticker order
-    samples = [vi.extract_intervals(vi.volatility(stock.volume), Q).taus
-               for stock in corpus]
+    samples = [r.by_q[Q] for r in vi.map_stocks(corpus, qs=(Q,))
+               if not r.degenerate]
     pool = vi.pool_scaled(samples)
 
     # taus are narrow unsigned integers: take float64 before arithmetic

@@ -14,19 +14,9 @@ N_STOCKS = 150
 Q = 2.0
 
 
-def scaled_pool(corpus):
-    samples = []
-    for stock in corpus:
-        try:
-            nu = vi.volatility(stock.volume)
-        except vi.DegenerateSeriesError:
-            continue
-        samples.append(vi.extract_intervals(nu, Q).taus)
-    return vi.pool_scaled(samples)
-
-
 def describe(name, corpus):
-    pool = scaled_pool(corpus)
+    pool = vi.pool_scaled(r.by_q[Q] for r in vi.map_stocks(corpus, qs=(Q,))
+                          if not r.degenerate)
     pdf = vi.log_bin(pool, bins_per_decade=8)
     print(f"\n{name}: {pool.size} scaled intervals")
 

@@ -24,26 +24,16 @@ def build_corpus():
     return corpus
 
 
-def intervals(corpus, q):
-    """The taus at q of every stock with an interval there, in ticker
-    order."""
-    samples = []
-    for stock in corpus:
-        try:
-            nu = vi.volatility(stock.volume)
-        except vi.DegenerateSeriesError:
-            continue
-        taus = vi.extract_intervals(nu, q).taus
-        if taus.size:
-            samples.append(taus)
-    return samples
-
-
 def main():
     corpus = build_corpus()
     print(f"corpus: {len(corpus)} stocks x {LENGTH} days")
 
-    samples = {q: intervals(corpus, q) for q in THRESHOLDS}
+    # the taus at each q of every stock with an interval there, in ticker
+    # order
+    results = [r for r in vi.map_stocks(corpus, qs=THRESHOLDS)
+               if not r.degenerate]
+    samples = {q: [r.by_q[q] for r in results if r.by_q[q].size]
+               for q in THRESHOLDS}
     pools = {q: vi.pool_scaled(samples[q]) for q in THRESHOLDS}
     for q in THRESHOLDS:
         raw_mean = np.mean([taus.mean() for taus in samples[q]])

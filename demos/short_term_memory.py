@@ -12,20 +12,6 @@ Q = 2.0
 SEED = 13
 
 
-def pairs_from(corpus, shuffle_seed=None):
-    samples = []
-    for stock in corpus:
-        try:
-            nu = vi.volatility(stock.volume)
-        except vi.DegenerateSeriesError:
-            continue
-        if shuffle_seed is not None:
-            nu = vi.shuffle_control(
-                nu, vi.derive_seed(shuffle_seed, stock.ticker, "shuffle"))
-        samples.append(vi.extract_intervals(nu, Q).taus)
-    return vi.consecutive_pairs(samples)
-
-
 def show(label, tau0, tau):
     bounds = vi.octile_boundaries(tau0, mode="quantile")
     conds = vi.conditional_pdfs(tau0, tau, bounds)
@@ -43,11 +29,14 @@ def main():
         "fgn", 4096, {"hurst": 0.8, "vol_scale": 0.4, "noise_df": 3.0},
         master_seed=SEED))
 
-    tau0, tau = pairs_from(corpus)
-    show("persistent volatility", tau0, tau)
-
-    s_tau0, s_tau = pairs_from(corpus, shuffle_seed=99)
-    show("same corpus, shuffled", s_tau0, s_tau)
+    # each stock's intervals and those of its shuffle control, whose seed
+    # the stage derives from 99 and the ticker
+    results = [r for r in vi.map_stocks(corpus, seed=99, qs=(Q,),
+                                        shuffled_qs=(Q,)) if not r.degenerate]
+    show("persistent volatility",
+         *vi.consecutive_pairs(r.by_q[Q] for r in results))
+    show("same corpus, shuffled",
+         *vi.consecutive_pairs(r.shuffled_by_q[Q] for r in results))
 
     print("\nafter shuffling the octile means flatten: the memory lives in"
           "\nthe ordering of the volatility series, not in its distribution")

@@ -503,9 +503,14 @@ def cmd_factors(cfg, results, outdir):
 def cmd_synth(cfg) -> None:
     from .ingest import write_corpus
     from .synth import synth_stock
+    out = Path(cfg.out)
+    # a corpus written over another would mix the two under one planted.json
+    if (out / "planted.json").exists() or any(out.glob("*.csv")):
+        raise ConfigError(f"--out {out} already holds *.csv files or "
+                          f"planted.json; give a new or empty directory")
     # the directories this run creates, deepest first
-    made = [d for d in (Path(cfg.out), *Path(cfg.out).parents) if not d.exists()]
-    out = _outdir(cfg)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    _outdir(cfg)
     planted, written = {}, []
     try:
         for source in _sources(cfg):        # one stock in memory at a time

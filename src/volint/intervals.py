@@ -92,9 +92,9 @@ def shuffle_control(v, seed: int) -> np.ndarray:
     """Uniform random permutation of the volatility values.
 
     Destroys all temporal structure while preserving the value multiset
-    exactly. Deterministic in the seed; derive per-stock seeds with
-    seeds.derive_seed(master, ticker, "shuffle") so parallel order cannot
-    change results.
+    exactly. Deterministic in the seed; stage.map_stocks shuffles each
+    stock's volatility with a seed it derives from its master seed and
+    the ticker, so parallel order cannot change results.
     """
     # permutation shuffles a copy of v in place; v itself is left as it was
     return np.random.default_rng(seed).permutation(np.asarray(v, dtype=np.float64))

@@ -127,8 +127,8 @@ def map_stocks(sources, series: str = "volume", *, seed: int = 0,
     source in source order that raises is raised: under strict, the first
     file that breaks the grammar raises its DataError. A forked worker
     that dies before it has reported its share raises a RuntimeError
-    naming it, a fork that fails raises ConfigError, and no worker
-    outlives the call.
+    naming it, a pipe or a fork that fails raises ConfigError, and no
+    worker outlives the call.
     """
     sources = list(sources)
     worker = partial(_stock, seed=seed, series=series, qs=qs,
@@ -215,17 +215,20 @@ def _fork_map(worker, sources, n: int) -> list:
     pids = {}       # child -> pid, until reaped
     try:
         for k in range(n):
-            r, w = os.pipe()
-            pipes.append(open(r, "rb", buffering=1 << 16))
             try:
-                pids[k] = os.fork()
-                if pids[k] == 0:
-                    _child(worker, sources, k, n, r, w)
+                # the pipe fails where the open-file limit is reached, the
+                # fork where the process limit is
+                r, w = os.pipe()
+                try:
+                    pipes.append(open(r, "rb", buffering=1 << 16))
+                    pids[k] = os.fork()
+                    if pids[k] == 0:
+                        _child(worker, sources, k, n, r, w)
+                finally:
+                    os.close(w)
             except OSError as exc:
                 raise ConfigError(f"cannot fork worker {k} of {n} ({exc}); "
                                   f"lower --jobs") from None
-            finally:
-                os.close(w)
         results = []
         for i in range(len(sources)):
             k = i % n

@@ -130,14 +130,38 @@ def test_synth_data_error_removes_only_the_files_it_wrote(tmp_path, capsys):
     # at kappa 600 and seed 0, S00000 is written and S00001 overflows
     out = tmp_path / "corpus"
     out.mkdir()
-    (out / "OTHER.csv").write_text("kept\n")
+    (out / "OTHER.txt").write_text("kept\n")
     rc = main(["synth", "--kind", "iid", "--dist", "powered_normal",
                "--kappa", "600", "--n-stocks", "4", "--length", "300",
                "--seed", "0", "--out", str(out)])
     assert rc == 3
     assert "S00001 (iid): the series overflows" in capsys.readouterr().err
-    assert sorted(p.name for p in out.iterdir()) == ["OTHER.csv"]
-    assert (out / "OTHER.csv").read_text() == "kept\n"
+    assert sorted(p.name for p in out.iterdir()) == ["OTHER.txt"]
+    assert (out / "OTHER.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("first", ["corpus", "planted.json", "OTHER.csv"])
+def test_synth_refuses_an_out_that_holds_a_corpus(tmp_path, capsys,
+                                                  monkeypatch, first):
+    # a second corpus written into the first would leave S00002-S00004 of
+    # the first next to a planted.json that names S00000 and S00001 only
+    out = tmp_path / "corpus"
+    if first == "corpus":
+        assert main(["synth", "--kind", "iid", "--n-stocks", "5",
+                     "--length", "300", "--seed", "1", "--out", str(out)]) == 0
+    else:
+        out.mkdir()
+        (out / first).write_text("kept\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+
+    def no_stock(*args):
+        raise AssertionError("a stock was generated")
+    monkeypatch.setattr("volint.synth.synth_stock", no_stock)
+    assert main(["synth", "--kind", "iid", "--n-stocks", "2", "--length",
+                 "300", "--seed", "2", "--out", str(out)]) == 2
+    assert "already holds *.csv files or planted.json" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_conflicting_sources_exit_2(tmp_path, capsys):

@@ -1,8 +1,13 @@
 import io
 import os
 import pickle
+import re
 import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +230,37 @@ def test_fork_that_fails_is_a_config_error_naming_jobs(monkeypatch, tmp_path,
     assert len(calls) == 2
     assert not out.exists()
     _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_pipe_that_fails_is_a_config_error_naming_jobs(tmp_path):
+    # in a process whose own open-file limit of 12 runs out after about 8
+    # of its 16 workers' pipes, the workers forked by then are killed and
+    # reaped, and nothing is written
+    pytest.importorskip("resource")
+    out = tmp_path / "out"
+    code = textwrap.dedent(f"""
+        import os, resource
+        from volint import cli
+        hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+        resource.setrlimit(resource.RLIMIT_NOFILE, (12, hard))
+        rc = cli.main(["intervals", "--synth-kind", "iid", "--synth-n-stocks",
+                       "30", "--synth-length", "600", "--jobs", "16",
+                       "--out", {str(out)!r}])
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            print(rc, "a child is left")
+        except ChildProcessError:
+            print(rc, "no child is left")
+        """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(vi.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.stdout == f"{cli.EXIT_CONFIG} no child is left\n"
+    assert re.fullmatch(r"configuration error: cannot fork worker \d+ of 16 "
+                        r"\(\[Errno 24\] [^)]*\); lower --jobs\n", res.stderr)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
