@@ -203,8 +203,9 @@ def build_parser(commands=ALL) -> argparse.ArgumentParser:
 def _configure(cfg):
     """Check the parsed options before any data is read or generated: each
     option's check in table order, on defaults too (report.json echoes them
-    checked), then the source; the first failure raises ConfigError with
-    its flag. Adds params, the GeneratorSpec params of the generator flags."""
+    checked), then the source, then that --out holds none of the command's
+    outputs; the first failure raises ConfigError with its flag. Adds
+    params, the GeneratorSpec params of the generator flags."""
     for opt in OPTIONS:
         value = getattr(cfg, opt.name)
         if value is None:
@@ -229,6 +230,15 @@ def _configure(cfg):
     if cfg.kind:
         from .synth import GeneratorSpec, check_spec
         check_spec(GeneratorSpec(cfg.kind, cfg.length, cfg.params))
+    # a run written over an earlier one would leave that run's files it
+    # does not rewrite (a threshold's tables, a corpus's stocks) beside
+    # its own report.json or planted.json
+    out = Path(cfg.out)
+    own = (("*.csv", "planted.json") if cfg.command == "synth"
+           else ("*.tsv", "report.json"))
+    if any(any(out.glob(pattern)) for pattern in own):
+        raise ConfigError(f"--out {out} already holds {own[0]} files or "
+                          f"{own[1]}; give a new or empty directory")
     return cfg
 
 
@@ -504,10 +514,6 @@ def cmd_synth(cfg) -> None:
     from .ingest import write_corpus
     from .synth import synth_stock
     out = Path(cfg.out)
-    # a corpus written over another would mix the two under one planted.json
-    if (out / "planted.json").exists() or any(out.glob("*.csv")):
-        raise ConfigError(f"--out {out} already holds *.csv files or "
-                          f"planted.json; give a new or empty directory")
     # the directories this run creates, deepest first
     made = [d for d in (out, *out.parents) if not d.exists()]
     _outdir(cfg)

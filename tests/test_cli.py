@@ -164,6 +164,49 @@ def test_synth_refuses_an_out_that_holds_a_corpus(tmp_path, capsys,
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("command", ANALYSES)
+@pytest.mark.parametrize("first", ["rerun", "report.json", "OTHER.tsv"])
+def test_analysis_refuses_an_out_that_holds_outputs(tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    first):
+    # a rerun with fewer thresholds would leave pdf_*q3.tsv of the first
+    # next to a report.json that names threshold 2 only
+    source = ["--synth-kind", "iid", "--synth-n-stocks", "3",
+              "--synth-length", "600", "--jobs", "1"]
+    takes_qs = command in ("intervals", "conditional")
+    out = tmp_path / "run"
+    if first == "rerun":
+        qs = ["--thresholds", "2.0,3.0"] if takes_qs else []
+        assert main([command, *source, *qs, "--out", str(out)]) == 0
+    else:
+        out.mkdir()
+        (out / first).write_text("kept\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("the stage ran")
+    monkeypatch.setattr("volint.cli.map_stocks", no_stage)
+    qs = ["--thresholds", "2.0"] if takes_qs else []
+    assert main([command, *source, *qs, "--out", str(out)]) == 2
+    assert "already holds *.tsv files or report.json" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_analysis_writes_into_a_directory_of_other_files(tmp_path):
+    # only the kinds of file an analysis writes stop it: a corpus's CSV
+    # files or notes beside it do not
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("S00000.csv", "planted.json", "notes.txt"):
+        (out / name).write_text("kept\n")
+    assert main(["intervals", "--synth-kind", "iid", "--synth-n-stocks", "3",
+                 "--synth-length", "600", "--jobs", "1", "--out", str(out)]) == 0
+    assert (out / "report.json").exists()
+    assert all((out / name).read_text() == "kept\n"
+               for name in ("S00000.csv", "planted.json", "notes.txt"))
+
+
 def test_conflicting_sources_exit_2(tmp_path, capsys):
     rc = main(["intervals", *SYNTH, "--data-dir", str(tmp_path),
                "--out", str(tmp_path / "x"), "--jobs", "1"])
@@ -1034,6 +1077,52 @@ def test_entry_leaves_a_preset_blas_thread_count(preset):
     assert untouched
     assert code == 2
     assert seen == [{v: preset.get(v) for v in BLAS_THREAD_VARS}]
+
+
+EXIT = """
+import contextlib, gc, io, json, sys
+import volint.__main__ as entry
+import volint.cli
+sys.argv = ["volint", *{argv!r}]
+before = gc.get_freeze_count()
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = (entry.main if {entry!r} else volint.cli.main)()
+    except SystemExit as exc:
+        code = ["SystemExit", exc.code]
+print(json.dumps([before, code, gc.get_freeze_count() > 0]))
+"""
+
+TINY = ["--synth-kind", "iid", "--synth-n-stocks", "3", "--synth-length",
+        "600", "--jobs", "2", "--out"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["intervals", *TINY, "{tmp}/ok"], 0),
+    (["intervals", "--out", "{tmp}/never"], 2),      # ConfigError: no source
+    (["intervals", *TINY, "{tmp}/empty", "--thresholds", "50"], 4),
+    (["--help"], ["SystemExit", 0]),
+    (["intervals", "--bogus"], ["SystemExit", 2]),
+], ids=["ok", "config-error", "empty", "help", "bad-flag"])
+def test_entry_freezes_the_heap_however_the_command_ends(tmp_path, argv, code):
+    # the interpreter's collections at exit then skip every object made
+    # by the run; volint.cli.main, which runs in process, never freezes
+    for entry in (True, False):
+        run = [a.format(tmp=tmp_path / str(entry)) for a in argv]
+        assert run_python(EXIT.format(argv=run, entry=entry)) == [
+            0, code, entry]
+
+
+def test_entry_through_a_pipe_prints_and_exits_0(tmp_path):
+    out = tmp_path / "corpus"
+    res = subprocess.run([sys.executable, "-m", "volint", "synth", "--kind",
+                          "iid", "--n-stocks", "3", "--length", "300",
+                          "--out", str(out)],
+                         env=python_env(), capture_output=True, text=True)
+    assert (res.returncode, res.stdout, res.stderr) == (
+        0, f"wrote 3 stocks to {out}\n", "")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "S00000.csv", "S00001.csv", "S00002.csv", "planted.json"]
 
 
 def test_library_import_leaves_the_environment_and_numpy_alone():

@@ -5,7 +5,9 @@ CSV tree written from one) at ``--jobs 2`` and compares the exit code and
 the SHA-256 of every output file with the digests in GOLDEN. A refactor
 that keeps the output byte-identical keeps this test green; any change of
 a file, a file name or an exit code fails it. Every tree is also checked
-to be well formed: plain file names, and TSVs with one field count.
+to be well formed: plain file names, and TSVs with one field count. One
+case is also run through ``python -m volint`` and must write the tree
+``cli.main`` writes in process.
 
 The digests pin bytes produced by one numpy build; a different build
 may round a fitted number differently. To re-record them after an
@@ -16,6 +18,7 @@ printed dictionary over GOLDEN.
 from __future__ import annotations
 
 import hashlib
+import subprocess
 import sys
 import unicodedata
 from pathlib import Path
@@ -23,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import volint as vi
+from test_cli import python_env
 from volint.cli import main
 
 SYNTH = ["--synth-kind", "fgn", "--synth-n-stocks", "6",
@@ -66,16 +70,21 @@ def write_csv_tree(root: Path) -> None:
         fh.write("2001/01/01,5,1.0,\n")
 
 
-def run_case(name: str, tmp: Path) -> tuple[int, dict]:
-    """Exit code and {relative path: sha256} of one case's output tree."""
+def run_case(name: str, tmp: Path, entry: bool = False) -> tuple[int, dict]:
+    """Exit code and {relative path: sha256} of one case's output tree,
+    run by cli.main in process or, with entry, by `python -m volint`."""
     csv = tmp / "csv"
     if not csv.exists():
         write_csv_tree(csv)
-    out = tmp / name
+    out = tmp / (name + "-entry" * entry)
     argv = [a.format(csv=csv) for a in CASES[name]] + ["--out", str(out)]
     if name != "synth":
         argv += ["--jobs", "2"]
-    code = main(argv)
+    if entry:
+        code = subprocess.run([sys.executable, "-m", "volint", *argv],
+                              env=python_env()).returncode
+    else:
+        code = main(argv)
     digests = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.rglob("*")) if p.is_file()}
     return code, digests
@@ -297,6 +306,14 @@ def test_output_tree_matches_golden(name, tmp_path_factory):
     assert sorted(digests) == sorted(want)
     changed = [f for f in want if digests[f] != want[f]]
     assert not changed, f"{name}: bytes changed in {changed}"
+
+
+def test_entry_writes_the_in_process_tree(tmp_path):
+    # the command a user runs: its own BLAS setting, forked workers and
+    # frozen exit change no byte of what cli.main writes
+    code, digests = run_case("dfa_csv", tmp_path, entry=True)
+    assert code == 0 and "report.json" in digests
+    assert (code, digests) == run_case("dfa_csv", tmp_path)
 
 
 if __name__ == "__main__":
