@@ -275,9 +275,9 @@ def _stage(cfg, **stage):
     if summary.n_accepted == 0:
         raise DataError(
             f"no stock in {cfg.data_dir} was accepted: {summary.n_files} "
-            f"file(s), {summary.n_rejected_short} shorter than "
-            f"--min-lifetime {cfg.min_lifetime}, {summary.n_rejected_error} "
-            f"unreadable or malformed")
+            f"file(s), {summary.n_rejected_short} with fewer than "
+            f"{max(cfg.min_lifetime, 1)} usable row(s), "
+            f"{summary.n_rejected_error} unreadable or malformed")
     # sorted file names need not give sorted tickers: "A-.csv" < "A.csv"
     accepted = sorted((r for r in results if r.load.disposition == "ok"),
                       key=lambda r: r.ticker)

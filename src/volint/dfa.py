@@ -37,7 +37,6 @@ class DfaCurve(NamedTuple):
     window_sizes: np.ndarray
     fluctuations: np.ndarray
     alpha: float
-    stderr: float
     alpha_flagged: bool = False     # alpha > 1, nonstationary scaling
 
 
@@ -105,10 +104,8 @@ def dfa(series, order: int = DEFAULT_ORDER) -> DfaCurve:
     # no slope information; the threshold scales with the profile itself
     floor = 1e-10 * (np.abs(y).max() + np.finfo(np.float64).tiny)
     sel = fluct > floor
-    if int(sel.sum()) < 2:
-        alpha, stderr = float("nan"), float("nan")
-    else:
-        res = linregress(np.log(windows[sel]), np.log(fluct[sel]))
-        alpha, stderr = float(res.slope), float(res.stderr)
+    alpha = float("nan")
+    if int(sel.sum()) >= 2:
+        alpha = linregress(np.log(windows[sel]), np.log(fluct[sel])).slope
     return DfaCurve(window_sizes=windows, fluctuations=fluct, alpha=alpha,
-                    stderr=stderr, alpha_flagged=bool(alpha > 1.0))
+                    alpha_flagged=bool(alpha > 1.0))

@@ -25,24 +25,17 @@ DEFAULT_X_MIN_GRID = (0.5, 0.71, 1.0, 1.41, 2.0, 2.83, 4.0)
 class BinnedPdf(NamedTuple):
     """Histogram density on geometric bins.
 
-    densities[i] = counts[i] / (n_total * width[i]); zero-count bins carry
-    zero density and are excluded from any fit. degenerate: a grid derived
-    from samples all equal to lo, the one bin [lo, lo * 10**(1/bins_per_decade)).
+    densities[i] = counts[i] / (counts.sum() * (edges[i + 1] - edges[i]));
+    zero-count bins carry zero density and are excluded from any fit.
     """
 
     edges: np.ndarray
     densities: np.ndarray
     counts: np.ndarray
-    n_total: int
-    degenerate: bool = False
 
     @property
     def centers(self) -> np.ndarray:
         return np.sqrt(self.edges[:-1] * self.edges[1:])
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
 
 
 class TailFit(NamedTuple):
@@ -162,7 +155,9 @@ def log_bin(samples, bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
     Returns
     -------
     BinnedPdf
-        sum(densities * widths) == 1 exactly (up to float error).
+        sum(densities * np.diff(edges)) == 1 exactly (up to float error).
+        Derived edges of a constant sample lo are the one bin
+        [lo, lo * 10**(1/bins_per_decade)).
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.size == 0 and edges is None:
@@ -170,20 +165,17 @@ def log_bin(samples, bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
     if not np.all(np.isfinite(x) & (x > 0)):
         raise DataError("samples must all be finite and positive")
     if edges is not None:
-        edges, degenerate = increasing_edges(edges), False
+        edges = increasing_edges(edges)
     else:
         if bins_per_decade < 1:
             raise ConfigError(f"bins_per_decade must be >= 1, got {bins_per_decade}")
-        lo, hi = float(x.min()), float(x.max())
-        degenerate = lo == hi
-        # derived edges cover every sample, so n_total below is x.size
-        edges = geometric_edges(lo, hi, bins_per_decade)
+        # derived edges cover every sample, so n below is x.size
+        edges = geometric_edges(float(x.min()), float(x.max()), bins_per_decade)
     counts, _ = np.histogram(x, bins=edges)
-    n_total = int(counts.sum())
+    n = int(counts.sum())
     widths = np.diff(edges)
-    dens = counts / (n_total * widths) if n_total else np.zeros_like(widths)
-    return BinnedPdf(edges=edges, densities=dens, counts=counts.astype(np.int64),
-                     n_total=n_total, degenerate=degenerate)
+    dens = counts / (n * widths) if n else np.zeros_like(widths)
+    return BinnedPdf(edges=edges, densities=dens, counts=counts.astype(np.int64))
 
 
 def fit_power_tail(pdf: BinnedPdf, x_min: float = DEFAULT_X_MIN,

@@ -146,15 +146,15 @@ def map_stocks(sources, series: str = "volume", *, seed: int = 0,
         return [worker(s) for s in sources]
     # what the workers import, each loads once here rather than once in
     # every child: the steps this request runs, the reader of CSV
-    # sources, and numpy.random where shuffle controls or generators draw
+    # sources, and for generated sources numpy.random, whose OpenSSL
+    # (about 6 MB) their parent already holds from deriving the seeds
     generated = any(isinstance(s, tuple) for s in sources)
     paths = any(not isinstance(s, (tuple, DailySeries)) for s in sources)
-    for module, used in (("dfa", order is not None), ("factors", factors),
-                         ("synth", generated), ("ingest", paths)):
+    for module, used in ((".dfa", order is not None), (".factors", factors),
+                         (".synth", generated), ("numpy.random", generated),
+                         (".ingest", paths)):
         if used:
-            importlib.import_module(f".{module}", __package__)
-    if shuffled_qs or shuffled_dfa or generated:
-        import numpy.random  # noqa: F401
+            importlib.import_module(module, __package__)
     return _fork_map(worker, sources, min(jobs, len(sources)))
 
 

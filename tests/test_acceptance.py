@@ -119,8 +119,7 @@ def test_tail_estimator_exactness():
         lo, hi = edges[:-1], edges[1:]
         dens = (lo ** (1 - g) - hi ** (1 - g)) / ((g - 1) * (hi - lo))
         pdf = vi.BinnedPdf(edges=edges, densities=dens,
-                           counts=np.ones(lo.size, dtype=np.int64),
-                           n_total=int(lo.size), degenerate=False)
+                           counts=np.ones(lo.size, dtype=np.int64))
         worst = max(worst, abs(vi.fit_power_tail(pdf, x_min=1.0).gamma - g))
     rng = np.random.default_rng(424242)
     x = (1.0 - rng.random(1_000_000)) ** (-1.0 / 2.0)  # density ~ x^-3

@@ -246,21 +246,28 @@ def test_missing_data_dir_exit_3(tmp_path, capsys, name):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("files, text", [
-    ({}, "no *.csv file in"),
+@pytest.mark.parametrize("files, lifetime, text", [
+    ({}, "350", "no *.csv file in"),
     ({"BAD.csv": "date,vol,close,shares_outstanding\n2001-01-01,1,1.0,\n"},
-     "1 file(s), 0 shorter than --min-lifetime 350, 1 unreadable or malformed"),
+     "350", "1 file(s), 0 with fewer than 350 usable row(s), "
+     "1 unreadable or malformed"),
     ({"A.csv": "date,volume,close,shares_outstanding\n2001-01-01,1,1.0,\n",
       "B.csv": "date,volume,close,shares_outstanding\n"},
-     "2 file(s), 2 shorter than --min-lifetime 350, 0 unreadable or malformed"),
-], ids=["empty-dir", "bad-header", "short"])
-def test_no_accepted_stock_exit_3_says_why(tmp_path, capsys, files, text):
+     "350", "2 file(s), 2 with fewer than 350 usable row(s), "
+     "0 unreadable or malformed"),
+    # read_stock keeps no file without a row, whatever the lifetime
+    ({"E.csv": "", "H.csv": "date,volume,close,shares_outstanding\n"},
+     "0", "2 file(s), 2 with fewer than 1 usable row(s), "
+     "0 unreadable or malformed"),
+], ids=["empty-dir", "bad-header", "short", "no-row-at-lifetime-0"])
+def test_no_accepted_stock_exit_3_says_why(tmp_path, capsys, files, lifetime,
+                                           text):
     src = tmp_path / "src"
     src.mkdir()
     for name, body in files.items():
         (src / name).write_text(body)
-    rc = main(["intervals", "--data-dir", str(src), "--out",
-               str(tmp_path / "x"), "--jobs", "1"])
+    rc = main(["intervals", "--data-dir", str(src), "--min-lifetime", lifetime,
+               "--out", str(tmp_path / "x"), "--jobs", "1"])
     assert rc == 3
     assert text in capsys.readouterr().err
 
@@ -953,6 +960,35 @@ def test_runs_that_draw_nothing_leave_hashlib_unloaded(tmp_path):
     *drew_nothing, shuffled = run_python(code)
     assert drew_nothing == [[0, []]] * 3
     assert shuffled[0] == 0 and "hashlib" in shuffled[1]
+
+
+def test_forked_csv_runs_leave_the_rng_unloaded_in_the_parent(tmp_path):
+    # numpy.random loads OpenSSL (through secrets); the parent of a CSV run
+    # never draws, shuffled or not, so it loads neither, while a generated
+    # run's parent, which holds OpenSSL from deriving its seeds, loads
+    # numpy.random before it forks so that no worker imports it
+    data = tmp_path / "data"
+    assert main(["synth", "--kind", "iid", "--n-stocks", "3", "--length",
+                 "600", "--seed", "5", "--out", str(data)]) == 0
+    csv = ["--data-dir", str(data)]
+    runs = [["intervals", *csv], ["dfa", "--shuffled", *csv],
+            ["intervals", "--synth-kind", "iid", "--synth-n-stocks", "3",
+             "--synth-length", "600"]]
+    code = ("import json, sys; from volint import cli, stage\n"
+            "forks, loaded, fork_map = [], [], stage._fork_map\n"
+            "def spy(*args):\n"
+            "    forks.append('numpy.random' in sys.modules)\n"
+            "    return fork_map(*args)\n"
+            "stage._fork_map = spy\n"
+            f"for i, run in enumerate({runs!r}):\n"
+            f"    rc = cli.main(run + ['--jobs', '2', '--out', {str(tmp_path)!r}"
+            " + f'/o{i}'])\n"
+            "    loaded.append([rc, forks.pop(), sorted({'numpy.random', "
+            "'_hashlib'} & set(sys.modules))])\n"
+            "print(json.dumps(loaded))")
+    *csv_runs, generated = run_python(code)
+    assert csv_runs == [[0, False, []]] * 2
+    assert generated == [0, True, ["_hashlib", "numpy.random"]]
 
 
 def test_csv_runs_load_no_generator_dfa_or_factor_code(tmp_path):

@@ -18,8 +18,7 @@ def bin_averaged_power_pdf(g, lo=1.0, hi=1.0e3, bpd=8):
     a, b = edges[:-1], edges[1:]
     dens = (a ** (1 - g) - b ** (1 - g)) / ((g - 1) * (b - a))
     return BinnedPdf(edges=edges, densities=dens,
-                     counts=np.ones(a.size, dtype=np.int64),
-                     n_total=int(a.size), degenerate=False)
+                     counts=np.ones(a.size, dtype=np.int64))
 
 
 def test_geometric_edges_constant_ratio_and_cover():
@@ -34,10 +33,10 @@ def test_geometric_edges_constant_ratio_and_cover():
 def test_log_bin_decade_singletons():
     pdf = log_bin(np.array([1.0, 10.0, 100.0]), 1)
     assert pdf.counts.tolist() == [1, 1, 1]
-    assert pdf.n_total == 3
+    assert pdf.counts.sum() == 3
     assert np.allclose(pdf.centers, np.sqrt(pdf.edges[:-1] * pdf.edges[1:]))
     # each density is 1/(3 * width)
-    assert np.allclose(pdf.densities, 1.0 / (3.0 * pdf.widths))
+    assert np.allclose(pdf.densities, 1.0 / (3.0 * np.diff(pdf.edges)))
 
 
 def test_log_bin_rejects_nonpositive():
@@ -55,9 +54,10 @@ def test_log_bin_rejects_nonfinite():
 
 def test_log_bin_single_value_degenerate():
     pdf = log_bin(np.full(10, 3.0))
-    assert pdf.degenerate
+    assert pdf.edges.tolist() == [3.0, 3.0 * 10.0 ** (1.0 / 8)]
     assert pdf.counts.sum() == 10
-    assert not log_bin(np.full(10, 3.0), edges=[1.0, 10.0]).degenerate
+    given = log_bin(np.full(10, 3.0), edges=[1.0, 10.0])
+    assert given.edges.tolist() == [1.0, 10.0] and given.counts.tolist() == [10]
 
 
 def constant_sample_reference(value, n, bins_per_decade):
@@ -83,7 +83,7 @@ def test_log_bin_constant_sample_is_the_general_grid(value, n, bins_per_decade):
     want = constant_sample_reference(value, n, bins_per_decade)
     for got, ref in zip((pdf.edges, pdf.densities, pdf.counts), want):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-    assert pdf.n_total == n and pdf.degenerate
+    assert pdf.edges.size == 2 and pdf.counts.sum() == n
 
 
 def test_log_bin_empty_sample_needs_edges():
@@ -91,7 +91,7 @@ def test_log_bin_empty_sample_needs_edges():
     for empty in ([], np.empty(0)):
         pdf = log_bin(empty, edges=edges)
         assert pdf.edges.tolist() == edges.tolist()
-        assert pdf.n_total == 0 and not pdf.degenerate
+        assert pdf.counts.sum() == 0
         assert pdf.counts.dtype == np.int64 and pdf.densities.dtype == np.float64
         assert pdf.counts.tolist() == [0] * (edges.size - 1)
         assert pdf.densities.tolist() == [0.0] * (edges.size - 1)
@@ -102,7 +102,7 @@ def test_log_bin_empty_sample_needs_edges():
 def test_log_bin_explicit_edges_drop_out_of_range():
     edges = geometric_edges(1.0, 10.0, 1)
     pdf = log_bin(np.array([0.5, 1.5, 20.0]), edges=edges)
-    assert pdf.n_total == 2
+    assert pdf.counts.sum() == 2
     assert pdf.counts.tolist() == [1, 1]
 
 
@@ -134,8 +134,7 @@ def test_exponential_fit_exact_on_point_densities():
     edges = geometric_edges(0.1, 10.0, 8)
     c = np.sqrt(edges[:-1] * edges[1:])
     pdf = BinnedPdf(edges=edges, densities=np.exp(-c),
-                    counts=np.ones(c.size, dtype=np.int64),
-                    n_total=int(c.size), degenerate=False)
+                    counts=np.ones(c.size, dtype=np.int64))
     f = fit_exponential(pdf)
     assert abs(f.a - 1.0) < 1e-12
     assert f.r2 > 1.0 - 1e-12
@@ -173,8 +172,7 @@ def test_rising_densities_rejected():
     edges = geometric_edges(1.0, 100.0, 4)
     c = np.sqrt(edges[:-1] * edges[1:])
     pdf = BinnedPdf(edges=edges, densities=c.copy(),
-                    counts=np.ones(c.size, dtype=np.int64),
-                    n_total=int(c.size), degenerate=False)
+                    counts=np.ones(c.size, dtype=np.int64))
     with pytest.raises(vi.FitShapeError):
         fit_exponential(pdf)
 

@@ -15,7 +15,7 @@ def _frozen_records():
     """(record, a field) of each record that cannot be changed."""
     series, _ = vi.synth_stock(vi.GeneratorSpec("iid", 64, {}, 1), 0)
     edges = np.array([1.0, 2.0, 4.0])
-    pdf = vi.BinnedPdf(edges, np.array([0.5, 0.1]), np.array([5, 2]), 7)
+    pdf = vi.BinnedPdf(edges, np.array([0.5, 0.1]), np.array([5, 2]))
     return [
         (series, "close"),
         (vi.FileLoad(), "disposition"),
@@ -23,7 +23,7 @@ def _frozen_records():
         (pdf, "edges"),
         (vi.TailFit(2.5, 1.0, 0.1, 6, 0.9), "gamma"),
         (vi.ExpFit(1.0, 0.1, 0.9), "a"),
-        (vi.DfaCurve(np.array([8, 16]), np.array([1.0, 2.0]), 1.0, 0.0), "alpha"),
+        (vi.DfaCurve(np.array([8, 16]), np.array([1.0, 2.0]), 1.0), "alpha"),
         (vi.ConditionalPdf(1, pdf, 7, 1.0, True), "pdf"),
         (vi.GammaBin(1.0, 2.0, 2.5, 0.1, 0.9, 3, 40), "gamma"),
         (vi.AlphaBin(1.0, 2.0, 0.6, 0.1, 3), "mean_alpha"),
